@@ -69,12 +69,9 @@ def _map_jobs(threads: int, fn, items: list) -> list:
 
 def _classes(params: Params, args):
     if args.threads <= 1:
-        return cover_classes(params, samples=args.samples, seed=args.seed)
-    ms = _map_jobs(
-        args.threads,
-        lambda label: class_conductor(params, label, samples=args.samples,
-                                      seed=args.seed),
-        list(_CLASS_ORDER))
+        return cover_classes(params)
+    ms = _map_jobs(args.threads, lambda label: class_conductor(params, label),
+                   list(_CLASS_ORDER))
     return cover_classes(params, conductors=dict(zip(_CLASS_ORDER, ms)))
 
 
@@ -87,8 +84,7 @@ def _class_rows(classes) -> List[Dict[str, int]]:
 
 
 def cmd_verify(params: Params, args) -> dict:
-    rep = verify_big_action(params, samples=args.samples, seed=args.seed,
-                            classes=_classes(params, args))
+    rep = verify_big_action(params, classes=_classes(params, args))
     return {
         "command": "verify",
         "params": _params_payload(params),
@@ -104,8 +100,7 @@ def cmd_verify(params: Params, args) -> dict:
 
 
 def cmd_genus(params: Params, args) -> dict:
-    rep = genus_of_F(params, samples=args.samples, seed=args.seed,
-                     classes=_classes(params, args))
+    rep = genus_of_F(params, classes=_classes(params, args))
     return {
         "command": "genus",
         "params": _params_payload(params),
@@ -138,13 +133,12 @@ def cmd_conductor(params: Params, args) -> dict:
         groups = ree_line_groups(params)
         payload["two_floor_groups"] = {str(m): c
                                        for m, c in sorted(groups.items())}
-        payload["two_floor_genus"] = ree_aggregate(params)
+        payload["two_floor_genus"] = ree_aggregate(params, groups=groups)
     return payload
 
 
 def cmd_audit(params: Params, args) -> dict:
-    rows = audit_closed_forms(params, samples=args.samples, seed=args.seed,
-                              classes=_classes(params, args))
+    rows = audit_closed_forms(params, classes=_classes(params, args))
     encoded = [{
         "label": r.label,
         "closed": _enc(r.closed),
@@ -360,10 +354,12 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--s", type=int, required=True,
                         help="tower parameter: q0 = p^s, q = p^(2s+1)")
         sp.add_argument("--samples", type=int, default=2,
-                        help="random representatives per certified claim")
+                        help="translations prolong samples when q > 128 "
+                             "(conductors are certified on every line)")
         sp.add_argument("--seed", type=int, default=0,
-                        help="seed for all sampling (reports are "
-                             "reproducible bit for bit)")
+                        help="seed for prolong's sampled translations when "
+                             "q > 128 (reports are reproducible bit for "
+                             "bit)")
         sp.add_argument("--threads", type=int, default=1,
                         help="worker threads; output bytes do not depend "
                              "on this")
@@ -380,6 +376,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        if args.samples < 0:
+            raise ParameterError("--samples must be nonnegative")
         text, payload = _obtain(args)
         code = _exit_code(args.command, payload)
     except IntegrityError as exc:

@@ -359,8 +359,13 @@ def make_field(p: int, n: int) -> FieldCtx:
     return FieldCtx(p, n)
 
 
+def prime_basis(ctx: FieldCtx) -> List[int]:
+    """F_p-basis of F_q: the power basis 1, t, ..., t^(n-1), as codes."""
+    return [ctx.p ** i for i in range(ctx.n)]
+
+
 def basis_and_reps(ctx: FieldCtx) -> Tuple[List[int], List[int]]:
-    """F_p-basis (power basis of the modulus root) and F_q*/F_p* reps.
+    """F_p-basis (`prime_basis`) and F_q*/F_p* reps.
 
     Representatives follow the leading-coordinate-1 rule: a nonzero code
     is kept iff its highest-index nonzero base-p digit equals 1.  Scaling
@@ -368,7 +373,7 @@ def basis_and_reps(ctx: FieldCtx) -> Tuple[List[int], List[int]]:
     exactly one such element, so the list has (q-1)/(p-1) entries in
     ascending code order.
     """
-    basis = [ctx.p ** i for i in range(ctx.n)]
+    basis = prime_basis(ctx)
     reps = ctx._reps
     if reps is None:
         reps = []

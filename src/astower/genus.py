@@ -11,9 +11,11 @@ pieces E_1, ..., E_r exhaust the dual space of an N-dimensional group,
     g(E) = sum g(E_i) - p * (p^(N-1) - 1) / (p - 1) * g(base).
 
 The conductors feeding the first formula come from the exact pole
-reduction in `local`; nothing in this module is approximate, and every
-derived count or genus is cross-checked against an independent closed
-form where one exists, raising IntegrityError on disagreement.
+reduction in `local`, certified for every line of a coefficient space at
+once by F_p-linear algebra (`_line_histogram`); nothing in this module is
+approximate or sampled, and every derived count or genus is cross-checked
+against an independent closed form where one exists, raising
+IntegrityError on disagreement.
 """
 
 from dataclasses import dataclass
@@ -21,10 +23,10 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import IntegrityError, ParameterError
-from .ff import Params
-from .local import (UniformizerData, XYPoly, build_uniformizer,
-                    conductor_of_cover, cover_rhs_polys)
-from .rng import SplitMix64
+from .ff import FieldCtx, Params, prime_basis
+from .local import (UniformizerData, build_uniformizer, conductor_of_cover,
+                    cover_rhs_polys, expand_at_infinity, expand_rational,
+                    reduce_mod_wp)
 
 _CLASS_ORDER = ("y2", "v1", "v2", "w")
 
@@ -80,65 +82,129 @@ def conductor_ladder(params: Params) -> Dict[str, int]:
     }
 
 
-def _label_seed(seed: int, index: int) -> int:
-    # distinct, well-mixed stream per class so the label jobs are
-    # independent of how they are scheduled
-    return (seed ^ ((index + 1) * 0x9E3779B97F4A7C15)) & ((1 << 64) - 1)
+def _line_histogram(ctx: FieldCtx, reduced_basis: List[Dict[int, int]]
+                    ) -> Dict[int, int]:
+    """Conductor histogram {m: lines} over every line of a coefficient space.
 
+    reduced_basis holds the `reduce_mod_wp(...).reduced` principal parts
+    of an F_p-basis f_1, ..., f_dim of the space of right-hand sides.  A
+    line is a nonzero vector a in F_p^dim up to F_p* scaling.
 
-def class_conductor(params: Params, label: str, *, samples: int = 2,
-                    seed: int = 0,
-                    data: Optional[UniformizerData] = None) -> int:
-    """Conductor of one cover class, certified on sampled representatives.
+    Soundness: each reduction replayed its certificate
+    f_i = red_i + (u_i^p - u_i) + (terms without a pole).  Since
+    u -> u^p - u is additive, u = sum a_i u_i certifies
+    sum a_i f_i = sum a_i red_i + (u^p - u) + (terms without a pole), and
+    sum a_i red_i has no pole order divisible by p because no red_i has
+    one.  So the top pole order e of sum a_i red_i gives the line's
+    conductor m = e + 1 (Stichtenoth, Prop. 3.7.8), proved from the dim
+    replayed basis certificates rather than from sampled lines.
 
-    The canonical representative (single coefficient 1 on the class
-    floor) and `samples` random lines in the class are expanded and
-    reduced; all must agree with each other and with the closed-form
-    ladder, else IntegrityError.
+    Counting: write the F_p coordinates (pole order, base-p digit) of
+    sum a_i red_i as a linear map of a, with columns in decreasing pole
+    order.  One Gaussian elimination in that column order gives the rank
+    of each leading block; with k_{>e} and k_{>=e} the kernel dimensions
+    of the columns above e and at or above e, the lines whose top pole
+    order is e number (p^k_{>e} - p^k_{>=e}) / (p - 1).
+
+    Every bar must be a reduced conductor (m >= 2, m - 1 prime to p) and
+    the bars must cover all (p^dim - 1)/(p - 1) lines (no line without a
+    pole); either failure raises IntegrityError.
     """
-    if samples < 0:
-        raise ParameterError("samples must be nonnegative")
+    p = ctx.p
+    # echelon rows keyed by their leading column (exponent, digit); the
+    # most negative exponent is the highest pole order and sorts first
+    pivots: Dict[Tuple[int, int], Dict[Tuple[int, int], int]] = {}
+    for red in reduced_basis:
+        row = {(e, j): d for e, c in red.items()
+               for j, d in enumerate(ctx.to_coeffs(c)) if d}
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                inv = pow(row[lead], p - 2, p)
+                pivots[lead] = {k: v * inv % p for k, v in row.items()}
+                break
+            c = row[lead]
+            for k, v in piv.items():
+                w = (row.get(k, 0) - c * v) % p
+                if w:
+                    row[k] = w
+                else:
+                    del row[k]
+    rank_at: Dict[int, int] = {}
+    for e, _ in pivots:
+        rank_at[-e] = rank_at.get(-e, 0) + 1
+    hist: Dict[int, int] = {}
+    kernel = len(reduced_basis)
+    for pole in sorted(rank_at, reverse=True):
+        m = pole + 1
+        if m < 2 or pole % p == 0:
+            raise IntegrityError(
+                f"line conductor {m} is not reduced for p={p}")
+        rank = rank_at[pole]
+        hist[m] = (p ** kernel - p ** (kernel - rank)) // (p - 1)
+        kernel -= rank
+    if sum(hist.values()) != (p ** len(reduced_basis) - 1) // (p - 1):
+        raise IntegrityError(
+            f"{p ** kernel - 1} nonzero vectors of the coefficient space "
+            "reduce to no pole")
+    return hist
+
+
+def _certified_classes(params: Params, top: int,
+                       data: Optional[UniformizerData]) -> Dict[str, int]:
+    """Certify the classes _CLASS_ORDER[:top + 1] over all of their lines.
+
+    The coefficient space V_{<=i} is spanned by b * part_j for j <= i and
+    b in the F_p-basis of F_q; each part is expanded once and scaled by
+    b (expansion is F_q-linear), and each product is reduced on its own
+    (reduction is only F_p-linear).  Class i's histogram is
+    hist(V_{<=i}) - hist(V_{<i}) and must be the single bar
+    {ladder[label]: class_line_counts[label]}.
+    """
+    ctx = params.field()
+    if data is None:
+        data = build_uniformizer(params)
+    parts = cover_rhs_polys(params)
+    basis = prime_basis(ctx)
+    ladder = conductor_ladder(params)
+    counts = class_line_counts(params)
+    labels = _CLASS_ORDER[:top + 1]
+    reduced: List[Dict[int, int]] = []
+    below: Dict[int, int] = {}
+    for label in labels:
+        expansion = expand_at_infinity(data, parts[label])
+        reduced += [reduce_mod_wp(ctx, expansion.scale(b)).reduced
+                    for b in basis]
+        upto = _line_histogram(ctx, reduced)
+        want = dict(below)
+        m = ladder[label]
+        want[m] = want.get(m, 0) + counts[label]
+        if upto != want:
+            raise IntegrityError(
+                f"class {label}: lines by conductor {upto} up to this class, "
+                f"the ladder predicts {want}")
+        below = upto
+    return {label: ladder[label] for label in labels}
+
+
+def class_conductor(params: Params, label: str, *,
+                    data: Optional[UniformizerData] = None) -> int:
+    """Conductor of one cover class, certified on every line of the class.
+
+    The lower classes are certified along the way, since the class
+    histogram is a difference of two prefix histograms; see
+    `_certified_classes`.
+    """
     if label not in _CLASS_ORDER:
         raise ParameterError(f"unknown cover class {label!r}")
-    index = _CLASS_ORDER.index(label)
-    ctx = params.field()
-    parts = cover_rhs_polys(params)
-    gen = SplitMix64(_label_seed(seed, index))
-    if data is None:
-        data = build_uniformizer(params)
-    reps = [[1 if j == index else 0 for j in range(4)]]
-    for _ in range(samples):
-        coeffs = [gen.randbelow(params.q) for _ in range(index)]
-        coeffs.append(1 + gen.randbelow(params.q - 1))
-        coeffs.extend([0] * (3 - index))
-        reps.append(coeffs)
-    ms = set()
-    for coeffs in reps:
-        combined = XYPoly(ctx)
-        for c, lab in zip(coeffs, _CLASS_ORDER):
-            if c:
-                combined = combined + parts[lab].scale(c)
-        ms.add(conductor_of_cover(params, combined, base="tower",
-                                  data=data).m)
-    if len(ms) != 1:
-        raise IntegrityError(
-            f"class {label} conductor varies across its lines: {sorted(ms)}")
-    m = ms.pop()
-    ladder_m = conductor_ladder(params)[label]
-    if m != ladder_m:
-        raise IntegrityError(
-            f"class {label} conductor {m} disagrees with ladder {ladder_m}")
-    return m
+    return _certified_classes(params, _CLASS_ORDER.index(label), data)[label]
 
 
-def class_conductors(params: Params, *, samples: int = 2, seed: int = 0,
+def class_conductors(params: Params, *,
                      data: Optional[UniformizerData] = None) -> Dict[str, int]:
     """Certified conductor of every cover class; see `class_conductor`."""
-    if data is None:
-        data = build_uniformizer(params)
-    return {label: class_conductor(params, label, samples=samples,
-                                   seed=seed, data=data)
-            for label in _CLASS_ORDER}
+    return _certified_classes(params, len(_CLASS_ORDER) - 1, data)
 
 
 def base_floor_genus(params: Params) -> int:
@@ -187,7 +253,7 @@ class CoverClass:
     genus: int
 
 
-def cover_classes(params: Params, *, samples: int = 2, seed: int = 0,
+def cover_classes(params: Params, *,
                   conductors: Optional[Dict[str, int]] = None
                   ) -> List[CoverClass]:
     """Count, conductor, and line genus for each of the four classes.
@@ -197,9 +263,7 @@ def cover_classes(params: Params, *, samples: int = 2, seed: int = 0,
     """
     counts = class_line_counts(params)
     if conductors is None:
-        data = build_uniformizer(params)
-        conductors = class_conductors(params, samples=samples, seed=seed,
-                                      data=data)
+        conductors = class_conductors(params)
     gb = base_floor_genus(params)
     return [CoverClass(label, counts[label], conductors[label],
                        rh_genus(params.p, gb, conductors[label]))
@@ -218,7 +282,7 @@ class GenusReport:
     genus_printed: int
 
 
-def genus_of_F(params: Params, *, samples: int = 2, seed: int = 0,
+def genus_of_F(params: Params, *,
                classes: Optional[List[CoverClass]] = None) -> GenusReport:
     """Genus of the full field under both published readings.
 
@@ -231,7 +295,7 @@ def genus_of_F(params: Params, *, samples: int = 2, seed: int = 0,
     """
     p, q, q0 = params.p, params.q, params.q0
     if classes is None:
-        classes = cover_classes(params, samples=samples, seed=seed)
+        classes = cover_classes(params)
     classes = tuple(classes)
     gb = base_floor_genus(params)
     weighted = sum(c.count * c.genus for c in classes)
@@ -262,14 +326,17 @@ class AuditRow:
     difference: Fraction
 
 
-def audit_closed_forms(params: Params, *, samples: int = 1, seed: int = 0,
+def audit_closed_forms(params: Params, *,
                        classes: Optional[List[CoverClass]] = None
                        ) -> List[AuditRow]:
     """Compare pipeline class genera against their closed forms.
 
     The y2, v1, v2 forms reproduce the pipeline exactly; the w form
     overshoots by exactly q/2, and the audit records that difference
-    rather than hiding it.
+    rather than hiding it.  The w form is q/(2 q0) times an odd integer
+    (2pq + 2p q0 - q0 - q - 1 is odd, and q/q0 = p^(s+1) is odd), so it
+    is half-integral for every (p, s) and can never equal an integer
+    genus.
     """
     p, q0, q = params.p, params.q0, params.q
     scale = Fraction(q, 2 * q0)
@@ -280,7 +347,7 @@ def audit_closed_forms(params: Params, *, samples: int = 1, seed: int = 0,
         "w": scale * (2 * p * q + 2 * p * q0 - q0 - q - 1),
     }
     if classes is None:
-        classes = cover_classes(params, samples=samples, seed=seed)
+        classes = cover_classes(params)
     rows = []
     for c in classes:
         want = closed[c.label]
@@ -297,50 +364,37 @@ def audit_closed_forms(params: Params, *, samples: int = 1, seed: int = 0,
 # ----------------------------------------------- two-floor compositum
 
 
-def _pair_lines(params: Params) -> List[Tuple[int, int]]:
-    """Canonical (c1, c2) pairs, one per line of F_q^2 \\ 0.
-
-    The pair is packed as c1 + q*c2 and canonicalized by requiring the
-    top nonzero base-p digit to be 1.
-    """
-    p, q = params.p, params.q
-    out = []
-    for code in range(1, q * q):
-        top = 0
-        v = code
-        while v:
-            top, v = v % p, v // p
-        if top == 1:
-            out.append((code % q, code // q))
-    return out
-
-
 def ree_line_groups(params: Params) -> Dict[int, int]:
     """Conductor histogram over the lines of the two-floor compositum.
 
     Specific to p = 3, where the second-floor pole folds down far
     enough that the histogram has exactly two bars, one conductor
-    apart: the pure first-floor lines and everything else.
+    apart: the pure first-floor lines and everything else.  Every one of
+    the (q^2 - 1)/(p - 1) lines c1*f1 + c2*f2 over the rational base is
+    certified by `_line_histogram` from the reductions of b*f1, b*f2
+    for b in the F_p-basis of F_q.
     """
     if params.p != 3:
         raise ParameterError("the two-floor filtration break needs p = 3")
     ctx = params.field()
     parts = cover_rhs_polys(params)
-    f1, f2 = parts["y1"], parts["y2"]
-    groups: Dict[int, int] = {}
-    for c1, c2 in _pair_lines(params):
-        combined = f1.scale(c1) + f2.scale(c2)
-        m = conductor_of_cover(params, combined, base="rational").m
-        groups[m] = groups.get(m, 0) + 1
-    q, p = params.q, params.p
-    if sum(groups.values()) != (q * q - 1) // (p - 1):
-        raise IntegrityError("two-floor line enumeration is incomplete")
-    return groups
+    reduced: List[Dict[int, int]] = []
+    for label in ("y1", "y2"):
+        expansion = expand_rational(ctx, parts[label])
+        reduced += [reduce_mod_wp(ctx, expansion.scale(b)).reduced
+                    for b in prime_basis(ctx)]
+    return _line_histogram(ctx, reduced)
 
 
-def ree_aggregate(params: Params) -> int:
-    """Genus of the two-floor compositum, checked against its closed form."""
-    groups = ree_line_groups(params)
+def ree_aggregate(params: Params, *,
+                  groups: Optional[Dict[int, int]] = None) -> int:
+    """Genus of the two-floor compositum, checked against its closed form.
+
+    A histogram already computed by `ree_line_groups` can be passed in
+    as groups (the conductor report does this).
+    """
+    if groups is None:
+        groups = ree_line_groups(params)
     pieces = [(count, rh_genus(params.p, 0, m))
               for m, count in sorted(groups.items())]
     g = gs_aggregate(params.p, pieces, 0)
@@ -368,7 +422,7 @@ class BigActionReport:
     readings_agree: bool
 
 
-def verify_big_action(params: Params, *, samples: int = 2, seed: int = 0,
+def verify_big_action(params: Params, *,
                       classes: Optional[List[CoverClass]] = None
                       ) -> BigActionReport:
     """Check |G| > 2p/(p-1) * g for the full action, under both readings.
@@ -376,7 +430,7 @@ def verify_big_action(params: Params, *, samples: int = 2, seed: int = 0,
     The group is the extension of the q-fold translation group by the
     q^5 vertical shifts, so |G| = q^6.
     """
-    rep = genus_of_F(params, samples=samples, seed=seed, classes=classes)
+    rep = genus_of_F(params, classes=classes)
     p = params.p
     order = params.q ** 6
     ratio = Fraction(2 * p, p - 1)

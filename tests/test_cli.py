@@ -31,6 +31,14 @@ def test_bad_characteristic_is_usage_error(capsys):
     assert err.strip()
 
 
+@pytest.mark.parametrize("command", ["verify", "prolong"])
+def test_negative_samples_is_usage_error(command, capsys):
+    code, out, err = run([command, "--p", "3", "--s", "1", "--samples", "-1"],
+                         capsys)
+    assert code == 2
+    assert out == "" and "samples" in err
+
+
 def test_bad_format_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["genus", "--p", "3", "--s", "1", "--format", "yaml"])
@@ -73,6 +81,13 @@ def test_conductor_report(capsys):
         {"y2": 38, "v1": 254, "v2": 281, "w": 308}
     assert payload["two_floor_groups"] == {"11": 13, "12": 351}
     assert payload["two_floor_genus"] == 3627
+
+
+def test_conductor_p3s3_certifies_every_two_floor_line(capsys):
+    code, payload = run_json(["conductor", "--p", "3", "--s", "3"], capsys)
+    assert code == 0
+    assert payload["two_floor_groups"] == {"83": 1093, "84": 2390391}
+    assert payload["two_floor_genus"] == 196100595
 
 
 def test_conductor_skips_two_floor_outside_p3(capsys):

@@ -7,15 +7,18 @@ package must reproduce them exactly.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from astower.errors import IntegrityError, ParameterError
-from astower.ff import Params
+from astower.ff import Params, make_field
 from astower.genus import (
+    _line_histogram,
     audit_closed_forms,
     base_floor_genus,
+    class_conductors,
     class_line_counts,
     conductor_ladder,
     cover_classes,
@@ -26,10 +29,14 @@ from astower.genus import (
     rh_genus,
     verify_big_action,
 )
+from astower.local import (XYPoly, build_uniformizer, conductor_of_cover,
+                           cover_rhs_polys)
 
 P31 = Params(3, 1)
 P51 = Params(5, 1)
 P32 = Params(3, 2)
+P71 = Params(7, 1)
+CLASS_ORDER = ("y2", "v1", "v2", "w")
 
 
 # ------------------------------------------------------------ rh_genus
@@ -122,7 +129,7 @@ def test_conductor_ladder_values():
 
 
 def test_cover_classes_p3s1():
-    rows = {c.label: c for c in cover_classes(P31, samples=3, seed=7)}
+    rows = {c.label: c for c in cover_classes(P31)}
     assert rows["y2"].count == 13 and rows["y2"].conductor == 38
     assert rows["y2"].genus == 387
     assert rows["v1"].conductor == 254 and rows["v1"].genus == 603
@@ -132,7 +139,7 @@ def test_cover_classes_p3s1():
 
 
 def test_cover_classes_p5s1():
-    rows = {c.label: c for c in cover_classes(P51, samples=2, seed=3)}
+    rows = {c.label: c for c in cover_classes(P51)}
     assert [rows[k].conductor for k in ("y2", "v1", "v2", "w")] == \
         [152, 3152, 3277, 3402]
     assert [rows[k].genus for k in ("y2", "v1", "v2", "w")] == \
@@ -140,20 +147,69 @@ def test_cover_classes_p5s1():
 
 
 def test_cover_classes_p3s2():
-    rows = {c.label: c for c in cover_classes(P32, samples=1, seed=5)}
+    rows = {c.label: c for c in cover_classes(P32)}
     assert [rows[k].conductor for k in ("y2", "v1", "v2", "w")] == \
         [272, 6590, 6833, 7076]
     assert [rows[k].genus for k in ("y2", "v1", "v2", "w")] == \
         [10071, 16389, 16632, 16875]
 
 
-def test_class_conductors_constant_across_seeds():
-    # different random representatives of each line class agree
-    runs = [
-        {c.label: c.conductor for c in cover_classes(P31, samples=2, seed=k)}
-        for k in (1, 2, 99)
-    ]
-    assert runs[0] == runs[1] == runs[2]
+@lru_cache(maxsize=None)
+def _uniformizer_and_conductors(params):
+    return build_uniformizer(params), class_conductors(params)
+
+
+@settings(max_examples=60)
+@given(params=st.sampled_from([P31, P51, P32]), data=st.data())
+def test_class_conductors_match_per_line_oracle(params, data):
+    # the sampled check the certifier replaced, kept as its reference: a
+    # random line of a random class, expanded and reduced on its own,
+    # has the conductor proved for every line of that class
+    q = params.q
+    index = data.draw(st.integers(0, 3))
+    coeffs = [data.draw(st.integers(0, q - 1)) for _ in range(index)]
+    coeffs.append(data.draw(st.integers(1, q - 1)))
+    parts = cover_rhs_polys(params)
+    combined = XYPoly(params.field())
+    for c, label in zip(coeffs, CLASS_ORDER):
+        combined = combined + parts[label].scale(c)
+    uniformizer, certified = _uniformizer_and_conductors(params)
+    m = conductor_of_cover(params, combined, base="tower",
+                           data=uniformizer).m
+    assert m == certified[CLASS_ORDER[index]]
+
+
+def test_class_conductors_reject_a_wrong_ladder(monkeypatch):
+    # the certifier compares its histograms with the ladder rather than
+    # returning the ladder
+    wrong = dict(conductor_ladder(P31), w=307)
+    monkeypatch.setattr("astower.genus.conductor_ladder", lambda params: wrong)
+    with pytest.raises(IntegrityError):
+        class_conductors(P31)
+
+
+# ------------------------------------------------------ line certifier
+
+def test_line_histogram_counts_lines_by_top_pole():
+    F3, F27 = make_field(3, 1), make_field(3, 3)
+    # a*z^-2 + b*z^-1: 3 lines with a != 0, 1 line with a = 0
+    assert _line_histogram(F3, [{-2: 1}, {-1: 1}]) == {3: 3, 2: 1}
+    # 1 and t are F_3-independent at the same pole order
+    assert _line_histogram(F27, [{-2: 1, -1: 5}, {-2: 3}]) == {3: 4}
+    assert _line_histogram(F27, []) == {}
+
+
+def test_line_histogram_rejects_unreduced_top_pole():
+    F3 = make_field(3, 1)
+    with pytest.raises(IntegrityError):
+        _line_histogram(F3, [{-3: 1}, {-1: 1}])
+
+
+def test_line_histogram_rejects_short_line_total():
+    F27 = make_field(3, 3)
+    # the second vector is twice the first, so one line reduces to no pole
+    with pytest.raises(IntegrityError):
+        _line_histogram(F27, [{-2: 1, -1: 4}, {-2: 2, -1: 8}])
 
 
 # ---------------------------------------------------------- base floor
@@ -195,7 +251,7 @@ def test_gs_aggregate_constant_pieces(p, N, g):
 # ------------------------------------------------------------ totals
 
 def test_genus_of_F_p3s1():
-    rep = genus_of_F(P31, samples=2, seed=1)
+    rep = genus_of_F(P31)
     assert rep.base_genus == 117
     assert rep.weighted_sum == 174299697
     assert rep.gs_subtraction == 31089123
@@ -205,14 +261,14 @@ def test_genus_of_F_p3s1():
 
 
 def test_genus_of_F_p5s1():
-    rep = genus_of_F(P51, samples=1, seed=1)
+    rep = genus_of_F(P51)
     assert rep.weighted_sum == 887938287050
     assert rep.gs_subtraction == 94604490250
     assert rep.genus == 793333796800
 
 
 def test_genus_of_F_p3s2():
-    rep = genus_of_F(P32, samples=1, seed=1)
+    rep = genus_of_F(P32)
     assert rep.genus == 23722329729978
 
 
@@ -243,6 +299,12 @@ def test_audit_difference_is_half_q():
         assert w.difference == Fraction(params.q, 2)
 
 
+@pytest.mark.parametrize("params", [P31, P51, P32, P71])
+def test_audit_w_closed_form_is_half_integral(params):
+    rows = {r.label: r for r in audit_closed_forms(params)}
+    assert rows["w"].closed.denominator == 2
+
+
 # ------------------------------------------------------------ two-floor
 
 def test_ree_line_groups_p3s1():
@@ -251,8 +313,49 @@ def test_ree_line_groups_p3s1():
     assert sum(groups.values()) == (27 ** 2 - 1) // 2
 
 
+def _pair_lines(params):
+    """Canonical (c1, c2) pairs, one per line of F_q^2 \\ 0.
+
+    The pair is packed as c1 + q*c2 and canonicalized by requiring the
+    top nonzero base-p digit to be 1.
+    """
+    p, q = params.p, params.q
+    out = []
+    for code in range(1, q * q):
+        top = 0
+        v = code
+        while v:
+            top, v = v % p, v // p
+        if top == 1:
+            out.append((code % q, code // q))
+    return out
+
+
+def _ree_line_groups_by_enumeration(params):
+    # one conductor_of_cover call per line: the O(q^2) reference
+    parts = cover_rhs_polys(params)
+    f1, f2 = parts["y1"], parts["y2"]
+    groups = {}
+    for c1, c2 in _pair_lines(params):
+        combined = f1.scale(c1) + f2.scale(c2)
+        m = conductor_of_cover(params, combined, base="rational").m
+        groups[m] = groups.get(m, 0) + 1
+    return groups
+
+
+@pytest.mark.parametrize("params", [P31, P32])
+def test_ree_line_groups_match_per_line_enumeration(params):
+    assert ree_line_groups(params) == _ree_line_groups_by_enumeration(params)
+
+
 def test_ree_aggregate_p3s1():
     assert ree_aggregate(P31) == 3627
+
+
+def test_ree_aggregate_takes_precomputed_groups():
+    assert ree_aggregate(P31, groups={11: 13, 12: 351}) == 3627
+    with pytest.raises(IntegrityError):
+        ree_aggregate(P31, groups={11: 364})  # misses the closed form
 
 
 def test_ree_rejects_other_characteristics():
@@ -263,7 +366,7 @@ def test_ree_rejects_other_characteristics():
 # ------------------------------------------------------------- verdict
 
 def test_big_action_verdict_p3s1():
-    rep = verify_big_action(P31, samples=2, seed=1)
+    rep = verify_big_action(P31)
     assert rep.group_order == 3 ** 18
     assert rep.genus == 143210574
     assert not rep.is_big
@@ -272,7 +375,7 @@ def test_big_action_verdict_p3s1():
 
 
 def test_big_action_verdict_p3s2():
-    rep = verify_big_action(P32, samples=1, seed=1)
+    rep = verify_big_action(P32)
     assert rep.group_order == 3 ** 30
     assert rep.is_big
     assert rep.is_big_printed
@@ -280,11 +383,11 @@ def test_big_action_verdict_p3s2():
 
 
 def test_big_action_verdict_p5s1():
-    rep = verify_big_action(P51, samples=1, seed=1)
+    rep = verify_big_action(P51)
     assert rep.group_order == 5 ** 18
     assert rep.is_big and rep.is_big_printed and rep.readings_agree
 
 
 def test_big_action_bound_uses_correct_ratio():
-    rep = verify_big_action(P31, samples=1, seed=1)
+    rep = verify_big_action(P31)
     assert rep.bound == Fraction(2 * 3, 3 - 1) * 143210574
