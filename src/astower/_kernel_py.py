@@ -1,31 +1,18 @@
-"""Inner loops for sparse Laurent arithmetic over F_q, pure-Python backend.
+"""Inner loops for sparse Laurent arithmetic over F_q.
 
 Coefficients are integer codes < q (see `ff`), exponents are arbitrary
 Python ints, polynomials are plain dicts {exponent: code} with no zero
-values stored.  `_kernel.pyx` mirrors these signatures exactly; `_backend`
-picks whichever imports.  Any change here must be mirrored there, since
-the test suite runs the same battery against both backends.
+values stored.
 
-Field data is passed unpacked: p, q, log/alog Zech tables (alog has
-length 2(q-1) so log sums index it directly) and an addition table
-`add` (list of q rows of q codes) or None, in which case addition falls
-back to digitwise base-p arithmetic.
+Field data is passed unpacked as `FieldCtx.kernel_args`: the log table,
+the antilog table (length 2(q-1), so a sum of two logs indexes it
+directly) and the Zech table zech[k] = log(1 + g^k) (length q-1, None
+where 1 + g^k = 0).  Two nonzero codes with logs l1, l2 add to
+alog[l1 + zech[l2 - l1]].
 """
 
 
-def add_digits(a, b, p):
-    """Add two field codes digitwise mod p (used when no table is built)."""
-    out = 0
-    pw = 1
-    while a or b:
-        out += ((a % p) + (b % p)) % p * pw
-        a //= p
-        b //= p
-        pw *= p
-    return out
-
-
-def lp_mul(a, b, p, q, log, alog, add):
+def lp_mul(a, b, log, alog, zech):
     """Product of two sparse Laurent polynomials (dict cross product)."""
     out = {}
     if len(a) > len(b):
@@ -39,15 +26,16 @@ def lp_mul(a, b, p, q, log, alog, add):
             if prev is None:
                 out[e] = c
             else:
-                s = add[prev][c] if add is not None else add_digits(prev, c, p)
-                if s:
-                    out[e] = s
-                else:
+                lp = log[prev]
+                z = zech[log[c] - lp]
+                if z is None:
                     del out[e]
+                else:
+                    out[e] = alog[lp + z]
     return out
 
 
-def lp_add_scaled(a, b, c, p, q, log, alog, add):
+def lp_add_scaled(a, b, c, log, alog, zech):
     """Return a + c*b for a scalar code c."""
     out = dict(a)
     if c == 0:
@@ -59,18 +47,21 @@ def lp_add_scaled(a, b, c, p, q, log, alog, add):
         if prev is None:
             out[eb] = t
         else:
-            s = add[prev][t] if add is not None else add_digits(prev, t, p)
-            if s:
-                out[eb] = s
-            else:
+            lp = log[prev]
+            z = zech[log[t] - lp]
+            if z is None:
                 del out[eb]
+            else:
+                out[eb] = alog[lp + z]
     return out
 
 
-def lp_map_pow(a, scale, ftab):
-    """Monomial-wise p^k-th power: exponents scaled, coefficients mapped.
+def lp_map_pow(a, scale, log, alog, zech):
+    """Monomial-wise power x -> x^scale for scale = p^k.
 
-    Valid because x -> x^(p^k) is additive in characteristic p and ftab
-    (an iterated-Frobenius table) never sends a nonzero code to zero.
+    Exponents are multiplied by scale and each coefficient c becomes
+    c^scale = alog[log[c] * scale mod (q-1)].  Valid because x -> x^(p^k)
+    is additive in characteristic p and never sends a nonzero code to 0.
     """
-    return {e * scale: ftab[c] for e, c in a.items()}
+    m = len(zech)
+    return {e * scale: alog[log[c] * scale % m] for e, c in a.items()}

@@ -21,9 +21,8 @@ from typing import Dict, List, Tuple
 
 from . import __version__
 from .errors import IntegrityError, ParameterError, UnsupportedError
-from .ff import Params, basis_and_reps
-from .genus import (_CLASS_ORDER, audit_closed_forms, base_floor_genus,
-                    class_conductor, cover_classes, genus_of_F,
+from .ff import Params, prime_basis
+from .genus import (audit_closed_forms, cover_classes, genus_of_F,
                     ree_aggregate, ree_line_groups, rh_genus,
                     verify_big_action)
 from .local import conductor_of_cover
@@ -67,14 +66,6 @@ def _map_jobs(threads: int, fn, items: list) -> list:
         return list(ex.map(fn, items))
 
 
-def _classes(params: Params, args):
-    if args.threads <= 1:
-        return cover_classes(params)
-    ms = _map_jobs(args.threads, lambda label: class_conductor(params, label),
-                   list(_CLASS_ORDER))
-    return cover_classes(params, conductors=dict(zip(_CLASS_ORDER, ms)))
-
-
 def _class_rows(classes) -> List[Dict[str, int]]:
     return [{"label": c.label, "count": c.count, "conductor": c.conductor,
              "genus": c.genus} for c in classes]
@@ -84,7 +75,7 @@ def _class_rows(classes) -> List[Dict[str, int]]:
 
 
 def cmd_verify(params: Params, args) -> dict:
-    rep = verify_big_action(params, classes=_classes(params, args))
+    rep = verify_big_action(params)
     return {
         "command": "verify",
         "params": _params_payload(params),
@@ -100,7 +91,7 @@ def cmd_verify(params: Params, args) -> dict:
 
 
 def cmd_genus(params: Params, args) -> dict:
-    rep = genus_of_F(params, classes=_classes(params, args))
+    rep = genus_of_F(params)
     return {
         "command": "genus",
         "params": _params_payload(params),
@@ -115,17 +106,18 @@ def cmd_genus(params: Params, args) -> dict:
 
 
 def cmd_conductor(params: Params, args) -> dict:
-    classes = _classes(params, args)
     first = conductor_of_cover(params, "y1", base="rational")
     lines = (params.q - 1) // (params.p - 1)
+    line_genus = rh_genus(params.p, 0, first.m)
+    classes = cover_classes(params, base_genus=lines * line_genus)
     payload = {
         "command": "conductor",
         "params": _params_payload(params),
         "base_floor": {
             "conductor": first.m,
-            "line_genus": rh_genus(params.p, 0, first.m),
+            "line_genus": line_genus,
             "lines": lines,
-            "genus": base_floor_genus(params),
+            "genus": classes[0].base_genus,
         },
         "classes": _class_rows(classes),
     }
@@ -138,7 +130,7 @@ def cmd_conductor(params: Params, args) -> dict:
 
 
 def cmd_audit(params: Params, args) -> dict:
-    rows = audit_closed_forms(params, classes=_classes(params, args))
+    rows = audit_closed_forms(params)
     encoded = [{
         "label": r.label,
         "closed": _enc(r.closed),
@@ -157,7 +149,7 @@ def cmd_audit(params: Params, args) -> dict:
 def cmd_commutators(params: Params, args) -> dict:
     pres = presentation(params, "mixed")
     ctx = params.field()
-    basis, _ = basis_and_reps(ctx)
+    basis = prime_basis(ctx)
     n = params.n
     two = 2 % ctx.p
 
@@ -223,7 +215,7 @@ def cmd_prolong(params: Params, args) -> dict:
     if not all(ok for ok, _, _ in results):
         raise IntegrityError("a prolongation failed its relation check")
 
-    basis, _ = basis_and_reps(ctx)
+    basis = prime_basis(ctx)
 
     def cocycle(ij: Tuple[int, int]) -> bool:
         a, b = basis[ij[0]], basis[ij[1]]
@@ -361,8 +353,8 @@ def _build_parser() -> argparse.ArgumentParser:
                              "q > 128 (reports are reproducible bit for "
                              "bit)")
         sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads; output bytes do not depend "
-                             "on this")
+                        help="worker threads for commutators and prolong; "
+                             "output bytes do not depend on this")
         sp.add_argument("--cache-dir", default=None,
                         help="directory for keyed report caching")
         sp.add_argument("--out", default=None,

@@ -3,9 +3,13 @@
 Elements are integer codes in range(q): the code of an element with
 power-basis coordinates (c0, ..., c_{n-1}) is sum(c_i * p^i), i.e. the
 coordinate vector read as a little-endian base-p integer.  All arithmetic
-runs on precomputed tables (Zech log/antilog for multiplication, a full
-addition table for small q, digitwise base-p addition otherwise), so the
-hot loops in `laurent` touch nothing but list indexing.
+runs on three tables of O(q) entries, the same for every q: log and
+antilog to a primitive element g, and Zech's logarithm
+Z(k) = log(1 + g^k) for addition (Huber, "Some comments on Zech's
+logarithms", IEEE Trans. IT 36, 1990; Lidl-Niederreiter, Finite Fields,
+ch. 9).  Negation, Frobenius powers, p-th roots and the trace act on the
+log, so the hot loops in `laurent` and `tower` touch nothing but list
+indexing.  Fields above the table budget MAX_FIELD_Q are refused.
 
 The modulus for each (p, n) is the first monic irreducible polynomial of
 degree n in ascending code order of its non-leading coefficient vector,
@@ -21,9 +25,12 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import List, Tuple
 
-from .errors import ParameterError
+from .errors import ParameterError, UnsupportedError
 
-_ADD_TABLE_MAX_Q = 1024
+# Table budget: the largest field `make_field` builds.  It admits
+# q = 7^7 = 823,543 (p = 7, s = 3) and refuses 13^7 ~ 62.7 M (p = 13,
+# s = 3), whose tables would need gigabytes.
+MAX_FIELD_Q = 1 << 20
 
 
 def _is_prime(m: int) -> bool:
@@ -194,11 +201,88 @@ def _find_modulus(p: int, n: int) -> Tuple[int, ...]:
     raise ParameterError(f"no irreducible polynomial of degree {n} over F_{p}")
 
 
-class FieldCtx:
-    """Immutable arithmetic context for F_{p^n}; build via `make_field`."""
+def _antilog(p: int, n: int, modulus: Tuple[int, ...], gen: int,
+             ints: List[int]) -> List[int]:
+    """Codes of gen^0, ..., gen^(q-2), by the recurrence x -> x * gen.
 
-    __slots__ = ("p", "n", "q", "modulus", "gen", "LOG", "ALOG", "ADD", "NEG",
-                 "FROB", "TRACE", "kernel_args", "_reps")
+    Multiplication by gen is F_p-linear on coordinate vectors, so for a
+    code x = lo + hi * p^h (h = n // 2) the coordinates of x * gen are
+    the digitwise sums of those of lo * gen and (hi * p^h) * gen.  Both
+    come from tables of p^h and p^(n-h) entries, stored spread out: one
+    coordinate per field of `bits` bits, wide enough (2p - 2 fits) that
+    the integer sum of two spreads adds digitwise without carries.  Two
+    reader tables, indexed by the halves of such a sum, reduce it mod p
+    and return the two halves of the product's code, so each step costs
+    a few list lookups whatever n is.  The codes are taken from ints
+    (list(range(q))), so the tables share one int object per value.
+    """
+    q = p ** n
+    h = n // 2
+    split = p ** h
+    bits = (2 * p - 2).bit_length()
+
+    # column i: coordinates of t^i * gen, t the root of the modulus
+    cols = [_digits(gen, p, n)]
+    for _ in range(n - 1):
+        top = cols[-1][-1]
+        shifted = [0] + cols[-1][:-1]
+        cols.append([(d - top * m) % p for d, m in zip(shifted, modulus)])
+
+    def spread_times_gen(code: int) -> int:
+        digs = _digits(code, p, n)
+        out = 0
+        for j in range(n):
+            c = sum(d * col[j] for d, col in zip(digs, cols)) % p
+            out |= c << (bits * j)
+        return out
+
+    def reader(width: int) -> List[int]:
+        # spread with `width` fields in [0, 2p-2] -> code of the fields mod p
+        keys, vals = [0], [0]
+        sums = range(2 * p - 1)
+        for j in range(width):
+            keys = [k + (d << (bits * j)) for d in sums for k in keys]
+            vals = [v + (d % p) * p ** j for d in sums for v in vals]
+        table = [0] * (keys[-1] + 1)
+        for k, v in zip(keys, vals):
+            table[k] = v
+        return table
+
+    lo_tab = [spread_times_gen(c) for c in range(split)]
+    hi_tab = [spread_times_gen(c * split) for c in range(q // split)]
+    read_lo, read_hi = reader(h), reader(n - h)
+    shift = bits * h
+    mask = (1 << shift) - 1
+
+    exp = [1] * (q - 1)
+    lo, hi = 1 % split, 1 // split
+    for k in range(1, q - 1):
+        s = lo_tab[lo] + hi_tab[hi]
+        lo = read_lo[s & mask]
+        hi = read_hi[s >> shift]
+        exp[k] = ints[lo + hi * split]
+    return exp
+
+
+class FieldCtx:
+    """Immutable arithmetic context for F_{p^n}; build via `make_field`.
+
+    Three tables of O(q) entries carry all arithmetic, with g = `gen`:
+    LOG[a] = log_g(a) (None at 0), ALOG[k] = g^k for 0 <= k < 2(q-1)
+    (doubled, so a sum of two logs indexes it directly), and the Zech
+    table ZECH[k] = log_g(1 + g^k) for 0 <= k < q-1, None at
+    k = (q-1)/2 where g^k = -1.  Then for nonzero a, b
+
+        a * b = ALOG[LOG[a] + LOG[b]]
+        a + b = ALOG[LOG[a] + ZECH[LOG[b] - LOG[a]]]
+
+    (a negative index into ZECH wraps mod q-1, as it should), negation
+    adds (q-1)/2 to the log, and the k-th Frobenius power multiplies the
+    log by p^k.
+    """
+
+    __slots__ = ("p", "n", "q", "modulus", "gen", "LOG", "ALOG", "ZECH",
+                 "kernel_args", "_half", "_reps")
 
     def __init__(self, p: int, n: int):
         q = p ** n
@@ -236,49 +320,18 @@ class FieldCtx:
             raise ParameterError(f"no multiplicative generator found for q={q}")
         object.__setattr__(self, "gen", gen)
 
-        exp = [1] * (q - 1)
-        for i in range(1, q - 1):
-            exp[i] = cmul(exp[i - 1], gen)
+        ints = list(range(q))
+        exp = _antilog(p, n, modulus, gen, ints)
         log: list = [None] * q
-        for i, v in enumerate(exp):
+        for i, v in zip(ints, exp):
             log[v] = i
-        alog = exp + exp  # doubled so summed logs index directly
+        # 1 + v changes only coordinate 0 of v, so only its base-p digit 0
+        zech = [log[v + 1 if v % p != p - 1 else v + 1 - p] for v in exp]
         object.__setattr__(self, "LOG", log)
-        object.__setattr__(self, "ALOG", alog)
-
-        digs_of = [_digits(c, p, n) for c in range(q)]
-        neg = [_code([(-d) % p for d in digs_of[c]], p) for c in range(q)]
-        object.__setattr__(self, "NEG", neg)
-
-        if q <= _ADD_TABLE_MAX_Q:
-            add = []
-            for a in range(q):
-                da = digs_of[a]
-                row = [_code([(da[i] + db[i]) % p for i in range(n)], p)
-                       for db in digs_of]
-                add.append(row)
-        else:
-            add = None
-        object.__setattr__(self, "ADD", add)
-
-        frob1 = [0] + [alog[(log[c] * p) % (q - 1)] for c in range(1, q)]
-        frob = [list(range(q)), frob1]
-        for _ in range(2, n):
-            frob.append([frob1[c] for c in frob[-1]])
-        frob = frob[:n]
-        object.__setattr__(self, "FROB", frob)
-
-        trace = []
-        for c in range(q):
-            t = 0
-            for k in range(n):
-                fk = frob[k][c]
-                t = add[t][fk] if add is not None else _code(
-                    [(x + y) % p for x, y in zip(digs_of[t], digs_of[fk])], p)
-            trace.append(t)
-        object.__setattr__(self, "TRACE", trace)
-
-        object.__setattr__(self, "kernel_args", (p, q, log, alog, add))
+        object.__setattr__(self, "ALOG", exp + exp)
+        object.__setattr__(self, "ZECH", zech)
+        object.__setattr__(self, "kernel_args", (log, self.ALOG, zech))
+        object.__setattr__(self, "_half", (q - 1) // 2)
         object.__setattr__(self, "_reps", None)
 
     def __setattr__(self, name, value):
@@ -287,22 +340,19 @@ class FieldCtx:
     # ---------------------------------------------------------- arithmetic
 
     def add(self, a: int, b: int) -> int:
-        if self.ADD is not None:
-            return self.ADD[a][b]
-        p = self.p
-        out, pw = 0, 1
-        while a or b:
-            out += ((a % p) + (b % p)) % p * pw
-            a //= p
-            b //= p
-            pw *= p
-        return out
+        if not a:
+            return b
+        if not b:
+            return a
+        la = self.LOG[a]
+        z = self.ZECH[self.LOG[b] - la]
+        return 0 if z is None else self.ALOG[la + z]
 
     def neg(self, a: int) -> int:
-        return self.NEG[a]
+        return self.ALOG[self.LOG[a] + self._half] if a else 0
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.NEG[b])
+        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -327,14 +377,18 @@ class FieldCtx:
         return self.ALOG[(self.LOG[a] * e) % (self.q - 1)]
 
     def frobenius_iter(self, a: int, k: int) -> int:
-        return self.FROB[k % self.n][a]
+        """a^(p^k); k is taken mod n, so k = -1 inverts one Frobenius."""
+        return self.pow_int(a, self.p ** (k % self.n))
 
     def p_root(self, a: int) -> int:
         """Unique p-th root, computed as a^(p^(n-1))."""
-        return self.FROB[(self.n - 1) % self.n][a]
+        return self.frobenius_iter(a, -1)
 
     def trace_to_prime(self, a: int) -> int:
-        return self.TRACE[a]
+        t = 0
+        for k in range(self.n):
+            t = self.add(t, self.frobenius_iter(a, k))
+        return t
 
     # ---------------------------------------------------------- conversions
 
@@ -352,11 +406,35 @@ class FieldCtx:
 
 @lru_cache(maxsize=None)
 def make_field(p: int, n: int) -> FieldCtx:
-    if not isinstance(p, int) or p == 2 or not _is_prime(p):
+    """The cached context for F_{p^n}, refused above the table budget.
+
+    A field with more than MAX_FIELD_Q elements raises UnsupportedError
+    before any search or allocation (and before the primality test, so a
+    huge p is refused at once).  Near the limit, at q = 101^3 =
+    1,030,301 on 64-bit CPython 3.11, the tables hold about 66 MiB and
+    building them peaks about 81 MiB above the interpreter's baseline.
+    """
+    if not isinstance(p, int) or p < 3:
         raise ParameterError(f"p must be an odd prime, got {p}")
     if not isinstance(n, int) or n < 1:
         raise ParameterError(f"n must be a positive integer, got {n}")
+    if not _within_budget(p, n):
+        raise UnsupportedError(
+            f"F_{p}^{n} has more than {MAX_FIELD_Q} elements, above the "
+            "field table budget")
+    if not _is_prime(p):
+        raise ParameterError(f"p must be an odd prime, got {p}")
     return FieldCtx(p, n)
+
+
+def _within_budget(p: int, n: int) -> bool:
+    """p^n <= MAX_FIELD_Q, decided without computing a huge power."""
+    q = 1
+    for _ in range(n):
+        q *= p
+        if q > MAX_FIELD_Q:
+            return False
+    return True
 
 
 def prime_basis(ctx: FieldCtx) -> List[int]:

@@ -251,22 +251,25 @@ class CoverClass:
     count: int
     conductor: int
     genus: int
+    base_genus: int
 
 
 def cover_classes(params: Params, *,
-                  conductors: Optional[Dict[str, int]] = None
-                  ) -> List[CoverClass]:
+                  base_genus: Optional[int] = None) -> List[CoverClass]:
     """Count, conductor, and line genus for each of the four classes.
 
-    Precomputed certified conductors can be passed in (the CLI does
-    this to fan the expensive expansions out over worker threads).
+    Line genera are taken over the first floor, whose genus every class
+    carries as base_genus so that `genus_of_F` need not certify it
+    again.  A caller that has already certified the first floor can pass
+    its genus in (the conductor report does this).
     """
     counts = class_line_counts(params)
-    if conductors is None:
-        conductors = class_conductors(params)
-    gb = base_floor_genus(params)
+    conductors = class_conductors(params)
+    if base_genus is None:
+        base_genus = base_floor_genus(params)
     return [CoverClass(label, counts[label], conductors[label],
-                       rh_genus(params.p, gb, conductors[label]))
+                       rh_genus(params.p, base_genus, conductors[label]),
+                       base_genus)
             for label in _CLASS_ORDER]
 
 
@@ -297,7 +300,7 @@ def genus_of_F(params: Params, *,
     if classes is None:
         classes = cover_classes(params)
     classes = tuple(classes)
-    gb = base_floor_genus(params)
+    gb = classes[0].base_genus
     weighted = sum(c.count * c.genus for c in classes)
     g = gs_aggregate(p, [(c.count, c.genus) for c in classes], gb)
     unit = (q - 1) // (p - 1)

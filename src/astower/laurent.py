@@ -1,7 +1,7 @@
 """Sparse Laurent polynomials and truncated Laurent series over F_q.
 
 Both classes store a dict mapping exponent to nonzero field code and
-delegate the inner loops to the kernel backend.  `LaurentPoly` is exact;
+delegate the inner loops to `_kernel_py`.  `LaurentPoly` is exact;
 `TruncatedSeries` carries an exclusive precision `prec`, meaning every
 coefficient at an exponent strictly below `prec` is exact and anything
 at or above it is unknown.  Asking a series for an unknown coefficient
@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Union
 
-from ._backend import lp_add_scaled, lp_map_pow, lp_mul
+from ._kernel_py import lp_add_scaled, lp_map_pow, lp_mul
 from .errors import ParameterError
 from .ff import FieldCtx
 
@@ -92,14 +92,14 @@ class LaurentPoly:
         return LaurentPoly(self.ctx, _note(out), _trusted=True)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = lp_add_scaled(self.d, other.d, self.ctx.NEG[1],
+        out = lp_add_scaled(self.d, other.d, self.ctx.neg(1),
                             *self.ctx.kernel_args)
         return LaurentPoly(self.ctx, _note(out), _trusted=True)
 
     def __neg__(self) -> "LaurentPoly":
-        neg = self.ctx.NEG
-        return LaurentPoly(self.ctx, {e: neg[c] for e, c in self.d.items()},
-                           _trusted=True)
+        out = lp_add_scaled({}, self.d, self.ctx.neg(1),
+                            *self.ctx.kernel_args)
+        return LaurentPoly(self.ctx, out, _trusted=True)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = lp_mul(self.d, other.d, *self.ctx.kernel_args)
@@ -117,10 +117,8 @@ class LaurentPoly:
         """self ** (p**k): exponents scale, coefficients Frobenius."""
         if k == 0:
             return self
-        scale = self.ctx.p ** k
-        ftab = self.ctx.FROB[k % self.ctx.n]
-        return LaurentPoly(self.ctx, _note(lp_map_pow(self.d, scale, ftab)),
-                           _trusted=True)
+        out = lp_map_pow(self.d, self.ctx.p ** k, *self.ctx.kernel_args)
+        return LaurentPoly(self.ctx, _note(out), _trusted=True)
 
     def __pow__(self, e: int) -> "LaurentPoly":
         if e < 0:
@@ -189,15 +187,15 @@ class TruncatedSeries:
                                min(self.prec, other.prec))
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        out = lp_add_scaled(self.d, other.d, self.ctx.NEG[1],
+        out = lp_add_scaled(self.d, other.d, self.ctx.neg(1),
                             *self.ctx.kernel_args)
         return TruncatedSeries(self.ctx, _note(out),
                                min(self.prec, other.prec))
 
     def __neg__(self) -> "TruncatedSeries":
-        neg = self.ctx.NEG
-        return TruncatedSeries(self.ctx, {e: neg[c] for e, c in self.d.items()},
-                               self.prec)
+        out = lp_add_scaled({}, self.d, self.ctx.neg(1),
+                            *self.ctx.kernel_args)
+        return TruncatedSeries(self.ctx, out, self.prec)
 
     def scale(self, c: int) -> "TruncatedSeries":
         out = lp_add_scaled({}, self.d, c, *self.ctx.kernel_args)
@@ -222,9 +220,8 @@ class TruncatedSeries:
         if k == 0:
             return self
         scale = self.ctx.p ** k
-        ftab = self.ctx.FROB[k % self.ctx.n]
-        return TruncatedSeries(self.ctx, _note(lp_map_pow(self.d, scale, ftab)),
-                               self.prec * scale)
+        out = lp_map_pow(self.d, scale, *self.ctx.kernel_args)
+        return TruncatedSeries(self.ctx, _note(out), self.prec * scale)
 
     def __repr__(self):
         return f"TruncatedSeries({len(self.d)} terms, prec={self.prec})"

@@ -27,7 +27,7 @@ from itertools import product
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import IntegrityError, ParameterError, UnsupportedError
-from .ff import Params, basis_and_reps
+from .ff import Params, prime_basis
 
 Monomial = Tuple[int, int, int, int, int, int]
 ONE_MONO: Monomial = (0, 0, 0, 0, 0, 0)
@@ -61,8 +61,8 @@ class TowerElement:
         return TowerElement(self.pres, out)
 
     def __neg__(self) -> "TowerElement":
-        neg = self.pres.ctx.NEG
-        return TowerElement(self.pres, {m: neg[c] for m, c in self.d.items()})
+        neg = self.pres.ctx.neg
+        return TowerElement(self.pres, {m: neg(c) for m, c in self.d.items()})
 
     def __sub__(self, other: "TowerElement") -> "TowerElement":
         return self + (-other)
@@ -83,8 +83,9 @@ class TowerElement:
             return self
         pres = self.pres
         scale = pres.ctx.p ** k
-        ftab = pres.ctx.FROB[k % pres.ctx.n]
-        raw = {tuple(e * scale for e in m): ftab[c] for m, c in self.d.items()}
+        power = pres.ctx.pow_int
+        raw = {tuple(e * scale for e in m): power(c, scale)
+               for m, c in self.d.items()}
         return TowerElement(pres, pres.normalize(raw))
 
     def __pow__(self, e: int) -> "TowerElement":
@@ -464,7 +465,7 @@ def extension_multiplicity(pres: TowerPresentation) -> int:
     generators, and are additive in their parameter, so they generate a
     group of order q^5 acting simply transitively on the extensions.
     """
-    basis, _ = basis_and_reps(pres.ctx)
+    basis = prime_basis(pres.ctx)
     for name, fam in vertical_shift_families(pres).items():
         for g in basis:
             if not check_endo(pres, fam(g)).ok:

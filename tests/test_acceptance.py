@@ -37,7 +37,7 @@ from astower import (
 from astower.cli import main as cli_main
 from astower.ff import basis_and_reps
 from astower.laurent import LaurentPoly
-from astower._backend import lp_mul
+from astower._kernel_py import lp_mul
 
 P31 = Params(3, 1)
 P51 = Params(5, 1)

@@ -1,9 +1,13 @@
 """Command-line surface: exit codes, report shapes, determinism."""
 
 import json
+import sys
+import time
+import tracemalloc
 
 import pytest
 
+from astower import ff, genus
 from astower.cli import main
 from astower.ff import make_field
 
@@ -29,6 +33,23 @@ def test_bad_characteristic_is_usage_error(capsys):
     code, _, err = run(["conductor", "--p", "4", "--s", "1"], capsys)
     assert code == 2
     assert err.strip()
+
+
+@pytest.mark.parametrize("command", ["verify", "conductor", "genus", "audit",
+                                     "commutators", "prolong"])
+def test_over_budget_field_is_parameter_error(command, capsys):
+    # q = 13^7 ~ 62.7 M is over the field table budget: exit 2 at once
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        code, out, err = run([command, "--p", "13", "--s", "3"], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - started < 1.0
+    assert peak < 1 << 20
+    assert code == 2
+    assert out == "" and "parameter error" in err
 
 
 @pytest.mark.parametrize("command", ["verify", "prolong"])
@@ -180,3 +201,37 @@ def test_timings_go_to_stderr_not_stdout(capsys):
     _, out, err = run(["verify", "--p", "3", "--s", "1"], capsys)
     assert "elapsed" not in out
     assert "elapsed" in err
+
+
+def _count_calls(monkeypatch, module, name, counts):
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("astower") and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, counted)
+
+
+@pytest.mark.parametrize("command", ["verify", "conductor", "genus", "audit"])
+def test_class_reports_certify_base_floor_and_classes_once(
+        command, monkeypatch, capsys):
+    counts = {}
+    _count_calls(monkeypatch, genus, "conductor_of_cover", counts)
+    _count_calls(monkeypatch, genus, "_certified_classes", counts)
+    code, _, _ = run([command, "--p", "3", "--s", "1", "--threads", "4"],
+                     capsys)
+    assert code in (0, 3)
+    assert counts == {"conductor_of_cover": 1, "_certified_classes": 1}
+
+
+@pytest.mark.parametrize("command", ["commutators", "prolong"])
+def test_shift_reports_skip_orbit_representatives(command, monkeypatch,
+                                                  capsys):
+    counts = {}
+    _count_calls(monkeypatch, ff, "basis_and_reps", counts)
+    code, _, _ = run([command, "--p", "3", "--s", "1"], capsys)
+    assert code == 0
+    assert counts == {}

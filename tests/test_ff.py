@@ -5,10 +5,13 @@ lists with no shared code, table, or search logic from `astower.ff`, so
 agreement is meaningful.
 """
 
+import time
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
-from astower.errors import ParameterError
+from astower.errors import ParameterError, UnsupportedError
 from astower.ff import FieldCtx, Params, basis_and_reps, make_field
 
 
@@ -92,6 +95,24 @@ class NaiveField:
     def add(self, a, b):
         return code_of(padd(digits(a, self.p, self.n), digits(b, self.p, self.n),
                             self.p) + [0] * self.n, self.p)
+
+    def neg(self, a):
+        return code_of([(-d) % self.p for d in digits(a, self.p, self.n)],
+                       self.p)
+
+    def frob(self, a):
+        """a^p by p - 1 multiplications."""
+        out = a
+        for _ in range(self.p - 1):
+            out = self.mul(out, a)
+        return out
+
+    def trace(self, a):
+        t, x = 0, a
+        for _ in range(self.n):
+            t = self.add(t, x)
+            x = self.frob(x)
+        return t
 
 
 # ---------------------------------------------------------------- frozen values
@@ -187,15 +208,85 @@ def test_params_validation_and_derived_quantities():
 
 # ---------------------------------------------------------------- oracle cross-check
 
-@pytest.mark.parametrize("p,n", [(3, 3), (5, 3)])
+def _oracle_codes(ctx):
+    """Every code for q <= 125, else a fixed sample of about 50 codes."""
+    if ctx.q <= 125:
+        return list(range(ctx.q))
+    p, q = ctx.p, ctx.q
+    return sorted({0, 1, p - 1, p, q - 2, q - 1}
+                  | set(range(0, q, q // 45)))
+
+
+@pytest.mark.parametrize("p,n", [(3, 3), (5, 3), (3, 5), (7, 3), (3, 7),
+                                 (5, 5)])
 def test_arithmetic_matches_naive_oracle(p, n):
     ctx = make_field(p, n)
     naive = NaiveField(p, ctx.modulus)
-    rng_codes = range(0, ctx.q, 7)
-    for a in rng_codes:
-        for b in rng_codes:
+    codes = _oracle_codes(ctx)
+    for a in codes:
+        for b in codes:
             assert ctx.mul(a, b) == naive.mul(a, b)
             assert ctx.add(a, b) == naive.add(a, b)
+            assert ctx.sub(a, b) == naive.add(a, naive.neg(b))
+    for a in codes:
+        assert ctx.neg(a) == naive.neg(a)
+        iterates = [a]
+        for _ in range(n):
+            iterates.append(naive.frob(iterates[-1]))
+        assert iterates[n] == a
+        for k in range(n + 1):
+            assert ctx.frobenius_iter(a, k) == iterates[k]
+        assert ctx.frobenius_iter(a, -1) == iterates[n - 1]
+        assert naive.frob(ctx.p_root(a)) == a
+        assert ctx.trace_to_prime(a) == naive.trace(a) < p
+
+
+@pytest.mark.parametrize("p,n", [(3, 3), (5, 3), (7, 3), (3, 5)])
+def test_zech_edge_cases(p, n):
+    ctx = make_field(p, n)
+    q, half = ctx.q, (ctx.q - 1) // 2
+    # 1 + g^k = 0 only at k = (q-1)/2, where g^k = -1
+    assert [k for k, z in enumerate(ctx.ZECH) if z is None] == [half]
+    assert len(ctx.ZECH) == q - 1
+    assert ctx.ALOG[half] == ctx.neg(1) == p - 1
+    assert ctx.add(1, ctx.ALOG[half]) == 0
+    assert ctx.add(0, 0) == ctx.neg(0) == ctx.sub(0, 0) == 0
+    for a in range(q):
+        assert ctx.add(a, ctx.neg(a)) == ctx.add(ctx.neg(a), a) == 0
+        assert ctx.sub(a, a) == 0
+        assert ctx.add(a, 0) == ctx.add(0, a) == ctx.sub(a, 0) == a
+        assert ctx.sub(0, a) == ctx.neg(a)
+
+
+@pytest.mark.parametrize("p,n", [(3, 3), (3, 5), (3, 7)])
+def test_antilog_is_successive_products_by_gen(p, n):
+    ctx = make_field(p, n)
+    naive = NaiveField(p, ctx.modulus)
+    q = ctx.q
+    assert len(ctx.ALOG) == 2 * (q - 1) and ctx.LOG[0] is None
+    x = 1
+    for k in range(q - 1):
+        assert ctx.ALOG[k] == ctx.ALOG[k + q - 1] == x
+        assert ctx.LOG[x] == k
+        x = naive.mul(x, ctx.gen)
+    assert x == 1
+
+
+def test_field_budget_refuses_before_allocating():
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        with pytest.raises(UnsupportedError):
+            make_field(13, 7)  # q ~ 62.7 M, the field of (p, s) = (13, 3)
+        with pytest.raises(UnsupportedError):
+            make_field(3, 13)  # 1,594,323, just over 2^20
+        with pytest.raises(UnsupportedError):
+            make_field(10 ** 30 + 57, 1)  # refused before trial division
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - started < 1.0
+    assert peak < 1 << 20
 
 
 def _field_strategy(p, n):
