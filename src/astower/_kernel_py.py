@@ -2,7 +2,8 @@
 
 Coefficients are integer codes < q (see `ff`), exponents are arbitrary
 Python ints, polynomials are plain dicts {exponent: code} with no zero
-values stored.
+values stored.  The tower packs each six-variable monomial into one int
+(see `tower`), so the same loops serve Laurent series and tower elements.
 
 Field data is passed unpacked as `FieldCtx.kernel_args`: the log table,
 the antilog table (length 2(q-1), so a sum of two logs indexes it
@@ -12,9 +13,15 @@ alog[l1 + zech[l2 - l1]].
 """
 
 
-def lp_mul(a, b, log, alog, zech):
-    """Product of two sparse Laurent polynomials (dict cross product)."""
-    out = {}
+def lp_mul(a, b, log, alog, zech, out=None):
+    """Product of two sparse polynomials (dict cross product).
+
+    Exponents only need `+`, so packed monomials work as well as ints.
+    With `out` given, the product is added into that dict in place and
+    the dict is returned.
+    """
+    if out is None:
+        out = {}
     if len(a) > len(b):
         a, b = b, a
     for ea, ca in a.items():

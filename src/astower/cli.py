@@ -2,26 +2,25 @@
 
 Every subcommand produces one canonical JSON document (sorted keys,
 two-space indent, integers and fraction strings only, never floats) so
-that repeated runs, cached runs, and multi-threaded runs are byte
-identical.  Timing chatter goes to stderr.  Exit codes: 0 success,
-1 integrity failure, 2 usage or parameter error, 3 audit found
-mismatching rows.
+that repeated runs and cached runs are byte identical.  Timing chatter
+goes to stderr.  Exit codes: 0 success, 1 integrity failure, 2 usage or
+parameter error, 3 audit found mismatching rows.
 """
 
 import argparse
 import hashlib
 import json
 import os
+import stat
 import sys
 import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from . import __version__
 from .errors import IntegrityError, ParameterError, UnsupportedError
-from .ff import Params, prime_basis
+from .ff import MAX_FIELD_Q, Params, _within_budget, prime_basis
 from .genus import (audit_closed_forms, cover_classes, genus_of_F,
                     ree_aggregate, ree_line_groups, rh_genus,
                     verify_big_action)
@@ -31,8 +30,6 @@ from .tower import (check_endo, commutator, compose_endo,
                     extension_multiplicity, identity_endo, invert_endo,
                     presentation, prolong_translation, sigma_shift,
                     tau_shift)
-
-ONE_MONO = (0, 0, 0, 0, 0, 0)
 
 
 def _enc(v):
@@ -56,14 +53,6 @@ def _enc(v):
 def _params_payload(params: Params) -> Dict[str, int]:
     return {"p": params.p, "s": params.s, "q0": params.q0,
             "q": params.q, "n": params.n}
-
-
-def _map_jobs(threads: int, fn, items: list) -> list:
-    """Run fn over items, preserving input order in the results."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(threads, len(items))) as ex:
-        return list(ex.map(fn, items))
 
 
 def _class_rows(classes) -> List[Dict[str, int]]:
@@ -153,11 +142,10 @@ def cmd_commutators(params: Params, args) -> dict:
     n = params.n
     two = 2 % ctx.p
 
-    def pair_job(ij: Tuple[int, int]) -> Dict[str, int]:
-        i, j = ij
+    def pair_job(i: int, j: int) -> Dict[str, int]:
         gi, gj = basis[i], basis[j]
         com = commutator(sigma_shift(pres, gi), tau_shift(pres, gj))
-        shift = (com.images["w"] - pres.gen("w")).d.get(ONE_MONO, 0)
+        shift = (com.images["w"] - pres.gen("w")).constant_term()
         expected = ctx.neg(ctx.mul(two, ctx.mul(gi, gj)))
         want = identity_endo(pres).replace(
             w=pres.gen("w") + pres.const(expected))
@@ -166,15 +154,14 @@ def cmd_commutators(params: Params, args) -> dict:
                 f"commutator at basis pair ({i}, {j}) is not the expected "
                 "central shift")
         rev = commutator(tau_shift(pres, gj), sigma_shift(pres, gi))
-        rev_shift = (rev.images["w"] - pres.gen("w")).d.get(ONE_MONO, 0)
+        rev_shift = (rev.images["w"] - pres.gen("w")).constant_term()
         if rev_shift != ctx.neg(expected):
             raise IntegrityError(
                 f"reverse commutator at ({i}, {j}) has the wrong sign")
         return {"i": i, "j": j, "gamma_i": gi, "gamma_j": gj,
                 "w_shift": shift, "reverse_w_shift": rev_shift}
 
-    pairs = _map_jobs(args.threads, pair_job,
-                      [(i, j) for i in range(n) for j in range(n)])
+    pairs = [pair_job(i, j) for i in range(n) for j in range(n)]
 
     ident = identity_endo(pres)
     same_kind = all(
@@ -211,14 +198,13 @@ def cmd_prolong(params: Params, args) -> dict:
         iok = compose_endo(endo, invert_endo(endo)) == ident
         return ok, xok, iok
 
-    results = _map_jobs(args.threads, cert, avals)
+    results = [cert(a) for a in avals]
     if not all(ok for ok, _, _ in results):
         raise IntegrityError("a prolongation failed its relation check")
 
     basis = prime_basis(ctx)
 
-    def cocycle(ij: Tuple[int, int]) -> bool:
-        a, b = basis[ij[0]], basis[ij[1]]
+    def cocycle(a: int, b: int) -> bool:
         delta = compose_endo(
             compose_endo(prolong_translation(pres, a),
                          prolong_translation(pres, b)),
@@ -226,9 +212,7 @@ def cmd_prolong(params: Params, args) -> dict:
         return (delta.images["x"] == pres.x()
                 and check_endo(pres, delta).ok)
 
-    pairs = [(i, j) for i in range(params.n) for j in range(params.n)]
-    vertical = _map_jobs(args.threads, cocycle, pairs)
-    if not all(vertical):
+    if not all(cocycle(a, b) for a in basis for b in basis):
         raise IntegrityError("a prolongation cocycle left the vertical group")
 
     return {
@@ -238,7 +222,7 @@ def cmd_prolong(params: Params, args) -> dict:
         "exhaustive": exhaustive,
         "restriction_ok": all(x for _, x, _ in results),
         "inverses_ok": all(i for _, _, i in results),
-        "cocycle_pairs": len(pairs),
+        "cocycle_pairs": len(basis) ** 2,
         "cocycles_vertical": True,
         "multiplicity": extension_multiplicity(pres),
         "total_order": q ** 6,
@@ -259,6 +243,16 @@ _COMMANDS = {
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Replace a regular or missing file by renaming a temp file; write
+    a FIFO or device in place, which a rename would replace."""
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -352,9 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="seed for prolong's sampled translations when "
                              "q > 128 (reports are reproducible bit for "
                              "bit)")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="worker threads for commutators and prolong; "
-                             "output bytes do not depend on this")
         sp.add_argument("--cache-dir", default=None,
                         help="directory for keyed report caching")
         sp.add_argument("--out", default=None,
@@ -363,13 +354,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_args(args) -> None:
+    """Exit 2 before Params, whose primality test and powers hang on an
+    absurd --p or --s."""
+    if args.samples < 0:
+        raise ParameterError("--samples must be nonnegative")
+    if args.p < 3:
+        raise ParameterError(f"p must be an odd prime, got {args.p}")
+    if args.s < 1:
+        raise ParameterError(f"s must be a positive integer, got {args.s}")
+    if not _within_budget(args.p, 2 * args.s + 1):
+        raise UnsupportedError(
+            f"q = {args.p}^{2 * args.s + 1} has more than {MAX_FIELD_Q} "
+            "elements, above the field table budget")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        if args.samples < 0:
-            raise ParameterError("--samples must be nonnegative")
+        _check_args(args)
         text, payload = _obtain(args)
         code = _exit_code(args.command, payload)
     except IntegrityError as exc:

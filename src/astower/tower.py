@@ -9,6 +9,17 @@ the module (certifying endomorphisms, inverting them, commutators, the
 additive-equation solver, prolongations of x-translations) reduces to
 exact computations on these normal forms.
 
+A monomial x^e0 y1^e1 y2^e2 v1^e3 v2^e4 w^e5 is one Python int,
+e0 << 5W | e1 << 4W | ... | e5 with W = FIELD_BITS bits per generator
+and x in the unbounded top bits: a product of monomials is one int
+addition, a p^k-th power one int product, so every sum and product runs
+on the `_kernel_py` kernel the Laurent series use.  A monomial is normal
+iff (m + bias) & high == 0, with 2^(W-1) - q in each field of bias and
+the top bit of each field in high.  No field carries while it stays
+below 2^(W-1): products of normal monomials stay below 2q, p^k-th powers
+(k <= n) below q^2, and any q with 2q^2 >= 2^(W-1) is refused.
+`TowerElement.d` and `TowerPresentation.element` keep a 6-tuple view.
+
 Three presentations of the same field are supported.  "unprimed" keeps
 the v-relations with generator entries on the right, "primed" replaces
 both v right-hand sides and the w right-hand side by expressions in x
@@ -24,113 +35,156 @@ import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import prod
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ._kernel_py import lp_add_scaled, lp_map_pow, lp_mul
 from .errors import IntegrityError, ParameterError, UnsupportedError
 from .ff import Params, prime_basis
 
 Monomial = Tuple[int, int, int, int, int, int]
-ONE_MONO: Monomial = (0, 0, 0, 0, 0, 0)
+Terms = Dict[int, int]
+
+GENS = ("y1", "y2", "v1", "v2", "w")
+FIELD_BITS = 48
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+_FIELD_LIMIT = 1 << (FIELD_BITS - 1)
+_X_SHIFT = len(GENS) * FIELD_BITS
+# (slot, name, bit offset) of each generator; slot 1 = y1, highest field
+_FIELDS = tuple((slot, name, (len(GENS) - slot) * FIELD_BITS)
+                for slot, name in enumerate(GENS, 1))
+_ONE: Terms = {0: 1}  # the constant 1; packed monomial 0 is x^0 ... w^0
 
 _CANDIDATE_CAP = 4096
+_CONST = -1  # key of the constant in wp_solve's affine forms
+
+
+def _pack(m: Monomial) -> int:
+    packed = m[0]
+    for e in m[1:]:
+        packed = packed << FIELD_BITS | e
+    return packed
+
+
+def _unpack(m: int) -> Monomial:
+    w, mask = FIELD_BITS, _FIELD_MASK
+    return (m >> 5 * w, m >> 4 * w & mask, m >> 3 * w & mask,
+            m >> 2 * w & mask, m >> w & mask, m & mask)
+
+
+def check_field_width(q: int) -> None:
+    """Refuse a field whose monomial arithmetic could overflow a field."""
+    if 2 * q * q >= _FIELD_LIMIT:
+        raise UnsupportedError(
+            f"q = {q} needs more than {FIELD_BITS} bits per packed exponent")
 
 
 class TowerElement:
-    """A normal-form element; construct through TowerPresentation."""
+    """A normal-form element; construct through TowerPresentation.
 
-    __slots__ = ("pres", "d")
+    `terms` maps packed monomials to nonzero codes and is never mutated.
+    """
 
-    def __init__(self, pres: "TowerPresentation", normal: Dict[Monomial, int]):
+    __slots__ = ("pres", "terms")
+
+    def __init__(self, pres: "TowerPresentation", terms: Terms):
         self.pres = pres
-        self.d = normal
+        self.terms = terms
+
+    @property
+    def d(self) -> Dict[Monomial, int]:
+        """The terms as {(x, y1, y2, v1, v2, w) exponents: code}."""
+        return {_unpack(m): c for m, c in self.terms.items()}
+
+    def constant_term(self) -> int:
+        return self.terms.get(0, 0)
 
     def _check(self, other: "TowerElement") -> None:
         if self.pres is not other.pres:
             raise ParameterError("elements from different presentations")
 
-    def __add__(self, other: "TowerElement") -> "TowerElement":
+    def _plus(self, other: "TowerElement", c: int) -> "TowerElement":
         self._check(other)
-        ctx = self.pres.ctx
-        out = dict(self.d)
-        for m, c in other.d.items():
-            v = ctx.add(out.get(m, 0), c)
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        return TowerElement(self.pres, out)
+        kargs = self.pres.ctx.kernel_args
+        return TowerElement(
+            self.pres, lp_add_scaled(self.terms, other.terms, c, *kargs))
 
-    def __neg__(self) -> "TowerElement":
-        neg = self.pres.ctx.neg
-        return TowerElement(self.pres, {m: neg(c) for m, c in self.d.items()})
+    def __add__(self, other: "TowerElement") -> "TowerElement":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "TowerElement") -> "TowerElement":
-        return self + (-other)
+        return self._plus(other, self.pres.ctx.neg(1))
+
+    def __neg__(self) -> "TowerElement":
+        return self.scale(self.pres.ctx.neg(1))
 
     def __mul__(self, other: "TowerElement") -> "TowerElement":
         self._check(other)
         pres = self.pres
-        return TowerElement(pres, pres.normalize(pres._raw_mul(self.d, other.d)))
+        return TowerElement(pres, pres.normalize(
+            lp_mul(self.terms, other.terms, *pres.ctx.kernel_args)))
 
     def scale(self, c: int) -> "TowerElement":
-        if c == 0:
-            return TowerElement(self.pres, {})
-        mul = self.pres.ctx.mul
-        return TowerElement(self.pres, {m: mul(v, c) for m, v in self.d.items()})
+        return TowerElement(self.pres, lp_add_scaled(
+            {}, self.terms, c, *self.pres.ctx.kernel_args))
 
     def pow_pk(self, k: int) -> "TowerElement":
-        if k == 0:
-            return self
+        """The p^k-th power, taken n steps at a time so fields stay < q^2."""
         pres = self.pres
-        scale = pres.ctx.p ** k
-        power = pres.ctx.pow_int
-        raw = {tuple(e * scale for e in m): power(c, scale)
-               for m, c in self.d.items()}
-        return TowerElement(pres, pres.normalize(raw))
+        n = pres.params.n
+        out = self
+        while k > 0:
+            step = min(k, n)
+            out = TowerElement(pres, pres.normalize(lp_map_pow(
+                out.terms, pres.ctx.p ** step, *pres.ctx.kernel_args)))
+            k -= step
+        return out
 
     def __pow__(self, e: int) -> "TowerElement":
         if e < 0:
             raise ParameterError("negative powers are not defined here")
-        pres = self.pres
-        result = pres.const(1)
+        result = None
         k = 0
-        p = pres.ctx.p
+        p = self.pres.ctx.p
         while e:
             digit = e % p
             if digit:
                 block = self.pow_pk(k)
                 for _ in range(digit):
-                    result = result * block
+                    result = block if result is None else result * block
             e //= p
             k += 1
-        return result
+        return self.pres.const(1) if result is None else result
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TowerElement) and self.pres is other.pres
-                and self.d == other.d)
+                and self.terms == other.terms)
 
     def __bool__(self) -> bool:
-        return bool(self.d)
+        return bool(self.terms)
 
     def __repr__(self):
         return f"TowerElement({self.d!r})"
 
 
 class TowerPresentation:
-    gens = ("y1", "y2", "v1", "v2", "w")
+    gens = GENS
 
     def __init__(self, params: Params, kind: str):
         if kind not in ("mixed", "unprimed", "primed"):
             raise ParameterError(f"unknown presentation kind {kind!r}")
+        q0, q = params.q0, params.q
+        check_field_width(q)
         self.params = params
         self.kind = kind
         self.ctx = params.field()
-        self._gp: Dict[Tuple[int, int], Dict[Monomial, int]] = {}
-        self._rhs: Dict[int, Dict[Monomial, int]] = {}
+        self._high = sum(_FIELD_LIMIT << shift for _, _, shift in _FIELDS)
+        self._bias = sum((_FIELD_LIMIT - q) << shift for _, _, shift in _FIELDS)
+        self._gp: Dict[Tuple[int, int], Terms] = {}
+        self._qpow: Dict[int, Terms] = {}
         self.relations: Dict[str, TowerElement] = {}
 
         ctx = self.ctx
-        q0, q = params.q0, params.q
         n1 = ctx.neg(1)
         n2 = ctx.neg(2)
 
@@ -138,9 +192,11 @@ class TowerPresentation:
             return (e, 0, 0, 0, 0, 0)
 
         def reg(slot: int, raw: Dict[Monomial, int]) -> None:
-            norm = self.normalize(raw)
-            self._rhs[slot] = norm
-            self.relations[self.gens[slot - 1]] = TowerElement(self, norm)
+            name = self.gens[slot - 1]
+            rel = self.element(raw)
+            self.relations[name] = rel
+            # g^q = g + rhs, the step `_gen_pow` climbs by
+            self._qpow[slot] = (self.gen(name) + rel).terms
 
         reg(1, {xm(q0 + q): 1, xm(q0 + 1): n1})
         reg(2, {xm(2 * q0 + q): 1, xm(2 * q0 + 1): n1})
@@ -171,101 +227,85 @@ class TowerPresentation:
 
     # ------------------------------------------------------------- algebra
 
-    def _raw_mul(self, a: Dict[Monomial, int], b: Dict[Monomial, int]
-                 ) -> Dict[Monomial, int]:
-        ctx = self.ctx
-        out: Dict[Monomial, int] = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = (ma[0] + mb[0], ma[1] + mb[1], ma[2] + mb[2],
-                     ma[3] + mb[3], ma[4] + mb[4], ma[5] + mb[5])
-                v = ctx.add(out.get(m, 0), ctx.mul(ca, cb))
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
-        return out
-
-    def _gen_pow(self, slot: int, e: int) -> Dict[Monomial, int]:
+    def _gen_pow(self, slot: int, e: int) -> Terms:
+        """Normal form of generator `slot` to the power e, memoized; climbs
+        from the nearest memoized exponent by g^(k+q) = g^k * (g + rhs)."""
         q = self.params.q
         if e < q:
-            m = [0] * 6
-            m[slot] = e
-            return {tuple(m): 1}
-        key = (slot, e)
-        cached = self._gp.get(key)
-        if cached is not None:
-            return cached
-        rest = self._gen_pow(slot, e - q)
-        unit = [0] * 6
-        unit[slot] = 1
-        part = self._raw_mul(rest, {tuple(unit): 1})
-        ctx = self.ctx
-        for m, c in self._raw_mul(rest, self._rhs[slot]).items():
-            v = ctx.add(part.get(m, 0), c)
-            if v:
-                part[m] = v
-            else:
-                part.pop(m, None)
-        out = self.normalize(part)
-        self._gp[key] = out
+            return {e << _FIELDS[slot - 1][2]: 1}
+        gp = self._gp
+        out = gp.get((slot, e))
+        if out is None:
+            k = e - q
+            while k >= q and (slot, k) not in gp:
+                k -= q
+            out = self._gen_pow(slot, k)
+            step = self._qpow[slot]
+            kargs = self.ctx.kernel_args
+            while k < e:
+                k += q
+                out = self.normalize(lp_mul(out, step, *kargs))
+                gp[(slot, k)] = out
         return out
 
-    def normalize(self, raw: Dict[Monomial, int]) -> Dict[Monomial, int]:
-        """Rewrite until every generator exponent is below q.
+    def normalize(self, raw: Terms) -> Terms:
+        """Rewrite packed terms until every generator exponent is below q.
 
-        Each rewriting step strictly lowers the highest offending
-        generator slot or its exponent, so the stack empties.
+        Input that is already normal comes back unchanged.  Each round
+        replaces every g^e with e >= q by the memoized normal form of
+        g^e; each such step strictly lowers the highest offending
+        generator slot or its exponent, so the rounds end.
         """
-        q = self.params.q
-        ctx = self.ctx
-        out: Dict[Monomial, int] = {}
-        stack = list(raw.items())
-        while stack:
-            m, c = stack.pop()
-            if not c:
-                continue
-            bad = [i for i in range(1, 6) if m[i] >= q]
-            if not bad:
-                v = ctx.add(out.get(m, 0), c)
-                if v:
-                    out[m] = v
-                else:
-                    out.pop(m, None)
-                continue
-            base = list(m)
-            for i in bad:
-                base[i] = 0
-            cur: Dict[Monomial, int] = {tuple(base): c}
-            for i in bad:
-                cur = self._raw_mul(cur, self._gen_pow(i, m[i]))
-            stack.extend(cur.items())
+        high, bias = self._high, self._bias
+        bad = [m for m in raw if (m + bias) & high]
+        if not bad:
+            return raw
+        kargs = self.ctx.kernel_args
+        out = dict(raw)
+        while bad:
+            rewritten: Terms = {}
+            for m in bad:
+                c = out.pop(m)
+                over = (m + bias) & high
+                factor = None
+                for slot, _, shift in _FIELDS:
+                    if over >> shift & _FIELD_LIMIT:
+                        e = m >> shift & _FIELD_MASK
+                        m -= e << shift
+                        g = self._gen_pow(slot, e)
+                        factor = g if factor is None else lp_mul(factor, g,
+                                                                 *kargs)
+                lp_mul({m: c}, factor, *kargs, out=rewritten)
+            # out holds only normal monomials now, so no bad one merges
+            bad = [m for m in rewritten if (m + bias) & high]
+            lp_mul(rewritten, _ONE, *kargs, out=out)
         return out
 
     # -------------------------------------------------------- constructors
 
     def element(self, raw: Dict[Monomial, int]) -> TowerElement:
-        return TowerElement(self, self.normalize(raw))
+        """Normal form of {(x, y1, y2, v1, v2, w) exponents: code}."""
+        packed: Terms = {}
+        for m, c in raw.items():
+            if len(m) != 6 or not all(0 <= e < _FIELD_LIMIT for e in m[1:]):
+                raise ParameterError(
+                    f"monomial {m!r} needs six exponents, the generator "
+                    f"ones in [0, 2^{FIELD_BITS - 1})")
+            if c:
+                packed[_pack(m)] = c
+        return TowerElement(self, self.normalize(packed))
 
     def zero(self) -> TowerElement:
         return TowerElement(self, {})
 
     def const(self, c: int) -> TowerElement:
-        return TowerElement(self, {ONE_MONO: c} if c else {})
+        return TowerElement(self, {0: c} if c else {})
 
     def x(self, e: int = 1) -> TowerElement:
-        return TowerElement(self, {(e, 0, 0, 0, 0, 0): 1})
+        return TowerElement(self, {e << _X_SHIFT: 1})
 
     def gen(self, name: str) -> TowerElement:
-        slot = self.gens.index(name) + 1
-        m = [0] * 6
-        m[slot] = 1
-        return TowerElement(self, {tuple(m): 1})
-
-    def from_xy(self, xy) -> TowerElement:
-        """Lift a polynomial in (x, first generator) into the tower."""
-        return TowerElement(
-            self, {(ex, ey, 0, 0, 0, 0): c for (ex, ey), c in xy.d.items()})
+        return TowerElement(self, {1 << _FIELDS[self.gens.index(name)][2]: 1})
 
     def __repr__(self):
         return f"TowerPresentation(p={self.params.p}, s={self.params.s}, {self.kind})"
@@ -290,28 +330,31 @@ class Endo:
             raise ParameterError(f"endomorphism lacks images for {sorted(missing)}")
         self.pres = pres
         self.images = images
-        self._pc: Dict[Tuple[str, int], TowerElement] = {}
+        self._pc: Dict[Tuple[str, int], Terms] = {}
 
-    def _img_pow(self, name: str, e: int) -> TowerElement:
+    def _img_pow(self, name: str, e: int) -> Terms:
         key = (name, e)
         out = self._pc.get(key)
         if out is None:
-            out = self.images[name] ** e
+            out = (self.images[name] ** e).terms
             self._pc[key] = out
         return out
 
     def apply(self, elem: TowerElement) -> TowerElement:
         pres = self.pres
-        acc = pres.zero()
-        for m, c in elem.d.items():
-            term = pres.const(c)
-            if m[0]:
-                term = term * self._img_pow("x", m[0])
-            for i, name in enumerate(pres.gens):
-                if m[i + 1]:
-                    term = term * self._img_pow(name, m[i + 1])
-            acc = acc + term
-        return acc
+        kargs = pres.ctx.kernel_args
+        acc: Terms = {}
+        for m, c in elem.terms.items():
+            e = m >> _X_SHIFT
+            term = self._img_pow("x", e) if e else None
+            for _, name, shift in _FIELDS:
+                e = m >> shift & _FIELD_MASK
+                if e:
+                    f = self._img_pow(name, e)
+                    term = f if term is None else pres.normalize(
+                        lp_mul(term, f, *kargs))
+            lp_mul(_ONE if term is None else term, {0: c}, *kargs, out=acc)
+        return TowerElement(pres, acc)
 
     def replace(self, **kwargs: TowerElement) -> "Endo":
         images = dict(self.images)
@@ -327,8 +370,9 @@ class Endo:
                         for k in ("x", *self.pres.gens)))
 
     def __repr__(self):
+        ident = identity_endo(self.pres).images
         moved = [k for k in ("x", *self.pres.gens)
-                 if self.images[k].d != identity_endo(self.pres).images[k].d]
+                 if self.images[k] != ident[k]]
         return f"Endo(moves {moved or 'nothing'})"
 
 
@@ -352,34 +396,23 @@ def invert_endo(a: Endo) -> Endo:
     Requires x -> x + const and each generator image of the form
     generator + (terms in x and earlier generators); anything else is
     outside what back-substitution can see, hence UnsupportedError.
+    Each correction term only reads images already final in `inv`.
     """
     pres = a.pres
     xdiff = a.images["x"] - pres.x()
-    if any(m != ONE_MONO for m in xdiff.d):
+    if xdiff.terms.keys() - {0}:
         raise UnsupportedError("x-image is not a translation")
-    shift = xdiff.d.get(ONE_MONO, 0)
-    inv_images = {"x": pres.x() - pres.const(shift)}
-
-    def subst(elem: TowerElement) -> TowerElement:
-        acc = pres.zero()
-        for m, c in elem.d.items():
-            term = pres.const(c)
-            if m[0]:
-                term = term * (inv_images["x"] ** m[0])
-            for i, name in enumerate(pres.gens):
-                if m[i + 1]:
-                    term = term * (inv_images[name] ** m[i + 1])
-            acc = acc + term
-        return acc
-
-    for idx, name in enumerate(pres.gens):
+    inv = identity_endo(pres)
+    inv.images["x"] = pres.x() - pres.const(xdiff.constant_term())
+    for _, name, shift in _FIELDS:
         t = a.images[name] - pres.gen(name)
-        for m in t.d:
-            if any(m[j] for j in range(idx + 1, 6)):
-                raise UnsupportedError(
-                    f"image of {name} is not triangular-unipotent")
-        inv_images[name] = pres.gen(name) - subst(t)
-    return Endo(pres, inv_images)
+        # this generator and everything after it sit below this bit
+        later = (1 << (shift + FIELD_BITS)) - 1
+        if any(m & later for m in t.terms):
+            raise UnsupportedError(
+                f"image of {name} is not triangular-unipotent")
+        inv.images[name] = pres.gen(name) - inv.apply(t)
+    return inv
 
 
 def commutator(a: Endo, b: Endo) -> Endo:
@@ -402,7 +435,7 @@ def check_endo(pres: TowerPresentation, endo: Endo) -> CheckResult:
         lhs = img.pow_pk(n) - img
         rhs = endo.apply(pres.relations[name])
         defect = lhs - rhs
-        if defect.d:
+        if defect:
             defects[name] = defect
     return CheckResult(ok=not defects, defects=defects)
 
@@ -476,50 +509,36 @@ def extension_multiplicity(pres: TowerPresentation) -> int:
 # --------------------------------------------------------------- solver
 
 
-def _solve_affine(ctx, forms: List[Dict[Optional[int], int]], nvars: int
+def _solve_affine(ctx, forms: List[Dict[int, int]], nvars: int
                   ) -> Optional[List[int]]:
-    """Solve const + sum c_k * alpha_k = 0 rows over F_q; free vars -> 0."""
-    pivots: Dict[int, Dict[Optional[int], int]] = {}
-    for f in forms:
-        row = dict(f)
+    """Solve const + sum c_k * alpha_k = 0 rows over F_q; free vars -> 0.
+
+    A row is {_CONST: const, k: c_k}; the kernel's in-place lp_mul by a
+    scalar {0: c} adds c times one row into another.
+    """
+    kargs = ctx.kernel_args
+    pivots: Dict[int, Dict[int, int]] = {}
+    for row in forms:
+        row = dict(row)
         while True:
-            hit = next((k for k in row if k is not None and k in pivots), None)
+            hit = next((k for k in row if k in pivots), None)
             if hit is None:
                 break
-            coef = row.pop(hit)
-            for kk, cc in pivots[hit].items():
-                if kk == hit:
-                    continue
-                v = ctx.sub(row.get(kk, 0), ctx.mul(coef, cc))
-                if v:
-                    row[kk] = v
-                else:
-                    row.pop(kk, None)
-        free = [k for k in row if k is not None]
+            lp_mul(pivots[hit], {0: ctx.neg(row[hit])}, *kargs, out=row)
+        free = [k for k in row if k != _CONST]
         if not free:
-            if row.get(None, 0):
+            if row.get(_CONST, 0):
                 return None
             continue
         k0 = free[0]
-        inv = ctx.inv(row.pop(k0))
-        prow: Dict[Optional[int], int] = {kk: ctx.mul(cc, inv)
-                                          for kk, cc in row.items()}
-        prow[k0] = 1
+        prow = lp_mul(row, {0: ctx.inv(row[k0])}, *kargs)
         for pr in pivots.values():
             if k0 in pr:
-                coef = pr.pop(k0)
-                for kk, cc in prow.items():
-                    if kk == k0:
-                        continue
-                    v = ctx.sub(pr.get(kk, 0), ctx.mul(coef, cc))
-                    if v:
-                        pr[kk] = v
-                    else:
-                        pr.pop(kk, None)
+                lp_mul(prow, {0: ctx.neg(pr[k0])}, *kargs, out=pr)
         pivots[k0] = prow
     sol = [0] * nvars
     for k, pr in pivots.items():
-        sol[k] = ctx.neg(pr.get(None, 0))
+        sol[k] = ctx.neg(pr.get(_CONST, 0))
     return sol
 
 
@@ -544,64 +563,48 @@ def wp_solve(pres: TowerPresentation, target: TowerElement,
     degrees visible in the target.
     """
     ctx = pres.ctx
+    kargs = ctx.kernel_args
     q, n = pres.params.q, pres.params.n
     td = dict(target.d)
     if not td:
         return pres.zero()
 
-    bounds = [0] * 5
-    for m in td:
-        for i in range(5):
-            if m[i + 1] > bounds[i]:
-                bounds[i] = m[i + 1]
-    for i in range(4):
-        bounds[i] += 1
+    bounds = [max(m[i] for m in td) + (i < 5) for i in range(1, 6)]
     if bound is not None:
         if len(bound) != 5 or any(b < 0 for b in bound):
             raise ParameterError(
                 "bound must give a nonnegative degree for all 5 generators")
         bounds = [max(a, b) for a, b in zip(bounds, bound)]
-    total = 1
-    for b in bounds:
-        total *= b + 1
+    total = prod(b + 1 for b in bounds)
     if total > _CANDIDATE_CAP:
         raise UnsupportedError(
             f"{total} candidate monomials exceed the solver cap")
     combos = [c for c in product(*(range(b + 1) for b in bounds)) if any(c)]
 
-    # residual coefficients as affine forms {None: const, k: alpha_k coeff}
-    r: Dict[Monomial, Dict[Optional[int], int]] = {}
+    # residual coefficients as affine forms {_CONST: const, k: alpha_k coeff}
+    r: Dict[Monomial, Dict[int, int]] = {}
     heap: List[Tuple[int, ...]] = []
 
-    def addinto(m: Monomial, key: Optional[int], c: int) -> None:
-        if not c:
-            return
+    def form_at(m: Monomial) -> Dict[int, int]:
         form = r.get(m)
         if form is None:
-            form = r[m] = {}
             # descending block order: witness leakage lands strictly
             # lower, so a popped position never reappears
             heapq.heappush(
                 heap, (-m[5], -m[4], -m[3], -m[2], -m[1], -m[0]) + m)
-        v = ctx.add(form.get(key, 0), c)
-        if v:
-            form[key] = v
-        else:
-            form.pop(key, None)
-            if not form:
-                r.pop(m)
+            form = r[m] = {}
+        return form
 
     for m, c in td.items():
-        addinto(m, None, c)
+        form_at(m)[_CONST] = c
     for k, gens in enumerate(combos):
-        mono = (0,) + gens
-        el = TowerElement(pres, {mono: 1})
-        delta = el.pow_pk(n) - el
-        for m, c in delta.d.items():
-            addinto(m, k, ctx.neg(c))
+        el = pres.element({(0,) + gens: 1})
+        # each (monomial, key) pair is set once here, so nothing adds up
+        for m, c in (el - el.pow_pk(n)).d.items():
+            form_at(m)[k] = c
 
-    greedy: List[Tuple[Monomial, Dict[Optional[int], int]]] = []
-    constraints: List[Dict[Optional[int], int]] = []
+    greedy: List[Tuple[Monomial, Dict[int, int]]] = []
+    constraints: List[Dict[int, int]] = []
     while heap:
         m = heapq.heappop(heap)[6:]
         if m not in r:
@@ -611,11 +614,10 @@ def wp_solve(pres: TowerPresentation, target: TowerElement,
         if e0 >= q and e0 % q == 0:
             wit = (e0 // q,) + gens
             greedy.append((wit, form))
-            el = TowerElement(pres, {wit: 1})
-            peeled = el.pow_pk(n) - el
-            for m2, c2 in peeled.d.items():
-                for key, fc in form.items():
-                    addinto(m2, key, ctx.neg(ctx.mul(fc, c2)))
+            el = pres.element({wit: 1})
+            for m2, c2 in (el - el.pow_pk(n)).d.items():
+                if not lp_mul(form, {0: c2}, *kargs, out=form_at(m2)):
+                    del r[m2]
         else:
             constraints.append(form)
             r.pop(m)
@@ -624,30 +626,16 @@ def wp_solve(pres: TowerPresentation, target: TowerElement,
     if sol is None:
         return None
 
-    def evaluate(form: Dict[Optional[int], int]) -> int:
-        acc = form.get(None, 0)
+    def evaluate(form: Dict[int, int]) -> int:
+        acc = form.get(_CONST, 0)
         for key, c in form.items():
-            if key is not None:
+            if key != _CONST:
                 acc = ctx.add(acc, ctx.mul(c, sol[key]))
         return acc
 
-    out: Dict[Monomial, int] = {}
-
-    def accumulate(m: Monomial, c: int) -> None:
-        if not c:
-            return
-        v = ctx.add(out.get(m, 0), c)
-        if v:
-            out[m] = v
-        else:
-            out.pop(m, None)
-
+    u = pres.element({(0,) + gens: sol[k] for k, gens in enumerate(combos)})
     for wit, form in greedy:
-        accumulate(wit, evaluate(form))
-    for k, gens in enumerate(combos):
-        accumulate((0,) + gens, sol[k])
-
-    u = pres.element(out)
+        u = u + pres.element({wit: evaluate(form)})
     if (u.pow_pk(n) - u).d != td:
         raise IntegrityError("additive solver witness failed its replay check")
     return u

@@ -1,7 +1,11 @@
 """Command-line surface: exit codes, report shapes, determinism."""
 
 import json
+import os
+import stat
+import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -48,6 +52,18 @@ def test_over_budget_field_is_parameter_error(command, capsys):
         tracemalloc.stop()
     assert time.perf_counter() - started < 1.0
     assert peak < 1 << 20
+    assert code == 2
+    assert out == "" and "parameter error" in err
+
+
+@pytest.mark.parametrize("p, s", [("1000000000000000003", "1"),
+                                  ("3", "100000000"), ("1", "100000000"),
+                                  ("3", "0")])
+def test_absurd_parameters_exit_2_at_once(p, s, capsys):
+    # a 19-digit prime, or s = 10^8, used to hang inside Params
+    started = time.perf_counter()
+    code, out, err = run(["verify", "--p", p, "--s", s], capsys)
+    assert time.perf_counter() - started < 1.0
     assert code == 2
     assert out == "" and "parameter error" in err
 
@@ -156,17 +172,45 @@ def test_prolong_report(capsys):
     assert payload["total_order"] == 27 ** 6
 
 
-def test_out_file_and_thread_count_do_not_change_bytes(tmp_path, capsys):
+def test_out_file_and_repeat_runs_do_not_change_bytes(tmp_path, capsys):
     f1 = tmp_path / "one.json"
-    f2 = tmp_path / "four.json"
+    f2 = tmp_path / "two.json"
     code1, out1, _ = run(["genus", "--p", "3", "--s", "1",
-                          "--threads", "1", "--out", str(f1)], capsys)
+                          "--out", str(f1)], capsys)
     code2, out2, _ = run(["genus", "--p", "3", "--s", "1",
-                          "--threads", "4", "--out", str(f2)], capsys)
-    assert code1 == code2 == 0
+                          "--out", str(f2)], capsys)
+    code3, out3, _ = run(["genus", "--p", "3", "--s", "1"], capsys)
+    assert code1 == code2 == code3 == 0
     assert out1 == out2 == ""  # report goes to the file, not stdout
-    assert f1.read_bytes() == f2.read_bytes()
+    assert f1.read_bytes() == f2.read_bytes() == out3.encode("utf-8")
     json.loads(f1.read_text())
+
+
+def test_out_writes_into_a_fifo_without_replacing_it(tmp_path, capsys):
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(
+        target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    code, out, _ = run(["verify", "--p", "3", "--s", "1", "--out", str(fifo)],
+                       capsys)
+    reader.join(timeout=10)
+    assert code == 0 and out == ""
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    _, direct, _ = run(["verify", "--p", "3", "--s", "1"], capsys)
+    assert received == [direct.encode("utf-8")]
+
+
+def test_cli_import_leaves_thread_pool_out():
+    code = ("import sys, astower.cli; "
+            "print('concurrent.futures' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(ff.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env)
+    assert done.stdout.strip() == "False"
 
 
 def test_cache_round_trip(tmp_path, capsys):
@@ -221,8 +265,7 @@ def test_class_reports_certify_base_floor_and_classes_once(
     counts = {}
     _count_calls(monkeypatch, genus, "conductor_of_cover", counts)
     _count_calls(monkeypatch, genus, "_certified_classes", counts)
-    code, _, _ = run([command, "--p", "3", "--s", "1", "--threads", "4"],
-                     capsys)
+    code, _, _ = run([command, "--p", "3", "--s", "1"], capsys)
     assert code in (0, 3)
     assert counts == {"conductor_of_cover": 1, "_certified_classes": 1}
 

@@ -381,3 +381,208 @@ def test_vertical_families_and_multiplicity(mixed):
 
 def test_prolong_identity_at_zero(mixed):
     assert prolong_translation(mixed, 0) == identity_endo(mixed)
+
+
+# ------------------------------------------- packed kernel vs tuple oracle
+
+
+class TupleOracle:
+    """Tuple-keyed tower arithmetic: a dict cross product and a stack
+    rewriter over 6-tuple monomials, one field operation per coefficient.
+    Relations are the mixed presentation's, written out from q0 and q."""
+
+    def __init__(self, params):
+        self.ctx = ctx = params.field()
+        self.q = q = params.q
+        self.p, self.n = params.p, params.n
+        q0, n1 = params.q0, ctx.neg(1)
+        self._gp = {}
+        self.rhs = {
+            1: {(q0 + q,) + (0,) * 5: 1, (q0 + 1,) + (0,) * 5: n1},
+            2: {(2 * q0 + q,) + (0,) * 5: 1, (2 * q0 + 1,) + (0,) * 5: n1},
+            3: {(q0 + 2 * q,) + (0,) * 5: 1, (q0 + 2,) + (0,) * 5: n1},
+            4: {(2 * q0 + 2 * q,) + (0,) * 5: 1, (2 * q0 + 2,) + (0,) * 5: n1},
+            5: {(2 * q0 + q, 1, 0, 0, 0, 0): 1, (2 * q0 + 1, 1, 0, 0, 0, 0): n1,
+                (q0 + q, 0, 1, 0, 0, 0): n1, (q0 + 1, 0, 1, 0, 0, 0): 1},
+        }
+
+    def add(self, a, b, c=1):
+        out = dict(a)
+        for m, v in b.items():
+            s = self.ctx.add(out.get(m, 0), self.ctx.mul(c, v))
+            if s:
+                out[m] = s
+            else:
+                out.pop(m, None)
+        return out
+
+    def raw_mul(self, a, b):
+        ctx = self.ctx
+        out = {}
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                m = tuple(x + y for x, y in zip(ma, mb))
+                v = ctx.add(out.get(m, 0), ctx.mul(ca, cb))
+                if v:
+                    out[m] = v
+                else:
+                    out.pop(m, None)
+        return out
+
+    def gen_pow(self, slot, e):
+        if e < self.q:
+            m = [0] * 6
+            m[slot] = e
+            return {tuple(m): 1}
+        if (slot, e) not in self._gp:
+            rest = self.gen_pow(slot, e - self.q)
+            unit = [0] * 6
+            unit[slot] = 1
+            part = self.add(self.raw_mul(rest, {tuple(unit): 1}),
+                            self.raw_mul(rest, self.rhs[slot]))
+            self._gp[(slot, e)] = self.normalize(part)
+        return self._gp[(slot, e)]
+
+    def normalize(self, raw):
+        out = {}
+        stack = list(raw.items())
+        while stack:
+            m, c = stack.pop()
+            if not c:
+                continue
+            bad = [i for i in range(1, 6) if m[i] >= self.q]
+            if not bad:
+                out = self.add(out, {m: c})
+                continue
+            base = list(m)
+            for i in bad:
+                base[i] = 0
+            cur = {tuple(base): c}
+            for i in bad:
+                cur = self.raw_mul(cur, self.gen_pow(i, m[i]))
+            stack.extend(cur.items())
+        return out
+
+    def mul(self, a, b):
+        return self.normalize(self.raw_mul(a, b))
+
+    def pow_pk(self, a, k):
+        scale = self.p ** k
+        return self.normalize({tuple(e * scale for e in m):
+                               self.ctx.pow_int(c, scale)
+                               for m, c in a.items()})
+
+    def apply(self, images, elem):
+        """Substitute each variable's image, powers by repeated products."""
+        names = ("x", "y1", "y2", "v1", "v2", "w")
+        acc = {}
+        for m, c in elem.items():
+            term = {ONE: c}
+            for name, e in zip(names, m):
+                for _ in range(e):
+                    term = self.mul(term, images[name])
+            acc = self.add(acc, term)
+        return acc
+
+
+ORACLES = {}
+
+
+def oracle(params):
+    if params not in ORACLES:
+        ORACLES[params] = TupleOracle(params)
+    return ORACLES[params]
+
+
+def raw_elements(q):
+    # generator exponents up to q + 2 so that element() has to rewrite
+    monos = st.tuples(*[st.integers(0, 3)]
+                      + [st.integers(0, q + 2)] + [st.integers(0, 2)] * 4)
+    return st.dictionaries(monos, st.integers(1, q - 1), max_size=3)
+
+
+@pytest.mark.parametrize("params", [P31, P51], ids=["p3s1", "p5s1"])
+@given(data=st.data())
+@settings(max_examples=15)
+def test_packed_arithmetic_matches_tuple_oracle(params, data):
+    pres, orc = presentation(params, "mixed"), oracle(params)
+    ra = data.draw(raw_elements(params.q))
+    rb = data.draw(raw_elements(params.q))
+    c = data.draw(st.integers(0, params.q - 1))
+    k = data.draw(st.integers(0, params.n))
+    a, b = pres.element(ra), pres.element(rb)
+    assert a.d == orc.normalize(ra) and b.d == orc.normalize(rb)
+    assert (a * b).d == orc.mul(a.d, b.d)
+    assert (a + b).d == orc.add(a.d, b.d)
+    assert (a - b).d == orc.add(a.d, b.d, orc.ctx.neg(1))
+    assert (-a).d == orc.add({}, a.d, orc.ctx.neg(1))
+    assert a.scale(c).d == orc.add({}, a.d, c)
+    # p^k-th powers of a y1^(q-1) term expand into thousands of terms;
+    # the low-degree part of a keeps the oracle quick
+    low = pres.element({m: v for m, v in a.d.items() if max(m[1:]) < 3})
+    assert low.pow_pk(k).d == orc.pow_pk(low.d, k)
+
+
+def test_pow_pk_beyond_n_matches_tuple_oracle(mixed):
+    # k > n is taken n steps at a time; the oracle scales in one go
+    el = mixed.element({(1, 1, 0, 0, 0, 1): 2, (0, 0, 1, 1, 0, 0): 1, X: 5})
+    assert el.pow_pk(P31.n + 1).d == oracle(P31).pow_pk(el.d, P31.n + 1)
+
+
+@pytest.mark.parametrize("params", [P31, P51], ids=["p3s1", "p5s1"])
+@given(data=st.data())
+@settings(max_examples=10)
+def test_endo_apply_matches_tuple_oracle(params, data):
+    pres, orc = presentation(params, "mixed"), oracle(params)
+    a = data.draw(st.integers(0, params.q - 1))
+    g = data.draw(st.integers(1, params.q - 1))
+    endo = data.draw(st.sampled_from([
+        prolong_translation(pres, a), sigma_shift(pres, g),
+        tau_shift(pres, g)]))
+    monos = st.tuples(st.integers(0, 3), *[st.integers(0, 2)] * 5)
+    elem = pres.element(data.draw(
+        st.dictionaries(monos, st.integers(1, params.q - 1), max_size=3)))
+    images = {name: img.d for name, img in endo.images.items()}
+    assert endo.apply(elem).d == orc.apply(images, elem.d)
+
+
+def test_pow_pk_far_beyond_n_stays_inside_the_packed_fields(mixed):
+    # y1^(q^m) = y1 + sum_{i<m} rhs^(q^i); scaling y1's field by 3^42
+    # in one go would overflow 48 bits, so pow_pk has to go n at a time
+    y1, rhs = mixed.gen("y1"), mixed.relations["y1"]
+    want = y1
+    for i in range(14):
+        want = want + rhs.pow_pk(P31.n * i)
+    assert y1.pow_pk(P31.n * 14) == want
+
+
+def test_packed_fields_cannot_overflow_at_the_table_budget():
+    from astower import tower
+    from astower.ff import MAX_FIELD_Q
+
+    # normal monomials times normal monomials stay below 2q, their
+    # p^k-th powers (k <= n) below q^2: both must fit below the top bit
+    assert 2 * MAX_FIELD_Q ** 2 < 1 << (tower.FIELD_BITS - 1)
+    tower.check_field_width(MAX_FIELD_Q)
+    with pytest.raises(UnsupportedError):
+        tower.check_field_width(1 << (tower.FIELD_BITS // 2))
+
+
+def test_element_rejects_exponents_outside_the_packed_fields(mixed):
+    with pytest.raises(ParameterError):
+        mixed.element({(0, -1, 0, 0, 0, 0): 1})
+    with pytest.raises(ParameterError):
+        mixed.element({(0, 0, 0, 0, 0, 1 << 60): 1})
+    with pytest.raises(ParameterError):
+        mixed.element({(0, 1): 1})
+
+
+@given(data=st.data())
+@settings(max_examples=30)
+def test_decoded_view_round_trips_through_element(data):
+    pres = presentation(P51, "mixed")
+    el = pres.element(data.draw(raw_elements(P51.q)))
+    again = pres.element(el.d)
+    assert again == el and again.d == el.d
+    assert pres.normalize(el.terms) is el.terms  # normal input comes back
+    assert el.constant_term() == el.d.get(ONE, 0)
