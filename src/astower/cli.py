@@ -8,54 +8,42 @@ parameter error, 3 audit found mismatching rows.
 """
 
 import argparse
-import hashlib
 import json
 import os
-import stat
 import sys
-import tempfile
 import time
-from fractions import Fraction
-from typing import Dict, List, Tuple
 
 from . import __version__
 from .errors import IntegrityError, ParameterError, UnsupportedError
 from .ff import MAX_FIELD_Q, Params, _within_budget, prime_basis
-from .genus import (audit_closed_forms, cover_classes, genus_of_F,
-                    ree_aggregate, ree_line_groups, rh_genus,
-                    verify_big_action)
-from .local import conductor_of_cover
-from .rng import SplitMix64
-from .tower import (check_endo, commutator, compose_endo,
-                    extension_multiplicity, identity_endo, invert_endo,
-                    presentation, prolong_translation, sigma_shift,
-                    tau_shift)
+
+# Each command imports the layers it uses when it runs, so a report
+# loads only those: the class reports never load `tower`, and
+# commutators/prolong never load `genus`, `local` or `laurent`.
 
 
 def _enc(v):
-    if isinstance(v, bool):
-        return v
-    if isinstance(v, int):
-        return v
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return int(v)
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, str):
+    if isinstance(v, (int, str)):
         return v
     if isinstance(v, dict):
         return {str(k): _enc(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
         return [_enc(x) for x in v]
+    from fractions import Fraction
+
+    if isinstance(v, Fraction):
+        if v.denominator == 1:
+            return int(v)
+        return f"{v.numerator}/{v.denominator}"
     raise ParameterError(f"cannot encode {type(v).__name__} into a report")
 
 
-def _params_payload(params: Params) -> Dict[str, int]:
+def _params_payload(params: Params) -> dict:
     return {"p": params.p, "s": params.s, "q0": params.q0,
             "q": params.q, "n": params.n}
 
 
-def _class_rows(classes) -> List[Dict[str, int]]:
+def _class_rows(classes) -> list:
     return [{"label": c.label, "count": c.count, "conductor": c.conductor,
              "genus": c.genus} for c in classes]
 
@@ -64,6 +52,8 @@ def _class_rows(classes) -> List[Dict[str, int]]:
 
 
 def cmd_verify(params: Params, args) -> dict:
+    from .genus import verify_big_action
+
     rep = verify_big_action(params)
     return {
         "command": "verify",
@@ -80,6 +70,8 @@ def cmd_verify(params: Params, args) -> dict:
 
 
 def cmd_genus(params: Params, args) -> dict:
+    from .genus import genus_of_F
+
     rep = genus_of_F(params)
     return {
         "command": "genus",
@@ -95,6 +87,9 @@ def cmd_genus(params: Params, args) -> dict:
 
 
 def cmd_conductor(params: Params, args) -> dict:
+    from .genus import cover_classes, ree_aggregate, ree_line_groups, rh_genus
+    from .local import conductor_of_cover
+
     first = conductor_of_cover(params, "y1", base="rational")
     lines = (params.q - 1) // (params.p - 1)
     line_genus = rh_genus(params.p, 0, first.m)
@@ -119,6 +114,8 @@ def cmd_conductor(params: Params, args) -> dict:
 
 
 def cmd_audit(params: Params, args) -> dict:
+    from .genus import audit_closed_forms
+
     rows = audit_closed_forms(params)
     encoded = [{
         "label": r.label,
@@ -136,13 +133,16 @@ def cmd_audit(params: Params, args) -> dict:
 
 
 def cmd_commutators(params: Params, args) -> dict:
+    from .tower import (commutator, identity_endo, presentation, sigma_shift,
+                        tau_shift)
+
     pres = presentation(params, "mixed")
     ctx = params.field()
     basis = prime_basis(ctx)
     n = params.n
     two = 2 % ctx.p
 
-    def pair_job(i: int, j: int) -> Dict[str, int]:
+    def pair_job(i: int, j: int) -> dict:
         gi, gj = basis[i], basis[j]
         com = commutator(sigma_shift(pres, gi), tau_shift(pres, gj))
         shift = (com.images["w"] - pres.gen("w")).constant_term()
@@ -179,6 +179,10 @@ def cmd_commutators(params: Params, args) -> dict:
 
 
 def cmd_prolong(params: Params, args) -> dict:
+    from .tower import (check_endo, compose_endo, extension_multiplicity,
+                        identity_endo, invert_endo, presentation,
+                        prolong_translation)
+
     pres = presentation(params, "mixed")
     ctx = params.field()
     q = params.q
@@ -187,28 +191,42 @@ def cmd_prolong(params: Params, args) -> dict:
     if exhaustive:
         avals = list(range(q))
     else:
+        from .rng import SplitMix64
+
         gen = SplitMix64(args.seed)
         avals = sorted({0, 1} | {gen.randbelow(q)
                                  for _ in range(max(args.samples, 2))})
+    basis = prime_basis(ctx)
+    # the cocycle check reuses the lifts of the basis and of its pairwise
+    # sums, so those are kept; any other lift is dropped after its check
+    # (keeping all 125 at (5,1) raised the report's peak RSS by 1.7 MiB)
+    reused = set(basis) | {ctx.add(a, b) for a in basis for b in basis}
+    lifts = {}
 
-    def cert(a: int) -> Tuple[bool, bool, bool]:
-        endo = prolong_translation(pres, a)
+    def lift(a: int) -> tuple:
+        """The prolongation of x -> x + a and its inverse, built once."""
+        pair = lifts.get(a)
+        if pair is None:
+            endo = prolong_translation(pres, a)
+            pair = (endo, invert_endo(endo))
+            if a in reused:
+                lifts[a] = pair
+        return pair
+
+    def cert(a: int) -> tuple:
+        endo, inverse = lift(a)
         ok = check_endo(pres, endo).ok
         xok = endo.images["x"] == pres.x() + pres.const(a)
-        iok = compose_endo(endo, invert_endo(endo)) == ident
+        iok = compose_endo(endo, inverse) == ident
         return ok, xok, iok
 
     results = [cert(a) for a in avals]
     if not all(ok for ok, _, _ in results):
         raise IntegrityError("a prolongation failed its relation check")
 
-    basis = prime_basis(ctx)
-
     def cocycle(a: int, b: int) -> bool:
-        delta = compose_endo(
-            compose_endo(prolong_translation(pres, a),
-                         prolong_translation(pres, b)),
-            invert_endo(prolong_translation(pres, ctx.add(a, b))))
+        delta = compose_endo(compose_endo(lift(a)[0], lift(b)[0]),
+                             lift(ctx.add(a, b))[1])
         return (delta.images["x"] == pres.x()
                 and check_endo(pres, delta).ok)
 
@@ -245,6 +263,9 @@ _COMMANDS = {
 def _atomic_write(path: str, text: str) -> None:
     """Replace a regular or missing file by renaming a temp file; write
     a FIFO or device in place, which a rename would replace."""
+    import stat
+    import tempfile
+
     try:
         regular = stat.S_ISREG(os.stat(path).st_mode)
     except FileNotFoundError:
@@ -266,6 +287,8 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _cache_path(args) -> str:
+    import hashlib
+
     key = json.dumps({
         "command": args.command, "p": args.p, "s": args.s,
         "samples": args.samples, "seed": args.seed,
@@ -275,15 +298,42 @@ def _cache_path(args) -> str:
     return os.path.join(args.cache_dir, f"{digest}.json")
 
 
-def _obtain(args) -> Tuple[str, dict]:
-    cache_file = _cache_path(args) if args.cache_dir else None
-    if cache_file and os.path.exists(cache_file):
-        with open(cache_file, "r", encoding="utf-8") as handle:
+def _canonical(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def _read_cached(path: str, args) -> tuple:
+    """(text, payload) of the cache entry at path, or None for a miss.
+
+    An entry that is missing, unreadable, not the canonical text of its
+    own payload, or a report of another command or (p, s) is a miss, so
+    the report is recomputed and the entry rewritten, never served.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-        return text, json.loads(text)
+        payload = json.loads(text)
+    except (OSError, ValueError, RecursionError):
+        return None
+    if not isinstance(payload, dict) or _canonical(payload) != text:
+        return None
+    params = payload.get("params")
+    if (payload.get("command") != args.command
+            or not isinstance(params, dict)
+            or params.get("p") != args.p or params.get("s") != args.s):
+        return None
+    return text, payload
+
+
+def _obtain(args) -> tuple:
+    cache_file = _cache_path(args) if args.cache_dir else None
+    if cache_file:
+        cached = _read_cached(cache_file, args)
+        if cached is not None:
+            return cached
     params = Params(args.p, args.s)
     payload = _COMMANDS[args.command](params, args)
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = _canonical(payload)
     if cache_file:
         os.makedirs(args.cache_dir, exist_ok=True)
         _atomic_write(cache_file, text)
@@ -322,6 +372,23 @@ def _build_parser() -> argparse.ArgumentParser:
                     "the five-step tower")
     parser.add_argument("--version", action="version",
                         version=f"%(prog)s {__version__}")
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--p", type=int, required=True,
+                        help="odd prime characteristic")
+    shared.add_argument("--s", type=int, required=True,
+                        help="tower parameter: q0 = p^s, q = p^(2s+1)")
+    shared.add_argument("--samples", type=int, default=2,
+                        help="translations prolong samples when q > 128 "
+                             "(conductors are certified on every line)")
+    shared.add_argument("--seed", type=int, default=0,
+                        help="seed for prolong's sampled translations when "
+                             "q > 128 (reports are reproducible bit for "
+                             "bit)")
+    shared.add_argument("--cache-dir", default=None,
+                        help="directory for keyed report caching")
+    shared.add_argument("--out", default=None,
+                        help="write the report here instead of stdout")
+    shared.add_argument("--format", choices=("json", "md"), default="json")
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar="command")
     helps = {
@@ -334,23 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
                  "mismatch)",
     }
     for name, help_text in helps.items():
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--p", type=int, required=True,
-                        help="odd prime characteristic")
-        sp.add_argument("--s", type=int, required=True,
-                        help="tower parameter: q0 = p^s, q = p^(2s+1)")
-        sp.add_argument("--samples", type=int, default=2,
-                        help="translations prolong samples when q > 128 "
-                             "(conductors are certified on every line)")
-        sp.add_argument("--seed", type=int, default=0,
-                        help="seed for prolong's sampled translations when "
-                             "q > 128 (reports are reproducible bit for "
-                             "bit)")
-        sp.add_argument("--cache-dir", default=None,
-                        help="directory for keyed report caching")
-        sp.add_argument("--out", default=None,
-                        help="write the report here instead of stdout")
-        sp.add_argument("--format", choices=("json", "md"), default="json")
+        sub.add_parser(name, help=help_text, parents=[shared])
     return parser
 
 

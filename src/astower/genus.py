@@ -18,9 +18,9 @@ against an independent closed form where one exists, raising
 IntegrityError on disagreement.
 """
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from __future__ import annotations
+
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import IntegrityError, ParameterError
 from .ff import FieldCtx, Params, prime_basis
@@ -245,8 +245,7 @@ def gs_aggregate(p: int, pieces: List[Tuple[int, int]], base_genus: int) -> int:
     return g
 
 
-@dataclass(frozen=True)
-class CoverClass:
+class CoverClass(NamedTuple):
     label: str
     count: int
     conductor: int
@@ -273,8 +272,7 @@ def cover_classes(params: Params, *,
             for label in _CLASS_ORDER]
 
 
-@dataclass(frozen=True)
-class GenusReport:
+class GenusReport(NamedTuple):
     params: Params
     base_genus: int
     classes: Tuple[CoverClass, ...]
@@ -320,8 +318,7 @@ def genus_of_F(params: Params, *,
 # --------------------------------------------------------------- audit
 
 
-@dataclass(frozen=True)
-class AuditRow:
+class AuditRow(NamedTuple):
     label: str
     closed: Fraction
     pipeline: int
@@ -341,6 +338,8 @@ def audit_closed_forms(params: Params, *,
     is half-integral for every (p, s) and can never equal an integer
     genus.
     """
+    from fractions import Fraction  # only the rational reports load it
+
     p, q0, q = params.p, params.q0, params.q
     scale = Fraction(q, 2 * q0)
     closed = {
@@ -412,8 +411,7 @@ def ree_aggregate(params: Params, *,
 # ------------------------------------------------------------- verdict
 
 
-@dataclass(frozen=True)
-class BigActionReport:
+class BigActionReport(NamedTuple):
     params: Params
     group_order: int
     genus: int
@@ -433,6 +431,8 @@ def verify_big_action(params: Params, *,
     The group is the extension of the q-fold translation group by the
     q^5 vertical shifts, so |G| = q^6.
     """
+    from fractions import Fraction  # only the rational reports load it
+
     rep = genus_of_F(params, classes=classes)
     p = params.p
     order = params.q ** 6

@@ -18,8 +18,7 @@ to read off the conductor of the corresponding degree-p cover.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import IntegrityError, ParameterError, UnsupportedError
 from .ff import FieldCtx, Params
@@ -95,18 +94,21 @@ def cover_rhs_polys(params: Params) -> Dict[str, XYPoly]:
     return out
 
 
-@dataclass
 class UniformizerData:
-    params: Params
-    ctx: FieldCtx
-    x_poly: LaurentPoly
-    y_head: LaurentPoly
-    a1: int
-    a2: int
-    b1: int
-    b2: int
-    residual: LaurentPoly
-    _xpow_cache: dict = field(default_factory=dict, repr=False)
+    """x and the head of the first generator as Laurent polynomials in
+    the uniformizer z, their exponents, and the head's residual."""
+
+    __slots__ = ("params", "ctx", "x_poly", "y_head", "a1", "a2", "b1", "b2",
+                 "residual", "_xpow_cache")
+
+    def __init__(self, params: Params, ctx: FieldCtx, x_poly: LaurentPoly,
+                 y_head: LaurentPoly, a1: int, a2: int, b1: int, b2: int,
+                 residual: LaurentPoly):
+        self.params, self.ctx = params, ctx
+        self.x_poly, self.y_head = x_poly, y_head
+        self.a1, self.a2, self.b1, self.b2 = a1, a2, b1, b2
+        self.residual = residual
+        self._xpow_cache: Dict[int, LaurentPoly] = {}
 
     def xpow(self, e: int) -> LaurentPoly:
         out = self._xpow_cache.get(e)
@@ -215,8 +217,7 @@ def expand_rational(ctx: FieldCtx, rhs: XYPoly) -> LaurentPoly:
     return LaurentPoly(ctx, out, _trusted=True)
 
 
-@dataclass
-class ReducedPart:
+class ReducedPart(NamedTuple):
     """Principal part normalized mod the additive kernel image.
 
     witnesses is the list of (m, r) with u = r * z^-m applied as
@@ -281,8 +282,7 @@ def reduce_mod_wp(ctx: FieldCtx,
                        const=const, geometric=ctx.trace_to_prime(const) == 0)
 
 
-@dataclass
-class ConductorResult:
+class ConductorResult(NamedTuple):
     label: str
     coeff: int
     base: str

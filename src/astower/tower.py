@@ -32,11 +32,10 @@ from __future__ import annotations
 
 import heapq
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from math import prod
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ._kernel_py import lp_add_scaled, lp_map_pow, lp_mul
 from .errors import IntegrityError, ParameterError, UnsupportedError
@@ -143,18 +142,7 @@ class TowerElement:
     def __pow__(self, e: int) -> "TowerElement":
         if e < 0:
             raise ParameterError("negative powers are not defined here")
-        result = None
-        k = 0
-        p = self.pres.ctx.p
-        while e:
-            digit = e % p
-            if digit:
-                block = self.pow_pk(k)
-                for _ in range(digit):
-                    result = block if result is None else result * block
-            e //= p
-            k += 1
-        return self.pres.const(1) if result is None else result
+        return _power(self.pres, e, self.pow_pk)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TowerElement) and self.pres is other.pres
@@ -165,6 +153,24 @@ class TowerElement:
 
     def __repr__(self):
         return f"TowerElement({self.d!r})"
+
+
+def _power(pres: "TowerPresentation", e: int,
+           block: Callable[[int], TowerElement]) -> TowerElement:
+    """The e-th power of an element, from its p^k-th powers block(k), one
+    product per unit of each base-p digit of e."""
+    result = None
+    k = 0
+    p = pres.ctx.p
+    while e:
+        digit = e % p
+        if digit:
+            b = block(k)
+            for _ in range(digit):
+                result = b if result is None else result * b
+        e //= p
+        k += 1
+    return pres.const(1) if result is None else result
 
 
 class TowerPresentation:
@@ -322,7 +328,7 @@ def presentation(params: Params, kind: str = "mixed") -> TowerPresentation:
 class Endo:
     """Ring endomorphism fixing F_q, given by images of x and the generators."""
 
-    __slots__ = ("pres", "images", "_pc")
+    __slots__ = ("pres", "images", "_pc", "_blocks")
 
     def __init__(self, pres: TowerPresentation, images: Dict[str, TowerElement]):
         missing = ({"x", *pres.gens}) - set(images)
@@ -331,12 +337,21 @@ class Endo:
         self.pres = pres
         self.images = images
         self._pc: Dict[Tuple[str, int], Terms] = {}
+        self._blocks: Dict[Tuple[str, int], TowerElement] = {}
+
+    def _block(self, name: str, k: int) -> TowerElement:
+        """The p^k-th power of an image, shared by all of its powers."""
+        key = (name, k)
+        out = self._blocks.get(key)
+        if out is None:
+            out = self._blocks[key] = self.images[name].pow_pk(k)
+        return out
 
     def _img_pow(self, name: str, e: int) -> Terms:
         key = (name, e)
         out = self._pc.get(key)
         if out is None:
-            out = (self.images[name] ** e).terms
+            out = _power(self.pres, e, lambda k: self._block(name, k)).terms
             self._pc[key] = out
         return out
 
@@ -420,8 +435,7 @@ def commutator(a: Endo, b: Endo) -> Endo:
                         compose_endo(invert_endo(a), invert_endo(b)))
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     ok: bool
     defects: Dict[str, TowerElement]
 

@@ -11,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from astower import ff, genus
+from astower import ff, genus, tower
 from astower.cli import main
 from astower.ff import make_field
 
@@ -202,15 +202,64 @@ def test_out_writes_into_a_fifo_without_replacing_it(tmp_path, capsys):
     assert received == [direct.encode("utf-8")]
 
 
-def test_cli_import_leaves_thread_pool_out():
-    code = ("import sys, astower.cli; "
-            "print('concurrent.futures' in sys.modules)")
+# Prints the modules that importing astower.cli, then running main on
+# the arguments, adds to those the interpreter had already loaded.
+_LOADS = """
+import contextlib, io, sys
+before = set(sys.modules)
+from astower.cli import main
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(sys.argv[1:])
+print(" ".join(sorted(set(sys.modules) - before)))
+"""
+
+
+def _modules_loaded(*argv):
     src = os.path.dirname(os.path.dirname(ff.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, env=env)
-    assert done.stdout.strip() == "False"
+    done = subprocess.run([sys.executable, "-c", _LOADS, *argv],
+                          capture_output=True, text=True, check=True, env=env)
+    return set(done.stdout.split())
+
+
+def test_cli_import_leaves_thread_pool_out():
+    """Importing the CLI loads no thread pool and none of the layers."""
+    loaded = _modules_loaded()
+    assert "astower.cli" in loaded
+    assert not loaded & {"concurrent.futures", "logging", "astower.genus",
+                         "astower.local", "astower.laurent", "astower.tower",
+                         "astower.rng", "dataclasses", "fractions", "hashlib"}
+
+
+_CLASS_LAYERS = {"astower.genus", "astower.local", "astower.laurent"}
+
+
+@pytest.mark.parametrize("command, used, unused", [
+    ("verify", _CLASS_LAYERS, {"astower.tower"}),
+    ("conductor", _CLASS_LAYERS, {"astower.tower"}),
+    ("genus", _CLASS_LAYERS, {"astower.tower"}),
+    ("audit", _CLASS_LAYERS, {"astower.tower"}),
+    ("commutators", {"astower.tower"}, _CLASS_LAYERS),
+    ("prolong", {"astower.tower"}, _CLASS_LAYERS),
+])
+def test_each_command_loads_only_its_layers(command, used, unused):
+    loaded = _modules_loaded(command, "--p", "3", "--s", "1")
+    assert used <= loaded
+    assert not loaded & (unused | {"dataclasses"})
+
+
+def test_package_exports_resolve_on_first_access():
+    import astower
+
+    listed = dir(astower)
+    for name in astower.__all__:
+        assert getattr(astower, name) is not None
+        assert name in listed
+    assert astower.genus_of_F is genus.genus_of_F
+    with pytest.raises(AttributeError):
+        astower.no_such_export
 
 
 def test_cache_round_trip(tmp_path, capsys):
@@ -223,6 +272,40 @@ def test_cache_round_trip(tmp_path, capsys):
     assert code2 == 0
     assert out1 == out2
     assert list(cache.glob("*.json")) == entries
+
+
+def _bad_entry(kind, good, tmp_path, capsys):
+    """A cache entry the CLI must not serve, made from the good one."""
+    if kind == "truncated":
+        return good[:len(good) // 2]
+    if kind == "not_json":
+        return b"\xff\xfe\x00 not json"
+    if kind == "hand_edited":
+        # canonical JSON, but no report of this command at these (p, s)
+        return (json.dumps({"is_big": True}, sort_keys=True, indent=2)
+                + "\n").encode("utf-8")
+    if kind == "other_command":
+        other = tmp_path / "other"
+        run(["audit", "--p", "3", "--s", "1", "--cache-dir", str(other)],
+            capsys)
+        (entry,) = other.glob("*.json")
+        return entry.read_bytes()
+    # the right report, but not in its canonical form
+    return json.dumps(json.loads(good)).encode("utf-8")
+
+
+@pytest.mark.parametrize("kind", ["truncated", "not_json", "hand_edited",
+                                  "other_command", "reformatted"])
+def test_cache_recomputes_an_entry_it_cannot_trust(kind, tmp_path, capsys):
+    args = ["verify", "--p", "3", "--s", "1"]
+    want = run(args, capsys)[:2]
+    cached = args + ["--cache-dir", str(tmp_path / "cache")]
+    run(cached, capsys)
+    (entry,) = (tmp_path / "cache").glob("*.json")
+    entry.write_bytes(_bad_entry(kind, entry.read_bytes(), tmp_path, capsys))
+    assert run(cached, capsys)[:2] == want
+    assert entry.read_bytes() == want[1].encode("utf-8")  # rewritten
+    assert run(cached, capsys)[:2] == want  # and served from now on
 
 
 def test_cache_key_tracks_seed(tmp_path, capsys):
@@ -278,3 +361,12 @@ def test_shift_reports_skip_orbit_representatives(command, monkeypatch,
     code, _, _ = run([command, "--p", "3", "--s", "1"], capsys)
     assert code == 0
     assert counts == {}
+
+
+@pytest.mark.parametrize("p, q", [(3, 27), (5, 125)])
+def test_prolong_builds_each_lift_once(p, q, monkeypatch, capsys):
+    counts = {}
+    _count_calls(monkeypatch, tower, "prolong_translation", counts)
+    code, _, _ = run(["prolong", "--p", str(p), "--s", "1"], capsys)
+    assert code == 0
+    assert counts == {"prolong_translation": q}
