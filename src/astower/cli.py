@@ -197,10 +197,6 @@ def cmd_prolong(params: Params, args) -> dict:
         avals = sorted({0, 1} | {gen.randbelow(q)
                                  for _ in range(max(args.samples, 2))})
     basis = prime_basis(ctx)
-    # the cocycle check reuses the lifts of the basis and of its pairwise
-    # sums, so those are kept; any other lift is dropped after its check
-    # (keeping all 125 at (5,1) raised the report's peak RSS by 1.7 MiB)
-    reused = set(basis) | {ctx.add(a, b) for a in basis for b in basis}
     lifts = {}
 
     def lift(a: int) -> tuple:
@@ -208,21 +204,29 @@ def cmd_prolong(params: Params, args) -> dict:
         pair = lifts.get(a)
         if pair is None:
             endo = prolong_translation(pres, a)
-            pair = (endo, invert_endo(endo))
-            if a in reused:
-                lifts[a] = pair
+            pair = lifts[a] = (endo, invert_endo(endo))
         return pair
 
-    def cert(a: int) -> tuple:
-        endo, inverse = lift(a)
-        ok = check_endo(pres, endo).ok
-        xok = endo.images["x"] == pres.x() + pres.const(a)
-        iok = compose_endo(endo, inverse) == ident
-        return ok, xok, iok
-
-    results = [cert(a) for a in avals]
-    if not all(ok for ok, _, _ in results):
-        raise IntegrityError("a prolongation failed its relation check")
+    # Soundness: a basis lift s_i passing check_endo is an endomorphism of
+    # the tower's function field fixing F_q, so injective, and s_i o t_i =
+    # id makes it an automorphism with inverse t_i.  Each s_i sends x to
+    # x + b_i, so for a listed a whose base-p digits d_i replay below to
+    # sum d_i b_i = a, the composite of the s_i^d_i is an automorphism
+    # sending x to x + a, inverted by the reverse composite of the t_i:
+    # n certified lifts certify every listed translation.
+    for b in basis:
+        endo, inverse = lift(b)
+        if not check_endo(pres, endo).ok:
+            raise IntegrityError("a prolongation failed its relation check")
+        if (endo.images["x"] != pres.x() + pres.const(b)
+                or compose_endo(endo, inverse) != ident):
+            raise IntegrityError(f"lift of {b}: wrong restriction or inverse")
+    for a in avals:
+        total = 0
+        for d, b in zip(ctx.to_coeffs(a), basis):
+            total = ctx.add(total, ctx.mul(d, b))
+        if total != a:
+            raise IntegrityError(f"translation {a} is not its basis sum")
 
     def cocycle(a: int, b: int) -> bool:
         delta = compose_endo(compose_endo(lift(a)[0], lift(b)[0]),
@@ -238,8 +242,8 @@ def cmd_prolong(params: Params, args) -> dict:
         "params": _params_payload(params),
         "translations_certified": len(avals),
         "exhaustive": exhaustive,
-        "restriction_ok": all(x for _, x, _ in results),
-        "inverses_ok": all(i for _, _, i in results),
+        "restriction_ok": True,
+        "inverses_ok": True,
         "cocycle_pairs": len(basis) ** 2,
         "cocycles_vertical": True,
         "multiplicity": extension_multiplicity(pres),
@@ -287,15 +291,10 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _cache_path(args) -> str:
-    import hashlib
-
-    key = json.dumps({
-        "command": args.command, "p": args.p, "s": args.s,
-        "samples": args.samples, "seed": args.seed,
-        "version": __version__,
-    }, sort_keys=True)
-    digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
-    return os.path.join(args.cache_dir, f"{digest}.json")
+    # tagged ints and fixed strings: injective without a digest (hashlib)
+    return os.path.join(args.cache_dir, (
+        f"{args.command}-p{args.p}-s{args.s}-n{args.samples}"
+        f"-seed{args.seed}-v{__version__}.json"))
 
 
 def _canonical(payload: dict) -> str:
@@ -335,8 +334,11 @@ def _obtain(args) -> tuple:
     payload = _COMMANDS[args.command](params, args)
     text = _canonical(payload)
     if cache_file:
-        os.makedirs(args.cache_dir, exist_ok=True)
-        _atomic_write(cache_file, text)
+        try:
+            os.makedirs(args.cache_dir, exist_ok=True)
+            _atomic_write(cache_file, text)
+        except OSError as exc:  # e.g. a name over the file system's limit
+            print(f"cache entry not written: {exc}", file=sys.stderr)
     return text, payload
 
 
@@ -378,10 +380,10 @@ def _build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--s", type=int, required=True,
                         help="tower parameter: q0 = p^s, q = p^(2s+1)")
     shared.add_argument("--samples", type=int, default=2,
-                        help="translations prolong samples when q > 128 "
-                             "(conductors are certified on every line)")
+                        help="translations prolong lists when q > 128 "
+                             "(all are certified through the basis lifts)")
     shared.add_argument("--seed", type=int, default=0,
-                        help="seed for prolong's sampled translations when "
+                        help="seed for the translations prolong lists when "
                              "q > 128 (reports are reproducible bit for "
                              "bit)")
     shared.add_argument("--cache-dir", default=None,

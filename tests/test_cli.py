@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, report shapes, determinism."""
 
+import hashlib
 import json
 import os
 import stat
@@ -11,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from astower import ff, genus, tower
+from astower import cli, ff, genus, tower
 from astower.cli import main
 from astower.ff import make_field
 
@@ -363,10 +364,111 @@ def test_shift_reports_skip_orbit_representatives(command, monkeypatch,
     assert counts == {}
 
 
-@pytest.mark.parametrize("p, q", [(3, 27), (5, 125)])
-def test_prolong_builds_each_lift_once(p, q, monkeypatch, capsys):
+@pytest.mark.parametrize("p, s, seed, built", [
+    (3, 1, 0, 9), (5, 1, 0, 9), (3, 2, 0, 20), (3, 2, 7, 20)])
+def test_prolong_builds_each_lift_once(p, s, seed, built, monkeypatch,
+                                       capsys):
+    """Only the n basis lifts and those of the n(n+1)/2 pairwise basis
+    sums are built, whichever translations the seed lists."""
     counts = {}
     _count_calls(monkeypatch, tower, "prolong_translation", counts)
-    code, _, _ = run(["prolong", "--p", str(p), "--s", "1"], capsys)
+    code, _, _ = run(["prolong", "--p", str(p), "--s", str(s),
+                      "--seed", str(seed)], capsys)
     assert code == 0
-    assert counts == {"prolong_translation": q}
+    assert counts == {"prolong_translation": built}
+
+
+# Mutants prolong must refuse: each breaks one link of the certificate
+# that the n basis lifts extend to every listed translation.
+
+
+def _mutate_lift_of_t(monkeypatch, name, mutate):
+    """Pass tower.<name>'s result through mutate(pres, result) where it
+    belongs to the basis translation x -> x + t (code p)."""
+    real = getattr(tower, name)
+
+    def mutant(*args):
+        out = real(*args)
+        pres = out.pres
+        lift = out if name == "prolong_translation" else args[0]
+        if lift.images["x"] == pres.x() + pres.const(pres.ctx.p):
+            return mutate(pres, out)
+        return out
+
+    monkeypatch.setattr(tower, name, mutant)
+
+
+def _swap_digits(monkeypatch):
+    real = ff.FieldCtx.to_coeffs
+
+    def swapped(self, a):
+        digs = real(self, a)
+        return digs[1:] + digs[:1] if a == 1 else digs
+
+    monkeypatch.setattr(ff.FieldCtx, "to_coeffs", swapped)
+
+
+@pytest.mark.parametrize("mutant, reason", [
+    ("relation", "relation check"),
+    ("inverse", "wrong restriction or inverse"),
+    ("coordinates", "translation 1 is not its basis sum"),
+    ("basis", "translation 3 is not its basis sum"),
+], ids=["relation", "inverse", "coordinates", "basis"])
+def test_prolong_refuses_a_broken_certificate(mutant, reason, monkeypatch,
+                                              capsys):
+    if mutant == "relation":  # the lift of t breaks the w relation
+        _mutate_lift_of_t(monkeypatch, "prolong_translation", lambda pres, e:
+                          e.replace(w=e.images["w"] + pres.x()))
+    elif mutant == "inverse":  # the inverse of t's lift is off by a shift
+        _mutate_lift_of_t(monkeypatch, "invert_endo", lambda pres, inv:
+                          inv.replace(w=inv.images["w"] + pres.const(1)))
+    elif mutant == "coordinates":  # 1's digits do not replay to 1
+        _swap_digits(monkeypatch)
+    else:  # a "basis" that misses t, so t is not its digit sum
+        monkeypatch.setattr(cli, "prime_basis",
+                            lambda ctx: [1, 1, ctx.p ** 2])
+    code, out, err = run(["prolong", "--p", "3", "--s", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("integrity failure") and reason in err
+
+
+def test_cache_hit_loads_no_hashlib(tmp_path, capsys):
+    args = ["verify", "--p", "3", "--s", "1", "--cache-dir",
+            str(tmp_path / "cache")]
+    assert run(args, capsys)[0] == 0
+    loaded = _modules_loaded(*args)
+    assert "astower.genus" not in loaded  # served from the cache
+    assert "hashlib" not in loaded
+
+
+@pytest.mark.parametrize("where", ["long_name", "file_as_dir"])
+def test_cache_write_failure_still_prints_the_report(where, tmp_path,
+                                                     capsys):
+    args = ["verify", "--p", "3", "--s", "1"]
+    want = run(args, capsys)[:2]
+    if where == "long_name":  # the seed's 300 digits overflow NAME_MAX
+        cache = tmp_path / "cache"
+        args += ["--seed", "9" * 300]
+    else:
+        cache = tmp_path / "a_file"
+        cache.write_text("")
+    code, out, err = run(args + ["--cache-dir", str(cache)], capsys)
+    assert (code, out) == want
+    assert "cache entry not written" in err
+
+
+_REFERENCES = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench", "references.json")
+with open(_REFERENCES, encoding="utf-8") as _handle:
+    _PINNED = json.load(_handle)
+
+
+@pytest.mark.parametrize("report", sorted(_PINNED["reports"]))
+def test_report_bytes_match_pinned_references(report, capsys):
+    """Every benchmark reference, run in-process at the pinned seed, keeps
+    its exit code and its stdout bytes."""
+    ref = _PINNED["reports"][report]
+    seed = str(_PINNED["pinned_seed"])
+    code, out, _ = run(report.split() + ["--seed", seed], capsys)
+    assert code == ref["exit"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ref["sha256"]

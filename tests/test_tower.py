@@ -383,6 +383,31 @@ def test_prolong_identity_at_zero(mixed):
     assert prolong_translation(mixed, 0) == identity_endo(mixed)
 
 
+@pytest.mark.parametrize("params", [P31, P51], ids=["3-1", "5-1"])
+def test_basis_lift_composites_lift_every_translation(params):
+    """The certificate `prolong` relies on, checked for every a: the
+    composite of basis lifts along a's base-p digits restricts to x + a,
+    passes the relation check, and differs from the direct lift of a by
+    a certified x-fixing (vertical) automorphism."""
+    pres = presentation(params, "mixed")
+    ctx = pres.ctx
+    p = ctx.p
+    basis = [p ** i for i in range(ctx.n)]
+    sigma = [prolong_translation(pres, b) for b in basis]
+    composite = {0: identity_endo(pres)}
+    for a in range(1, ctx.q):
+        # a - b_i drops a's lowest nonzero digit by one, and
+        # composite(a) = composite(a - b_i) o sigma_i
+        i = next(i for i, d in enumerate(ctx.to_coeffs(a)) if d)
+        composite[a] = compose_endo(composite[a - basis[i]], sigma[i])
+    for a, endo in composite.items():
+        assert endo.images["x"] == pres.x() + pres.const(a)
+        assert check_endo(pres, endo).ok
+        delta = compose_endo(endo, invert_endo(prolong_translation(pres, a)))
+        assert delta.images["x"] == pres.x()
+        assert check_endo(pres, delta).ok
+
+
 # ------------------------------------------- packed kernel vs tuple oracle
 
 
