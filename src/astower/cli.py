@@ -7,11 +7,11 @@ goes to stderr.  Exit codes: 0 success, 1 integrity failure, 2 usage or
 parameter error, 3 audit found mismatching rows.
 """
 
-import argparse
 import json
 import os
 import sys
 import time
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import IntegrityError, ParameterError, UnsupportedError
@@ -133,43 +133,48 @@ def cmd_audit(params: Params, args) -> dict:
 
 
 def cmd_commutators(params: Params, args) -> dict:
-    from .tower import (commutator, identity_endo, presentation, sigma_shift,
-                        tau_shift)
+    from .tower import (compose_endo, identity_endo, presentation,
+                        sigma_shift, tau_shift)
 
     pres = presentation(params, "mixed")
     ctx = params.field()
     basis = prime_basis(ctx)
     n = params.n
     two = 2 % ctx.p
+    ident = identity_endo(pres)
+    sigma = [sigma_shift(pres, g) for g in basis]
+    tau = [tau_shift(pres, g) for g in basis]
 
+    def w_shift(c: int):
+        return ident.replace(w=pres.gen("w") + pres.const(c))
+
+    # Soundness: each shift sends every generator to itself plus constants
+    # and earlier generators (triangular-unipotent), so it is invertible
+    # by back-substitution (`invert_endo`), and for invertible a, b, c:
+    # [a, b] = a b a^-1 b^-1 = c  <=>  a b = c b a.  So each identity
+    # below proves a commutator without inverting anything:
+    # sigma_i tau_j = c tau_j sigma_i with c the w-shift by -2 g_i g_j,
+    # tau_j sigma_i = c^-1 sigma_i tau_j, and a same-kind pair commutes.
     def pair_job(i: int, j: int) -> dict:
         gi, gj = basis[i], basis[j]
-        com = commutator(sigma_shift(pres, gi), tau_shift(pres, gj))
-        shift = (com.images["w"] - pres.gen("w")).constant_term()
         expected = ctx.neg(ctx.mul(two, ctx.mul(gi, gj)))
-        want = identity_endo(pres).replace(
-            w=pres.gen("w") + pres.const(expected))
-        if com != want:
+        st = compose_endo(sigma[i], tau[j])
+        ts = compose_endo(tau[j], sigma[i])
+        if st != compose_endo(w_shift(expected), ts):
             raise IntegrityError(
                 f"commutator at basis pair ({i}, {j}) is not the expected "
                 "central shift")
-        rev = commutator(tau_shift(pres, gj), sigma_shift(pres, gi))
-        rev_shift = (rev.images["w"] - pres.gen("w")).constant_term()
-        if rev_shift != ctx.neg(expected):
+        if ts != compose_endo(w_shift(ctx.neg(expected)), st):
             raise IntegrityError(
                 f"reverse commutator at ({i}, {j}) has the wrong sign")
         return {"i": i, "j": j, "gamma_i": gi, "gamma_j": gj,
-                "w_shift": shift, "reverse_w_shift": rev_shift}
+                "w_shift": expected, "reverse_w_shift": ctx.neg(expected)}
 
     pairs = [pair_job(i, j) for i in range(n) for j in range(n)]
 
-    ident = identity_endo(pres)
     same_kind = all(
-        commutator(sigma_shift(pres, basis[i]), sigma_shift(pres, basis[j]))
-        == ident
-        and commutator(tau_shift(pres, basis[i]), tau_shift(pres, basis[j]))
-        == ident
-        for i in range(n) for j in range(i + 1, n))
+        compose_endo(f[i], f[j]) == compose_endo(f[j], f[i])
+        for f in (sigma, tau) for i in range(n) for j in range(i + 1, n))
     return {
         "command": "commutators",
         "params": _params_payload(params),
@@ -258,6 +263,15 @@ _COMMANDS = {
     "commutators": cmd_commutators,
     "prolong": cmd_prolong,
     "audit": cmd_audit,
+}
+
+_HELP = {
+    "verify": "evaluate the big-action inequality under both readings",
+    "conductor": "certified conductors for floors and cover classes",
+    "genus": "full genus pipeline report",
+    "commutators": "shift commutators acting on the last generator",
+    "prolong": "certify prolongations of the x-translations",
+    "audit": "compare pipeline genera with closed forms (exit 3 on mismatch)",
 }
 
 
@@ -367,44 +381,83 @@ def _render_md(payload: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="astower",
-        description="exact conductor, genus, and automorphism reports for "
-                    "the five-step tower")
-    parser.add_argument("--version", action="version",
-                        version=f"%(prog)s {__version__}")
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--p", type=int, required=True,
-                        help="odd prime characteristic")
-    shared.add_argument("--s", type=int, required=True,
-                        help="tower parameter: q0 = p^s, q = p^(2s+1)")
-    shared.add_argument("--samples", type=int, default=2,
-                        help="translations prolong lists when q > 128 "
-                             "(all are certified through the basis lifts)")
-    shared.add_argument("--seed", type=int, default=0,
-                        help="seed for the translations prolong lists when "
-                             "q > 128 (reports are reproducible bit for "
-                             "bit)")
-    shared.add_argument("--cache-dir", default=None,
-                        help="directory for keyed report caching")
-    shared.add_argument("--out", default=None,
-                        help="write the report here instead of stdout")
-    shared.add_argument("--format", choices=("json", "md"), default="json")
-    sub = parser.add_subparsers(dest="command", required=True,
-                                metavar="command")
-    helps = {
-        "verify": "evaluate the big-action inequality under both readings",
-        "conductor": "certified conductors for floors and cover classes",
-        "genus": "full genus pipeline report",
-        "commutators": "shift commutators acting on the last generator",
-        "prolong": "certify prolongations of the x-translations",
-        "audit": "compare pipeline genera with closed forms (exit 3 on "
-                 "mismatch)",
-    }
-    for name, help_text in helps.items():
-        sub.add_parser(name, help=help_text, parents=[shared])
-    return parser
+def _report_format(value: str) -> str:
+    if value not in ("json", "md"):
+        raise ValueError(value)
+    return value
+
+
+_REQUIRED = object()
+# The flags every command takes: converter, default and help line.
+_FLAGS = {
+    "--p": (int, _REQUIRED, "odd prime characteristic"),
+    "--s": (int, _REQUIRED, "tower parameter: q0 = p^s, q = p^(2s+1)"),
+    "--samples": (int, 2, "translations prolong lists when q > 128"),
+    "--seed": (int, 0, "seed choosing those translations"),
+    "--cache-dir": (str, None, "directory for keyed report caching"),
+    "--out": (str, None, "write the report here instead of stdout"),
+    "--format": (_report_format, "json", "json (the default) or md"),
+}
+_USAGE = "usage: astower COMMAND --p P --s S [FLAGS]"
+
+
+def _help() -> str:
+    row = "  {:<23} {}".format
+    return "\n".join([
+        _USAGE, "", "exact conductor, genus, and automorphism reports for "
+        "the five-step tower", "", "commands:",
+        *(row(name, text) for name, text in _HELP.items()),
+        "", "flags, as --flag VALUE or --flag=VALUE:",
+        *(row(f"{flag} {flag[2:].upper()}", text)
+          for flag, (_, _, text) in _FLAGS.items()),
+        row("-h, --help", "print this help and exit"),
+        row("--version", "print the version and exit")])
+
+
+def _print_and_exit(text: str) -> None:
+    print(text)
+    raise SystemExit(0)
+
+
+def _usage_error(message: str) -> None:
+    print(f"{_USAGE}\nastower: error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _parse(argv: list) -> SimpleNamespace:
+    """The command and its flags, named as the commands read them.
+
+    --help and --version print to stdout and exit 0; a usage error exits 2.
+    """
+    command, *rest = argv or [""]
+    if command in ("-h", "--help"):
+        _print_and_exit(_help())
+    if command == "--version":
+        _print_and_exit(f"astower {__version__}")
+    if command not in _COMMANDS:
+        _usage_error(f"unknown command {command!r}" if command
+                     else "no command given")
+    values = {flag: default for flag, (_, default, _) in _FLAGS.items()}
+    tokens = iter(rest)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            _print_and_exit(_help())
+        flag, eq, value = token.partition("=")
+        if flag not in _FLAGS:
+            _usage_error(f"unrecognized argument {token!r}")
+        if not eq:  # the next token is the value, even one like -1
+            value = next(tokens, None)
+            if value is None:
+                _usage_error(f"argument {flag}: expected a value")
+        try:
+            values[flag] = _FLAGS[flag][0](value)
+        except ValueError:
+            _usage_error(f"argument {flag}: invalid value {value!r}")
+    missing = [flag for flag, value in values.items() if value is _REQUIRED]
+    if missing:
+        _usage_error(f"missing {', '.join(missing)}")
+    return SimpleNamespace(command=command, **{
+        flag[2:].replace("-", "_"): value for flag, value in values.items()})
 
 
 def _check_args(args) -> None:
@@ -423,8 +476,7 @@ def _check_args(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     started = time.perf_counter()
     try:
         _check_args(args)
@@ -438,7 +490,12 @@ def main(argv=None) -> int:
         return 2
     rendered = text if args.format == "json" else _render_md(payload)
     if args.out:
-        _atomic_write(args.out, rendered)
+        try:
+            _atomic_write(args.out, rendered)
+        except OSError as exc:
+            print(f"parameter error: cannot write --out {args.out}: "
+                  f"{exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         print(rendered, end="")
     elapsed = time.perf_counter() - started

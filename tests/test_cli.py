@@ -83,6 +83,85 @@ def test_bad_format_is_usage_error():
     assert exc.value.code == 2
 
 
+def _exits(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_version_prints_name_and_version(capsys):
+    assert _exits(["--version"], capsys) == (0, "astower 0.1.0\n", "")
+
+
+def test_version_through_the_console_script():
+    done = _python(_ENTRY, "--version")
+    assert (done.returncode, done.stdout, done.stderr) == \
+        (0, "astower 0.1.0\n", "")
+
+
+_FLAG_NAMES = ["--p", "--s", "--samples", "--seed", "--cache-dir", "--out",
+               "--format"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["verify", "--help"],
+                                  ["prolong", "--p", "3", "-h"]],
+                         ids=["top", "top-short", "verify", "after-flags"])
+def test_help_lists_every_command_and_flag(argv, capsys):
+    code, out, err = _exits(argv, capsys)
+    assert code == 0 and err == ""
+    assert out.startswith("usage: astower ")
+    for word in [*cli._COMMANDS, *_FLAG_NAMES, "--help", "--version"]:
+        assert word in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "no command"),
+    (["bogus"], "unknown command 'bogus'"),
+    (["--bogus"], "unknown command '--bogus'"),
+    (["verify", "--p", "3", "--s", "1", "--bogus", "1"], "'--bogus'"),
+    (["verify", "--p", "3", "--s", "1", "7"], "'7'"),
+    (["verify", "--p", "3", "--s", "1", "--sam", "4"], "'--sam'"),
+    (["verify", "--p", "3", "--s"], "--s: expected a value"),
+    (["verify", "--p", "3", "--s", "1", "--out"], "--out: expected a value"),
+    (["verify", "--p", "x", "--s", "1"], "--p: invalid value 'x'"),
+    (["verify", "--p", "3", "--s", "1.5"], "--s: invalid value '1.5'"),
+    (["prolong", "--p", "3", "--s", "1", "--samples=two"], "--samples"),
+    (["prolong", "--p", "3", "--s", "1", "--seed", ""], "--seed"),
+    (["verify", "--s", "1"], "missing --p"),
+    (["verify", "--p", "3"], "missing --s"),
+    (["verify"], "missing --p, --s"),
+    (["genus", "--p", "3", "--s", "1", "--format", "yaml"], "--format"),
+], ids=["none", "unknown", "flag-first", "unknown-flag", "positional",
+        "abbreviation", "no-value", "no-out", "bad-p", "bad-s", "bad-samples",
+        "empty-seed", "no-p", "no-s", "no-p-or-s", "bad-format"])
+def test_usage_errors_exit_2_with_usage_on_stderr(argv, message, capsys):
+    code, out, err = _exits(argv, capsys)
+    assert code == 2 and out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: astower ")
+    assert error.startswith("astower: error: ") and message in error
+
+
+def test_flag_equals_value_and_last_repeat_wins(capsys):
+    want = run(["verify", "--p", "3", "--s", "1"], capsys)[:2]
+    assert run(["verify", "--p=3", "--s", "2", "--s=1"], capsys)[:2] == want
+    assert run(["verify", "--p", "5", "--s=1", "--p", "3",
+                "--format=json"], capsys)[:2] == want
+
+
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unwritable_out_is_usage_error(where, tmp_path, capsys):
+    target = tmp_path / "no_such_dir" / "x.json"
+    if where == "directory":
+        target = tmp_path
+    code, out, err = run(["verify", "--p", "3", "--s", "1",
+                          "--out", str(target)], capsys)
+    assert code == 2 and out == ""
+    assert str(target) in err and "Traceback" not in err
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
 def test_verify_p3s1(capsys):
     code, payload = run_json(["verify", "--p", "3", "--s", "1"], capsys)
     assert code == 0
@@ -211,18 +290,32 @@ before = set(sys.modules)
 from astower.cli import main
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
-        main(sys.argv[1:])
+        try:
+            main(sys.argv[1:])
+        except SystemExit:  # --version
+            pass
 print(" ".join(sorted(set(sys.modules) - before)))
 """
 
+# What the installed `astower` console script runs.
+_ENTRY = "import sys\nfrom astower.cli import main\nsys.exit(main())\n"
 
-def _modules_loaded(*argv):
+
+def _python(code, *argv, check=False):
     src = os.path.dirname(os.path.dirname(ff.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, "-c", _LOADS, *argv],
-                          capture_output=True, text=True, check=True, env=env)
-    return set(done.stdout.split())
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, check=check,
+                          env=env)
+
+
+def _modules_loaded(*argv):
+    return set(_python(_LOADS, *argv, check=True).stdout.split())
+
+
+# The standard library's argument parser and the modules it imports.
+_PARSER_MODULES = {"argparse", "gettext", "locale"}
 
 
 def test_cli_import_leaves_thread_pool_out():
@@ -231,7 +324,14 @@ def test_cli_import_leaves_thread_pool_out():
     assert "astower.cli" in loaded
     assert not loaded & {"concurrent.futures", "logging", "astower.genus",
                          "astower.local", "astower.laurent", "astower.tower",
-                         "astower.rng", "dataclasses", "fractions", "hashlib"}
+                         "astower.rng", "dataclasses", "fractions", "hashlib",
+                         *_PARSER_MODULES}
+
+
+def test_version_loads_no_argument_parser():
+    loaded = _modules_loaded("--version")
+    assert "astower.cli" in loaded
+    assert not loaded & (_PARSER_MODULES | {"astower.genus", "astower.tower"})
 
 
 _CLASS_LAYERS = {"astower.genus", "astower.local", "astower.laurent"}
@@ -248,7 +348,7 @@ _CLASS_LAYERS = {"astower.genus", "astower.local", "astower.laurent"}
 def test_each_command_loads_only_its_layers(command, used, unused):
     loaded = _modules_loaded(command, "--p", "3", "--s", "1")
     assert used <= loaded
-    assert not loaded & (unused | {"dataclasses"})
+    assert not loaded & (unused | {"dataclasses"} | _PARSER_MODULES)
 
 
 def test_package_exports_resolve_on_first_access():
@@ -430,6 +530,19 @@ def test_prolong_refuses_a_broken_certificate(mutant, reason, monkeypatch,
     code, out, err = run(["prolong", "--p", "3", "--s", "1"], capsys)
     assert code == 1 and out == ""
     assert err.startswith("integrity failure") and reason in err
+
+
+def test_commutators_refuse_a_perturbed_sigma_shift(monkeypatch, capsys):
+    real = tower.sigma_shift
+
+    def perturbed(pres, g):  # w picks up y2, which tau moves by g_j
+        shift = real(pres, g)
+        return shift.replace(w=shift.images["w"] + pres.gen("y2"))
+
+    monkeypatch.setattr(tower, "sigma_shift", perturbed)
+    code, out, err = run(["commutators", "--p", "3", "--s", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("integrity failure")
 
 
 def test_cache_hit_loads_no_hashlib(tmp_path, capsys):
