@@ -22,22 +22,6 @@ from .ff import MAX_FIELD_Q, Params, _within_budget, prime_basis
 # commutators/prolong never load `genus`, `local` or `laurent`.
 
 
-def _enc(v):
-    if isinstance(v, (int, str)):
-        return v
-    if isinstance(v, dict):
-        return {str(k): _enc(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_enc(x) for x in v]
-    from fractions import Fraction
-
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return int(v)
-        return f"{v.numerator}/{v.denominator}"
-    raise ParameterError(f"cannot encode {type(v).__name__} into a report")
-
-
 def _params_payload(params: Params) -> dict:
     return {"p": params.p, "s": params.s, "q0": params.q0,
             "q": params.q, "n": params.n}
@@ -61,8 +45,8 @@ def cmd_verify(params: Params, args) -> dict:
         "group_order": rep.group_order,
         "genus": rep.genus,
         "genus_printed": rep.genus_printed,
-        "bound": _enc(rep.bound),
-        "bound_printed": _enc(rep.bound_printed),
+        "bound": rep.bound,
+        "bound_printed": rep.bound_printed,
         "is_big": rep.is_big,
         "is_big_printed": rep.is_big_printed,
         "readings_agree": rep.readings_agree,
@@ -119,10 +103,10 @@ def cmd_audit(params: Params, args) -> dict:
     rows = audit_closed_forms(params)
     encoded = [{
         "label": r.label,
-        "closed": _enc(r.closed),
+        "closed": r.closed,
         "pipeline": r.pipeline,
         "match": r.match,
-        "difference": _enc(r.difference),
+        "difference": r.difference,
     } for r in rows]
     return {
         "command": "audit",
@@ -190,7 +174,7 @@ def cmd_prolong(params: Params, args) -> dict:
 
     pres = presentation(params, "mixed")
     ctx = params.field()
-    q = params.q
+    q, n = params.q, params.n
     ident = identity_endo(pres)
     exhaustive = q <= 128
     if exhaustive:
@@ -199,18 +183,14 @@ def cmd_prolong(params: Params, args) -> dict:
         from .rng import SplitMix64
 
         gen = SplitMix64(args.seed)
-        avals = sorted({0, 1} | {gen.randbelow(q)
-                                 for _ in range(max(args.samples, 2))})
+        drawn = {0, 1}
+        for _ in range(max(args.samples, 2)):
+            if len(drawn) == q:  # later draws cannot change a full set
+                break
+            drawn.add(gen.randbelow(q))
+        avals = sorted(drawn)
     basis = prime_basis(ctx)
-    lifts = {}
-
-    def lift(a: int) -> tuple:
-        """The prolongation of x -> x + a and its inverse, built once."""
-        pair = lifts.get(a)
-        if pair is None:
-            endo = prolong_translation(pres, a)
-            pair = lifts[a] = (endo, invert_endo(endo))
-        return pair
+    lifts = [prolong_translation(pres, b) for b in basis]
 
     # Soundness: a basis lift s_i passing check_endo is an endomorphism of
     # the tower's function field fixing F_q, so injective, and s_i o t_i =
@@ -219,12 +199,11 @@ def cmd_prolong(params: Params, args) -> dict:
     # sum d_i b_i = a, the composite of the s_i^d_i is an automorphism
     # sending x to x + a, inverted by the reverse composite of the t_i:
     # n certified lifts certify every listed translation.
-    for b in basis:
-        endo, inverse = lift(b)
+    for b, endo in zip(basis, lifts):
         if not check_endo(pres, endo).ok:
             raise IntegrityError("a prolongation failed its relation check")
         if (endo.images["x"] != pres.x() + pres.const(b)
-                or compose_endo(endo, inverse) != ident):
+                or compose_endo(endo, invert_endo(endo)) != ident):
             raise IntegrityError(f"lift of {b}: wrong restriction or inverse")
     for a in avals:
         total = 0
@@ -233,14 +212,23 @@ def cmd_prolong(params: Params, args) -> dict:
         if total != a:
             raise IntegrityError(f"translation {a} is not its basis sum")
 
-    def cocycle(a: int, b: int) -> bool:
-        delta = compose_endo(compose_endo(lift(a)[0], lift(b)[0]),
-                             lift(ctx.add(a, b))[1])
+    def vertical(delta) -> bool:
         return (delta.images["x"] == pres.x()
                 and check_endo(pres, delta).ok)
 
-    if not all(cocycle(a, b) for a in basis for b in basis):
-        raise IntegrityError("a prolongation cocycle left the vertical group")
+    # Each ordered basis pair (i, j) is checked once, against the inverse
+    # lift of b_i + b_j, which is built once per unordered pair and then
+    # dropped, so only the n basis lifts stay alive.
+    for i in range(n):
+        for j in range(i, n):
+            back = invert_endo(prolong_translation(
+                pres, ctx.add(basis[i], basis[j])))
+            orders = ((i, j),) if i == j else ((i, j), (j, i))
+            if not all(vertical(compose_endo(
+                    compose_endo(lifts[a], lifts[b]), back))
+                    for a, b in orders):
+                raise IntegrityError(
+                    "a prolongation cocycle left the vertical group")
 
     return {
         "command": "prolong",
@@ -249,7 +237,7 @@ def cmd_prolong(params: Params, args) -> dict:
         "exhaustive": exhaustive,
         "restriction_ok": True,
         "inverses_ok": True,
-        "cocycle_pairs": len(basis) ** 2,
+        "cocycle_pairs": n ** 2,
         "cocycles_vertical": True,
         "multiplicity": extension_multiplicity(pres),
         "total_order": q ** 6,

@@ -20,7 +20,8 @@ IntegrityError on disagreement.
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from math import gcd
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import IntegrityError, ParameterError
 from .ff import FieldCtx, Params, prime_basis
@@ -29,6 +30,17 @@ from .local import (UniformizerData, build_uniformizer, conductor_of_cover,
                     reduce_mod_wp)
 
 _CLASS_ORDER = ("y2", "v1", "v2", "w")
+
+# An exact rational as a report prints it: an int, or "num/den" in
+# lowest terms with den > 1.
+Exact = Union[int, str]
+
+
+def _exact_ratio(num: int, den: int) -> Exact:
+    """num/den for den > 0, as `Exact`: integer arithmetic only."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return num if den == 1 else f"{num}/{den}"
 
 
 def rh_genus(p: int, base_genus: int, m: int) -> int:
@@ -319,11 +331,13 @@ def genus_of_F(params: Params, *,
 
 
 class AuditRow(NamedTuple):
+    """One class genus against its closed form; closed and difference
+    (closed minus pipeline) are `Exact`."""
     label: str
-    closed: Fraction
+    closed: Exact
     pipeline: int
     match: bool
-    difference: Fraction
+    difference: Exact
 
 
 def audit_closed_forms(params: Params, *,
@@ -336,29 +350,28 @@ def audit_closed_forms(params: Params, *,
     rather than hiding it.  The w form is q/(2 q0) times an odd integer
     (2pq + 2p q0 - q0 - q - 1 is odd, and q/q0 = p^(s+1) is odd), so it
     is half-integral for every (p, s) and can never equal an integer
-    genus.
+    genus.  Each form is kept as the numerator q*k over den = 2 q0, so
+    the comparison is num == genus * den in integers.
     """
-    from fractions import Fraction  # only the rational reports load it
-
     p, q0, q = params.p, params.q0, params.q
-    scale = Fraction(q, 2 * q0)
+    den = 2 * q0
     closed = {
-        "y2": scale * (q * p + q0 * p - q0 - 1),
-        "v1": scale * (2 * q * p - q - 1),
-        "v2": scale * (2 * q * p + q0 * p - q0 - q - 1),
-        "w": scale * (2 * p * q + 2 * p * q0 - q0 - q - 1),
+        "y2": q * (q * p + q0 * p - q0 - 1),
+        "v1": q * (2 * q * p - q - 1),
+        "v2": q * (2 * q * p + q0 * p - q0 - q - 1),
+        "w": q * (2 * p * q + 2 * p * q0 - q0 - q - 1),
     }
     if classes is None:
         classes = cover_classes(params)
     rows = []
     for c in classes:
-        want = closed[c.label]
+        num = closed[c.label]
         rows.append(AuditRow(
             label=c.label,
-            closed=want,
+            closed=_exact_ratio(num, den),
             pipeline=c.genus,
-            match=want == c.genus,
-            difference=want - c.genus,
+            match=num == c.genus * den,
+            difference=_exact_ratio(num - c.genus * den, den),
         ))
     return rows
 
@@ -412,12 +425,14 @@ def ree_aggregate(params: Params, *,
 
 
 class BigActionReport(NamedTuple):
+    """The verdict under both genus readings; bound and bound_printed
+    are 2p/(p-1) times the genus as `Exact`."""
     params: Params
     group_order: int
     genus: int
     genus_printed: int
-    bound: Fraction
-    bound_printed: Fraction
+    bound: Exact
+    bound_printed: Exact
     is_big: bool
     is_big_printed: bool
     readings_agree: bool
@@ -429,25 +444,21 @@ def verify_big_action(params: Params, *,
     """Check |G| > 2p/(p-1) * g for the full action, under both readings.
 
     The group is the extension of the q-fold translation group by the
-    q^5 vertical shifts, so |G| = q^6.
+    q^5 vertical shifts, so |G| = q^6.  The inequality is decided in
+    integers as |G| * (p-1) > 2p * g.
     """
-    from fractions import Fraction  # only the rational reports load it
-
     rep = genus_of_F(params, classes=classes)
     p = params.p
     order = params.q ** 6
-    ratio = Fraction(2 * p, p - 1)
-    bound = ratio * rep.genus
-    bound_printed = ratio * rep.genus_printed
-    is_big = order > bound
-    is_big_printed = order > bound_printed
+    is_big = order * (p - 1) > 2 * p * rep.genus
+    is_big_printed = order * (p - 1) > 2 * p * rep.genus_printed
     return BigActionReport(
         params=params,
         group_order=order,
         genus=rep.genus,
         genus_printed=rep.genus_printed,
-        bound=bound,
-        bound_printed=bound_printed,
+        bound=_exact_ratio(2 * p * rep.genus, p - 1),
+        bound_printed=_exact_ratio(2 * p * rep.genus_printed, p - 1),
         is_big=is_big,
         is_big_printed=is_big_printed,
         readings_agree=is_big == is_big_printed,

@@ -7,6 +7,7 @@ lines appear in the run log whether or not capture is on.
 
 import json
 import time
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -93,7 +94,7 @@ def test_criterion_03_genus_audit():
     assert not rows["w"].match and rows["w"].pipeline == 657
     for params in (P31, P51, P32):
         w = {r.label: r for r in audit_closed_forms(params)}["w"]
-        assert w.difference * 2 == params.q
+        assert Fraction(w.difference) * 2 == params.q
 
 
 @criterion(4, "two-floor compositum genus is 3627 at (3, 1)")

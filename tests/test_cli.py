@@ -301,13 +301,13 @@ print(" ".join(sorted(set(sys.modules) - before)))
 _ENTRY = "import sys\nfrom astower.cli import main\nsys.exit(main())\n"
 
 
-def _python(code, *argv, check=False):
+def _python(code, *argv, check=False, timeout=None):
     src = os.path.dirname(os.path.dirname(ff.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code, *argv],
                           capture_output=True, text=True, check=check,
-                          env=env)
+                          env=env, timeout=timeout)
 
 
 def _modules_loaded(*argv):
@@ -348,7 +348,8 @@ _CLASS_LAYERS = {"astower.genus", "astower.local", "astower.laurent"}
 def test_each_command_loads_only_its_layers(command, used, unused):
     loaded = _modules_loaded(command, "--p", "3", "--s", "1")
     assert used <= loaded
-    assert not loaded & (unused | {"dataclasses"} | _PARSER_MODULES)
+    assert not loaded & (unused | {"dataclasses", "fractions", "decimal"}
+                         | _PARSER_MODULES)
 
 
 def test_package_exports_resolve_on_first_access():
@@ -469,29 +470,45 @@ def test_shift_reports_skip_orbit_representatives(command, monkeypatch,
 def test_prolong_builds_each_lift_once(p, s, seed, built, monkeypatch,
                                        capsys):
     """Only the n basis lifts and those of the n(n+1)/2 pairwise basis
-    sums are built, whichever translations the seed lists."""
+    sums are built, whichever translations the seed lists, and the relation
+    check runs n + n^2 + 5n times: each basis lift, each ordered basis pair
+    once, and the five vertical families at each basis element."""
     counts = {}
     _count_calls(monkeypatch, tower, "prolong_translation", counts)
+    _count_calls(monkeypatch, tower, "check_endo", counts)
     code, _, _ = run(["prolong", "--p", str(p), "--s", str(s),
                       "--seed", str(seed)], capsys)
     assert code == 0
-    assert counts == {"prolong_translation": built}
+    n = 2 * s + 1
+    assert counts == {"prolong_translation": built,
+                      "check_endo": n + n * n + 5 * n}
+
+
+def test_prolong_stops_drawing_once_every_translation_is_listed():
+    """More draws cannot change a full set of translations, so a huge
+    --samples returns at once with the bytes of a smaller one."""
+    argv = ("prolong", "--p", "3", "--s", "2", "--samples")
+    want = _python(_ENTRY, *argv, "100000", check=True, timeout=60).stdout
+    assert json.loads(want)["translations_certified"] == 243
+    got = _python(_ENTRY, *argv, "1000000000", check=True, timeout=20)
+    assert got.stdout == want
 
 
 # Mutants prolong must refuse: each breaks one link of the certificate
 # that the n basis lifts extend to every listed translation.
 
 
-def _mutate_lift_of_t(monkeypatch, name, mutate):
+def _mutate_lift_of(monkeypatch, name, a, mutate):
     """Pass tower.<name>'s result through mutate(pres, result) where it
-    belongs to the basis translation x -> x + t (code p)."""
+    belongs to the translation x -> x + a (at p = 3, t has code 3 and
+    1 + t code 4)."""
     real = getattr(tower, name)
 
     def mutant(*args):
         out = real(*args)
         pres = out.pres
         lift = out if name == "prolong_translation" else args[0]
-        if lift.images["x"] == pres.x() + pres.const(pres.ctx.p):
+        if lift.images["x"] == pres.x() + pres.const(a):
             return mutate(pres, out)
         return out
 
@@ -513,15 +530,19 @@ def _swap_digits(monkeypatch):
     ("inverse", "wrong restriction or inverse"),
     ("coordinates", "translation 1 is not its basis sum"),
     ("basis", "translation 3 is not its basis sum"),
-], ids=["relation", "inverse", "coordinates", "basis"])
+    ("cocycle", "cocycle left the vertical group"),
+], ids=["relation", "inverse", "coordinates", "basis", "cocycle"])
 def test_prolong_refuses_a_broken_certificate(mutant, reason, monkeypatch,
                                               capsys):
     if mutant == "relation":  # the lift of t breaks the w relation
-        _mutate_lift_of_t(monkeypatch, "prolong_translation", lambda pres, e:
-                          e.replace(w=e.images["w"] + pres.x()))
+        _mutate_lift_of(monkeypatch, "prolong_translation", 3, lambda pres, e:
+                        e.replace(w=e.images["w"] + pres.x()))
     elif mutant == "inverse":  # the inverse of t's lift is off by a shift
-        _mutate_lift_of_t(monkeypatch, "invert_endo", lambda pres, inv:
-                          inv.replace(w=inv.images["w"] + pres.const(1)))
+        _mutate_lift_of(monkeypatch, "invert_endo", 3, lambda pres, inv:
+                        inv.replace(w=inv.images["w"] + pres.const(1)))
+    elif mutant == "cocycle":  # the inverse lift of 1 + t moves w by x
+        _mutate_lift_of(monkeypatch, "invert_endo", 4, lambda pres, inv:
+                        inv.replace(w=inv.images["w"] + pres.x()))
     elif mutant == "coordinates":  # 1's digits do not replay to 1
         _swap_digits(monkeypatch)
     else:  # a "basis" that misses t, so t is not its digit sum

@@ -278,31 +278,31 @@ def test_audit_closed_forms_p3s1():
     rows = {r.label: r for r in audit_closed_forms(P31)}
     for label, g in (("y2", 387), ("v1", 603), ("v2", 630)):
         assert rows[label].match
-        assert rows[label].closed == Fraction(g)
+        assert Fraction(rows[label].closed) == Fraction(g)
         assert rows[label].pipeline == g
     w = rows["w"]
     assert not w.match
     assert w.pipeline == 657
-    assert w.closed == Fraction(1341, 2)
-    assert w.difference == Fraction(27, 2)
+    assert Fraction(w.closed) == Fraction(1341, 2)
+    assert Fraction(w.difference) == Fraction(27, 2)
 
 
 def test_audit_closed_forms_p5s1():
     rows = {r.label: r for r in audit_closed_forms(P51)}
     assert all(rows[k].match for k in ("y2", "v1", "v2"))
-    assert rows["w"].difference == Fraction(125, 2)
+    assert Fraction(rows["w"].difference) == Fraction(125, 2)
 
 
 def test_audit_difference_is_half_q():
     for params in (P31, P51, P32):
         w = {r.label: r for r in audit_closed_forms(params)}["w"]
-        assert w.difference == Fraction(params.q, 2)
+        assert Fraction(w.difference) == Fraction(params.q, 2)
 
 
 @pytest.mark.parametrize("params", [P31, P51, P32, P71])
 def test_audit_w_closed_form_is_half_integral(params):
     rows = {r.label: r for r in audit_closed_forms(params)}
-    assert rows["w"].closed.denominator == 2
+    assert Fraction(rows["w"].closed).denominator == 2
 
 
 # ------------------------------------------------------------ two-floor
@@ -390,4 +390,28 @@ def test_big_action_verdict_p5s1():
 
 def test_big_action_bound_uses_correct_ratio():
     rep = verify_big_action(P31)
-    assert rep.bound == Fraction(2 * 3, 3 - 1) * 143210574
+    assert Fraction(rep.bound) == Fraction(2 * 3, 3 - 1) * 143210574
+
+
+def _as_printed(value: Fraction):
+    """A Fraction as reports print it: an int, else "num/den"."""
+    return int(value) if value.denominator == 1 else str(value)
+
+
+@pytest.mark.parametrize("p, s", [(3, 1), (5, 1), (3, 2), (7, 1), (7, 2)])
+def test_exact_ratios_match_a_fraction_oracle(p, s):
+    """The integer-arithmetic ratios equal `fractions` arithmetic and are
+    printed in lowest terms; p - 1 = 6 does not divide 2p at p = 7."""
+    params = Params(p, s)
+    rep = verify_big_action(params)
+    ratio = Fraction(2 * p, p - 1)
+    for bound, g, big in ((rep.bound, rep.genus, rep.is_big),
+                          (rep.bound_printed, rep.genus_printed,
+                           rep.is_big_printed)):
+        assert bound == _as_printed(ratio * g)
+        assert big == (rep.group_order > ratio * g)
+    for row in audit_closed_forms(params):
+        closed = Fraction(row.closed)
+        assert row.closed == _as_printed(closed)
+        assert row.difference == _as_printed(closed - row.pipeline)
+        assert row.match == (closed == row.pipeline)
