@@ -2,12 +2,13 @@
 
 Every subcommand produces one canonical JSON document (sorted keys,
 two-space indent, integers and fraction strings only, never floats) so
-that repeated runs and cached runs are byte identical.  Timing chatter
-goes to stderr.  Exit codes: 0 success, 1 integrity failure, 2 usage or
-parameter error, 3 audit found mismatching rows.
+that repeated runs and cached runs are byte identical.  `_canonical`
+writes it without the `json` package and refuses a float; `json` is
+loaded only to decode a cache entry.  Timing chatter goes to stderr.
+Exit codes: 0 success, 1 integrity failure, 2 usage or parameter error,
+3 audit found mismatching rows.
 """
 
-import json
 import os
 import sys
 import time
@@ -299,24 +300,62 @@ def _cache_path(args) -> str:
         f"-seed{args.seed}-v{__version__}.json"))
 
 
-def _canonical(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _write(value, pad: str) -> str:
+    """json.dumps(value, sort_keys=True, indent=2) at indent pad, for
+    bools, None, ints, str, lists, tuples and dicts with str keys; any
+    other value, a float included, raises TypeError."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        if (value.isascii() and value.isprintable()
+                and '"' not in value and "\\" not in value):
+            return f'"{value}"'
+        import json  # an escape is needed; no report emits one
+
+        return json.dumps(value)
+    inner = pad + "  "
+    if isinstance(value, (list, tuple)):
+        brackets = "[]"
+        items = [_write(v, inner) for v in value]
+    elif isinstance(value, dict):
+        if not all(isinstance(k, str) for k in value):
+            raise TypeError("canonical JSON keys must be str")
+        brackets = "{}"
+        items = [f"{_write(k, inner)}: {_write(value[k], inner)}"
+                 for k in sorted(value)]
+    else:
+        raise TypeError(f"{type(value).__name__} is not canonical JSON")
+    if not items:
+        return brackets
+    return (brackets[0] + "\n" + inner + (",\n" + inner).join(items)
+            + "\n" + pad + brackets[1])
+
+
+def _canonical(payload) -> str:
+    return _write(payload, "") + "\n"
 
 
 def _read_cached(path: str, args) -> tuple:
     """(text, payload) of the cache entry at path, or None for a miss.
 
     An entry that is missing, unreadable, not the canonical text of its
-    own payload, or a report of another command or (p, s) is a miss, so
-    the report is recomputed and the entry rewritten, never served.
+    own payload (a float has none), or a report of another command or
+    (p, s) is a miss, so the report is recomputed and the entry
+    rewritten, never served.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
+        import json  # reports are written by _canonical; only a read decodes
+
         payload = json.loads(text)
-    except (OSError, ValueError, RecursionError):
-        return None
-    if not isinstance(payload, dict) or _canonical(payload) != text:
+        if not isinstance(payload, dict) or _canonical(payload) != text:
+            return None
+    except (OSError, ValueError, RecursionError, TypeError):
         return None
     params = payload.get("params")
     if (payload.get("command") != args.command

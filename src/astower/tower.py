@@ -30,8 +30,6 @@ the mixed presentation, where their images are smallest.
 
 from __future__ import annotations
 
-import heapq
-
 from functools import lru_cache
 from itertools import product
 from math import prod
@@ -576,6 +574,8 @@ def wp_solve(pres: TowerPresentation, target: TowerElement,
     coefficient lies in F_q, so a witness can sit strictly above the
     degrees visible in the target.
     """
+    import heapq  # no report solves, so only the solver loads heapq
+
     ctx = pres.ctx
     kargs = ctx.kernel_args
     q, n = pres.params.q, pres.params.n

@@ -11,6 +11,7 @@ import time
 import tracemalloc
 
 import pytest
+from hypothesis import given, strategies as st
 
 from astower import cli, ff, genus, tower
 from astower.cli import main
@@ -325,13 +326,14 @@ def test_cli_import_leaves_thread_pool_out():
     assert not loaded & {"concurrent.futures", "logging", "astower.genus",
                          "astower.local", "astower.laurent", "astower.tower",
                          "astower.rng", "dataclasses", "fractions", "hashlib",
-                         *_PARSER_MODULES}
+                         "json", "heapq", *_PARSER_MODULES}
 
 
 def test_version_loads_no_argument_parser():
     loaded = _modules_loaded("--version")
     assert "astower.cli" in loaded
-    assert not loaded & (_PARSER_MODULES | {"astower.genus", "astower.tower"})
+    assert not loaded & (_PARSER_MODULES | {"astower.genus", "astower.tower",
+                                            "json"})
 
 
 _CLASS_LAYERS = {"astower.genus", "astower.local", "astower.laurent"}
@@ -348,8 +350,8 @@ _CLASS_LAYERS = {"astower.genus", "astower.local", "astower.laurent"}
 def test_each_command_loads_only_its_layers(command, used, unused):
     loaded = _modules_loaded(command, "--p", "3", "--s", "1")
     assert used <= loaded
-    assert not loaded & (unused | {"dataclasses", "fractions", "decimal"}
-                         | _PARSER_MODULES)
+    assert not loaded & (unused | {"dataclasses", "fractions", "decimal",
+                                   "json", "heapq"} | _PARSER_MODULES)
 
 
 def test_package_exports_resolve_on_first_access():
@@ -392,12 +394,18 @@ def _bad_entry(kind, good, tmp_path, capsys):
             capsys)
         (entry,) = other.glob("*.json")
         return entry.read_bytes()
+    if kind == "float":
+        # canonical JSON of the right report, but with a float in it
+        payload = json.loads(good)
+        payload["genus"] = 1.5
+        return (json.dumps(payload, sort_keys=True, indent=2)
+                + "\n").encode("utf-8")
     # the right report, but not in its canonical form
     return json.dumps(json.loads(good)).encode("utf-8")
 
 
 @pytest.mark.parametrize("kind", ["truncated", "not_json", "hand_edited",
-                                  "other_command", "reformatted"])
+                                  "other_command", "float", "reformatted"])
 def test_cache_recomputes_an_entry_it_cannot_trust(kind, tmp_path, capsys):
     args = ["verify", "--p", "3", "--s", "1"]
     want = run(args, capsys)[:2]
@@ -416,6 +424,34 @@ def test_cache_key_tracks_seed(tmp_path, capsys):
     run(base, capsys)
     run(base + ["--seed", "9"], capsys)
     assert len(list(cache.glob("*.json"))) == 2
+
+
+# Strings json must escape: quote, backslash, control, DEL, non-ASCII.
+_ESCAPED = st.sampled_from(['"', "\\", "\n", "\x00", "\x7f", "\u00e9",
+                            "\u2603", "\U0001d11e", 'a"b\\c'])
+_LEAVES = (st.none() | st.booleans() | st.integers()
+           | st.integers(min_value=2 ** 64) | st.integers(max_value=-2 ** 64)
+           | st.text() | _ESCAPED)
+_KEYS = st.text(max_size=6) | _ESCAPED
+_VALUES = st.recursive(_LEAVES, lambda kids: (
+    st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(_KEYS, kids, max_size=4)), max_leaves=24)
+
+
+@given(_VALUES)
+def test_canonical_writer_matches_json(value):
+    assert cli._canonical(value) == json.dumps(
+        value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    1.5, [0.0], {"a": {"b": float("nan")}}, {1: 2}, {"a": {None: 1}},
+    {True: 0}, {1.5: 0}, {"a"}, b"bytes"], ids=[
+    "float", "nested_float", "nan", "int_key", "none_key", "bool_key",
+    "float_key", "set", "bytes"])
+def test_canonical_writer_refuses_floats_and_other_keys(value):
+    with pytest.raises(TypeError):
+        cli._canonical(value)
 
 
 def test_markdown_format(capsys):
@@ -564,6 +600,76 @@ def test_commutators_refuse_a_perturbed_sigma_shift(monkeypatch, capsys):
     code, out, err = run(["commutators", "--p", "3", "--s", "1"], capsys)
     assert code == 1 and out == ""
     assert err.startswith("integrity failure")
+
+
+def test_commutators_refuse_a_reverse_shift_of_the_wrong_sign(monkeypatch,
+                                                              capsys):
+    """Only the reverse identity's w-shift has its sign flipped, so the
+    forward identity holds and the reverse check alone must refuse."""
+    real_sigma, real_compose = tower.sigma_shift, tower.compose_endo
+    sigmas, sigma_first = [], []  # held, so `is` never meets a new object
+
+    def sigma(pres, g):
+        sigmas.append(real_sigma(pres, g))
+        return sigmas[-1]
+
+    def compose(a, b):
+        if any(b is done for done in sigma_first):  # c^-1 o (sigma_i tau_j)
+            w = a.pres.gen("w")
+            a = a.replace(w=w - (a.images["w"] - w))
+        out = real_compose(a, b)
+        if any(a is s for s in sigmas):
+            sigma_first.append(out)
+        return out
+
+    monkeypatch.setattr(tower, "sigma_shift", sigma)
+    monkeypatch.setattr(tower, "compose_endo", compose)
+    code, out, err = run(["commutators", "--p", "3", "--s", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("integrity failure") and "wrong sign" in err
+
+
+def test_class_report_refuses_a_wrong_p_root(monkeypatch, capsys):
+    """A p-th root off by one on the first coefficient the additive
+    reduction peels must fail its replay against the input."""
+    real = ff.FieldCtx.p_root
+    calls = []
+
+    def off_by_one(self, a):
+        calls.append(a)
+        root = real(self, a)
+        return self.add(root, 1) if len(calls) == 1 else root
+
+    monkeypatch.setattr(ff.FieldCtx, "p_root", off_by_one)
+    code, out, err = run(["verify", "--p", "3", "--s", "1"], capsys)
+    assert code == 1 and out == "" and calls
+    assert err.startswith("integrity failure")
+    assert "additive reduction failed its replay check" in err
+
+
+def test_prolong_refuses_a_wrong_vertical_shift(monkeypatch, capsys):
+    """One image of one vertical family moves w by x as well, which
+    breaks the w relation, so the multiplicity must not be reported."""
+    real = tower.vertical_shift_families
+
+    def families(pres):
+        fams = dict(real(pres))
+        real_w = fams["w"]
+
+        def w_family(g):
+            shift = real_w(g)
+            if g != 3:
+                return shift
+            return shift.replace(w=shift.images["w"] + pres.x())
+
+        fams["w"] = w_family
+        return fams
+
+    monkeypatch.setattr(tower, "vertical_shift_families", families)
+    code, out, err = run(["prolong", "--p", "3", "--s", "1"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("integrity failure")
+    assert "vertical family w failed at 3" in err
 
 
 def test_cache_hit_loads_no_hashlib(tmp_path, capsys):
