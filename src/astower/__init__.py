@@ -24,7 +24,7 @@ _OWNERS = {
               "ree_line_groups", "rh_genus", "verify_big_action"),
     "laurent": ("LaurentPoly", "TruncatedSeries"),
     "local": ("build_uniformizer", "conductor_of_cover", "cover_rhs_polys",
-              "expand_at_infinity", "hensel_T0", "reduce_mod_wp"),
+              "expand_at_infinity", "reduce_mod_wp"),
     "tower": ("check_endo", "commutator", "compose_endo",
               "extension_multiplicity", "identity_endo", "invert_endo",
               "presentation", "presentation_equiv", "prolong_translation",

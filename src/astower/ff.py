@@ -45,12 +45,12 @@ def _is_prime(m: int) -> bool:
 
 
 class Params:
-    """Tower parameters (p, s) with the derived constants q0, q, n.
+    """Tower parameters (p, s) with the derived constants q0 = p^s,
+    q = p^(2s+1) and n = 2s + 1.
 
-    `big_action_range` is True on s >= 2, the range where the large
-    automorphism group is expected to beat the genus bound; s = 1 is still
-    accepted everywhere because the whole pipeline is well defined there
-    and the failing verdict at s = 1 is itself a useful check.
+    Every s >= 1 is accepted: the pipeline is well defined at s = 1,
+    where the big-action verdict fails, and that failing verdict is
+    itself a check.
     """
 
     __slots__ = ("p", "s", "q0", "q", "n")
@@ -70,10 +70,6 @@ class Params:
 
     def __setattr__(self, name, value):
         raise AttributeError("Params is immutable")
-
-    @property
-    def big_action_range(self) -> bool:
-        return self.s >= 2
 
     def field(self) -> "FieldCtx":
         return make_field(self.p, self.n)
@@ -314,8 +310,6 @@ class FieldCtx:
             if all(cpow(g, (q - 1) // r) != 1 for r in factors):
                 gen = g
                 break
-        if gen is None:  # q == 3: the only generator is 2
-            gen = 2 if q == 3 else None
         if gen is None:
             raise ParameterError(f"no multiplicative generator found for q={q}")
         object.__setattr__(self, "gen", gen)
@@ -351,9 +345,6 @@ class FieldCtx:
     def neg(self, a: int) -> int:
         return self.ALOG[self.LOG[a] + self._half] if a else 0
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -363,9 +354,6 @@ class FieldCtx:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return self.ALOG[(self.q - 1) - self.LOG[a]]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow_int(self, a: int, e: int) -> int:
         if a == 0:
@@ -394,11 +382,6 @@ class FieldCtx:
 
     def to_coeffs(self, a: int) -> List[int]:
         return _digits(a, self.p, self.n)
-
-    def from_coeffs(self, coeffs) -> int:
-        if len(coeffs) != self.n or any(not 0 <= c < self.p for c in coeffs):
-            raise ParameterError("bad coordinate vector")
-        return _code(list(coeffs), self.p)
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, n={self.n})"

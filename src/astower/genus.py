@@ -25,9 +25,8 @@ from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import IntegrityError, ParameterError
 from .ff import FieldCtx, Params, prime_basis
-from .local import (UniformizerData, build_uniformizer, conductor_of_cover,
-                    cover_rhs_polys, expand_at_infinity, expand_rational,
-                    reduce_mod_wp)
+from .local import (build_uniformizer, conductor_of_cover, cover_rhs_polys,
+                    expand_at_infinity, expand_rational, reduce_mod_wp)
 
 _CLASS_ORDER = ("y2", "v1", "v2", "w")
 
@@ -163,8 +162,7 @@ def _line_histogram(ctx: FieldCtx, reduced_basis: List[Dict[int, int]]
     return hist
 
 
-def _certified_classes(params: Params, top: int,
-                       data: Optional[UniformizerData]) -> Dict[str, int]:
+def _certified_classes(params: Params, top: int) -> Dict[str, int]:
     """Certify the classes _CLASS_ORDER[:top + 1] over all of their lines.
 
     The coefficient space V_{<=i} is spanned by b * part_j for j <= i and
@@ -175,8 +173,7 @@ def _certified_classes(params: Params, top: int,
     {ladder[label]: class_line_counts[label]}.
     """
     ctx = params.field()
-    if data is None:
-        data = build_uniformizer(params)
+    data = build_uniformizer(params)
     parts = cover_rhs_polys(params)
     basis = prime_basis(ctx)
     ladder = conductor_ladder(params)
@@ -200,8 +197,7 @@ def _certified_classes(params: Params, top: int,
     return {label: ladder[label] for label in labels}
 
 
-def class_conductor(params: Params, label: str, *,
-                    data: Optional[UniformizerData] = None) -> int:
+def class_conductor(params: Params, label: str) -> int:
     """Conductor of one cover class, certified on every line of the class.
 
     The lower classes are certified along the way, since the class
@@ -210,13 +206,12 @@ def class_conductor(params: Params, label: str, *,
     """
     if label not in _CLASS_ORDER:
         raise ParameterError(f"unknown cover class {label!r}")
-    return _certified_classes(params, _CLASS_ORDER.index(label), data)[label]
+    return _certified_classes(params, _CLASS_ORDER.index(label))[label]
 
 
-def class_conductors(params: Params, *,
-                     data: Optional[UniformizerData] = None) -> Dict[str, int]:
+def class_conductors(params: Params) -> Dict[str, int]:
     """Certified conductor of every cover class; see `class_conductor`."""
-    return _certified_classes(params, len(_CLASS_ORDER) - 1, data)
+    return _certified_classes(params, len(_CLASS_ORDER) - 1)
 
 
 def base_floor_genus(params: Params) -> int:
@@ -295,8 +290,7 @@ class GenusReport(NamedTuple):
     genus_printed: int
 
 
-def genus_of_F(params: Params, *,
-               classes: Optional[List[CoverClass]] = None) -> GenusReport:
+def genus_of_F(params: Params) -> GenusReport:
     """Genus of the full field under both published readings.
 
     `genus` subtracts the compositum correction for the rank-4n dual
@@ -307,9 +301,7 @@ def genus_of_F(params: Params, *,
     bound the result lands on for the parameters treated here.
     """
     p, q, q0 = params.p, params.q, params.q0
-    if classes is None:
-        classes = cover_classes(params)
-    classes = tuple(classes)
+    classes = tuple(cover_classes(params))
     gb = classes[0].base_genus
     weighted = sum(c.count * c.genus for c in classes)
     g = gs_aggregate(p, [(c.count, c.genus) for c in classes], gb)
@@ -340,9 +332,7 @@ class AuditRow(NamedTuple):
     difference: Exact
 
 
-def audit_closed_forms(params: Params, *,
-                       classes: Optional[List[CoverClass]] = None
-                       ) -> List[AuditRow]:
+def audit_closed_forms(params: Params) -> List[AuditRow]:
     """Compare pipeline class genera against their closed forms.
 
     The y2, v1, v2 forms reproduce the pipeline exactly; the w form
@@ -361,10 +351,8 @@ def audit_closed_forms(params: Params, *,
         "v2": q * (2 * q * p + q0 * p - q0 - q - 1),
         "w": q * (2 * p * q + 2 * p * q0 - q0 - q - 1),
     }
-    if classes is None:
-        classes = cover_classes(params)
     rows = []
-    for c in classes:
+    for c in cover_classes(params):
         num = closed[c.label]
         rows.append(AuditRow(
             label=c.label,
@@ -438,16 +426,14 @@ class BigActionReport(NamedTuple):
     readings_agree: bool
 
 
-def verify_big_action(params: Params, *,
-                      classes: Optional[List[CoverClass]] = None
-                      ) -> BigActionReport:
+def verify_big_action(params: Params) -> BigActionReport:
     """Check |G| > 2p/(p-1) * g for the full action, under both readings.
 
     The group is the extension of the q-fold translation group by the
     q^5 vertical shifts, so |G| = q^6.  The inequality is decided in
     integers as |G| * (p-1) > 2p * g.
     """
-    rep = genus_of_F(params, classes=classes)
+    rep = genus_of_F(params)
     p = params.p
     order = params.q ** 6
     is_big = order * (p - 1) > 2 * p * rep.genus

@@ -4,10 +4,10 @@ Both classes store a dict mapping exponent to nonzero field code and
 delegate the inner loops to `_kernel_py`.  `LaurentPoly` is exact;
 `TruncatedSeries` carries an exclusive precision `prec`, meaning every
 coefficient at an exponent strictly below `prec` is exact and anything
-at or above it is unknown.  Asking a series for an unknown coefficient
-raises ParameterError rather than returning a silent zero, because the
-conductor pipeline downstream depends on knowing exactly which part of
-an expansion is certified.
+at or above it is unknown, so `d` holds no term at or above `prec`.
+Sums and products carry `prec` forward, and `local.reduce_mod_wp`
+refuses a series unless z^0 lies below `prec`, because a conductor read
+from an uncertified principal part would be a guess.
 
 The module also keeps a support watermark: the largest dict size that
 has passed through any ring operation since the last reset.  The heavy
@@ -18,7 +18,7 @@ stays sparse" an enforced claim instead of a hope.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 from ._kernel_py import lp_add_scaled, lp_map_pow, lp_mul
 from .errors import ParameterError
@@ -66,20 +66,10 @@ class LaurentPoly:
     def one(cls, ctx: FieldCtx) -> "LaurentPoly":
         return cls(ctx, {0: 1}, _trusted=True)
 
-    @classmethod
-    def monomial(cls, ctx: FieldCtx, e: int, c: int) -> "LaurentPoly":
-        return cls(ctx, {e: c})
-
-    def coeff(self, e: int) -> int:
-        return self.d.get(e, 0)
-
     def valuation(self) -> Optional[int]:
         if not self.d:
             return None
         return min(self.d)
-
-    def principal_part(self) -> Dict[int, int]:
-        return {e: c for e, c in self.d.items() if e < 0}
 
     def __bool__(self) -> bool:
         return bool(self.d)
@@ -96,11 +86,6 @@ class LaurentPoly:
                             *self.ctx.kernel_args)
         return LaurentPoly(self.ctx, _note(out), _trusted=True)
 
-    def __neg__(self) -> "LaurentPoly":
-        out = lp_add_scaled({}, self.d, self.ctx.neg(1),
-                            *self.ctx.kernel_args)
-        return LaurentPoly(self.ctx, out, _trusted=True)
-
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = lp_mul(self.d, other.d, *self.ctx.kernel_args)
         return LaurentPoly(self.ctx, _note(out), _trusted=True)
@@ -108,10 +93,6 @@ class LaurentPoly:
     def scale(self, c: int) -> "LaurentPoly":
         out = lp_add_scaled({}, self.d, c, *self.ctx.kernel_args)
         return LaurentPoly(self.ctx, out, _trusted=True)
-
-    def shift(self, k: int) -> "LaurentPoly":
-        return LaurentPoly(self.ctx, {e + k: c for e, c in self.d.items()},
-                           _trusted=True)
 
     def pow_pk(self, k: int) -> "LaurentPoly":
         """self ** (p**k): exponents scale, coefficients Frobenius."""
@@ -135,9 +116,6 @@ class LaurentPoly:
             e //= p
             k += 1
         return result
-
-    def to_json(self) -> List[list]:
-        return [[e, self.ctx.to_coeffs(self.d[e])] for e in sorted(self.d)]
 
     def __repr__(self):
         if not self.d:
@@ -164,64 +142,30 @@ class TruncatedSeries:
                   ) -> "TruncatedSeries":
         return cls(poly.ctx, poly.d, prec)
 
-    def coeff(self, e: int) -> int:
-        if e >= self.prec:
-            raise ParameterError(
-                f"coefficient at z^{e} not certified (prec={self.prec})")
-        return self.d.get(e, 0)
-
     def valuation(self) -> Optional[int]:
         if not self.d:
             return None
         return min(self.d)
-
-    def principal_part(self) -> Dict[int, int]:
-        if self.prec < 0:
-            raise ParameterError(
-                f"principal part not certified at prec={self.prec}")
-        return {e: c for e, c in self.d.items() if e < 0}
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         out = lp_add_scaled(self.d, other.d, 1, *self.ctx.kernel_args)
         return TruncatedSeries(self.ctx, _note(out),
                                min(self.prec, other.prec))
 
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        out = lp_add_scaled(self.d, other.d, self.ctx.neg(1),
-                            *self.ctx.kernel_args)
-        return TruncatedSeries(self.ctx, _note(out),
-                               min(self.prec, other.prec))
-
-    def __neg__(self) -> "TruncatedSeries":
-        out = lp_add_scaled({}, self.d, self.ctx.neg(1),
-                            *self.ctx.kernel_args)
-        return TruncatedSeries(self.ctx, out, self.prec)
-
     def scale(self, c: int) -> "TruncatedSeries":
         out = lp_add_scaled({}, self.d, c, *self.ctx.kernel_args)
         return TruncatedSeries(self.ctx, out, self.prec)
 
-    def __mul__(self, other) -> "TruncatedSeries":
+    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         # an error term O(z^P) times a factor of valuation v lands in
         # O(z^(P+v)), so each operand's precision shifts by the other's
         # valuation and the weaker certificate wins
-        if isinstance(other, LaurentPoly):
-            ov, op = other.valuation(), math.inf
-        else:
-            ov, op = other.valuation(), other.prec
-        sv = self.valuation()
+        sv, ov = self.valuation(), other.valuation()
         sv = math.inf if sv is None else sv
         ov = math.inf if ov is None else ov
-        prec = min(self.prec + ov, op + sv)
+        prec = min(self.prec + ov, other.prec + sv)
         out = lp_mul(self.d, other.d, *self.ctx.kernel_args)
         return TruncatedSeries(self.ctx, _note(out), prec)
-
-    def pow_pk(self, k: int) -> "TruncatedSeries":
-        if k == 0:
-            return self
-        scale = self.ctx.p ** k
-        out = lp_map_pow(self.d, scale, *self.ctx.kernel_args)
-        return TruncatedSeries(self.ctx, _note(out), self.prec * scale)
 
     def __repr__(self):
         return f"TruncatedSeries({len(self.d)} terms, prec={self.prec})"

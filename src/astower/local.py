@@ -153,44 +153,18 @@ def build_uniformizer(params: Params) -> UniformizerData:
     return data
 
 
-def hensel_T0(data: UniformizerData, prec: int) -> TruncatedSeries:
-    """Correction series: head + T0 solves the first relation mod z^prec.
-
-    T0 = sum_k residual^(q^k); the defect of head + T0 is the first
-    omitted power, so precision prec requires at least the k = 0 term,
-    i.e. prec > q*b1.
-    """
-    params = data.params
-    lead = params.q * data.b1
-    if prec <= lead:
-        raise ParameterError(f"requested precision {prec} <= q*b1 = {lead}")
-    total = TruncatedSeries(data.ctx, {}, prec)
-    term = data.residual
-    v = lead
-    while v < prec:
-        total = total + TruncatedSeries.from_poly(term, prec=prec)
-        term = term.pow_pk(params.n)
-        v *= params.q
-    return total
-
-
-def expand_at_infinity(data: UniformizerData, rhs: XYPoly,
-                       prec: Optional[int] = None) -> TruncatedSeries:
+def expand_at_infinity(data: UniformizerData, rhs: XYPoly) -> TruncatedSeries:
     """Evaluate rhs at the parametrization, with certified precision.
 
-    By default the y-series is the bare head, exact below q*b1; passing
-    prec folds in the Hensel correction to that precision first.  If the
-    result cannot certify every coefficient through z^0 the conductor
-    downstream would be a guess, so that case raises UnsupportedError.
+    The first generator enters as its head at the fixed precision q*b1,
+    the valuation of the head's residual, and each product carries that
+    bound forward.  If the result cannot certify every coefficient
+    through z^0 the conductor downstream would be a guess, so that case
+    raises UnsupportedError.
     """
-    ctx = data.ctx
-    if prec is None:
-        y_series = TruncatedSeries.from_poly(data.y_head,
-                                             prec=data.params.q * data.b1)
-    else:
-        y_series = TruncatedSeries.from_poly(data.y_head, prec=prec) \
-            + hensel_T0(data, prec)
-    total = TruncatedSeries(ctx, {}, math.inf)
+    y_series = TruncatedSeries.from_poly(data.y_head,
+                                         prec=data.params.q * data.b1)
+    total = TruncatedSeries(data.ctx, {}, math.inf)
     for (ex, ey), c in sorted(rhs.d.items()):
         term = TruncatedSeries.from_poly(data.xpow(ex))
         for _ in range(ey):
@@ -234,19 +208,12 @@ class ReducedPart(NamedTuple):
     geometric: bool
 
 
-def reduce_mod_wp(ctx: FieldCtx,
-                  f: Union[TruncatedSeries, LaurentPoly, Dict[int, int]]
+def reduce_mod_wp(ctx: FieldCtx, f: Union[TruncatedSeries, LaurentPoly]
                   ) -> ReducedPart:
-    if isinstance(f, TruncatedSeries):
-        if f.prec <= 0:
-            raise ParameterError(
-                f"series certified only above z^{f.prec}; cannot reduce")
-        src = f.d
-    elif isinstance(f, LaurentPoly):
-        src = f.d
-    else:
-        src = f
-    original = {e: c for e, c in src.items() if c}
+    if isinstance(f, TruncatedSeries) and f.prec <= 0:
+        raise ParameterError(
+            f"series certified only above z^{f.prec}; cannot reduce")
+    original = f.d
 
     p = ctx.p
     work = {e: c for e, c in original.items() if e < 0}
@@ -284,7 +251,6 @@ def reduce_mod_wp(ctx: FieldCtx,
 
 class ConductorResult(NamedTuple):
     label: str
-    coeff: int
     base: str
     valuation: int
     principal: Dict[int, int]
@@ -295,10 +261,10 @@ class ConductorResult(NamedTuple):
 
 
 def conductor_of_cover(params: Params, rhs: Union[str, XYPoly], *,
-                       coeff: int = 1, base: str = "tower",
+                       base: str = "tower",
                        data: Optional[UniformizerData] = None
                        ) -> ConductorResult:
-    """Conductor at the infinite place of the degree-p cover u^p - u = coeff*rhs.
+    """Conductor at the infinite place of the degree-p cover u^p - u = rhs.
 
     base selects the function field the cover sits over: "tower" works
     over the degree-q step (expansion through the uniformizer data),
@@ -314,16 +280,14 @@ def conductor_of_cover(params: Params, rhs: Union[str, XYPoly], *,
             rhs = cover_rhs_polys(params)[rhs]
         except KeyError:
             raise ParameterError(f"unknown cover label {rhs!r}") from None
-    if coeff == 0:
-        raise ParameterError("cover coefficient must be nonzero")
 
     if base == "tower":
         if data is None:
             data = build_uniformizer(params)
-        expansion = expand_at_infinity(data, rhs).scale(coeff)
-        vsrc: Union[TruncatedSeries, LaurentPoly] = expansion
+        vsrc: Union[TruncatedSeries, LaurentPoly] = expand_at_infinity(
+            data, rhs)
     elif base == "rational":
-        vsrc = expand_rational(ctx, rhs).scale(coeff)
+        vsrc = expand_rational(ctx, rhs)
     else:
         raise ParameterError(f"unknown base {base!r}")
 
@@ -335,7 +299,7 @@ def conductor_of_cover(params: Params, rhs: Union[str, XYPoly], *,
     if m and (m < 2 or (m - 1) % params.p == 0):
         raise IntegrityError(f"reduced conductor jump {m - 1} divisible by {params.p}")
     principal = {e: c for e, c in vsrc.d.items() if e < 0}
-    return ConductorResult(label=label, coeff=coeff, base=base, valuation=val,
+    return ConductorResult(label=label, base=base, valuation=val,
                            principal=principal, reduced=red.reduced,
                            witnesses=red.witnesses, m=m,
                            geometric=red.geometric)

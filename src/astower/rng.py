@@ -31,6 +31,3 @@ class SplitMix64:
             v = self.next_u64()
             if v < limit:
                 return v % n
-
-    def choice(self, seq):
-        return seq[self.randbelow(len(seq))]

@@ -13,9 +13,10 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from astower import cli, ff, genus, tower
+from astower import cli, ff, genus, local, tower
 from astower.cli import main
 from astower.ff import make_field
+from astower.laurent import LaurentPoly
 
 
 def run(argv, capsys):
@@ -627,6 +628,78 @@ def test_commutators_refuse_a_reverse_shift_of_the_wrong_sign(monkeypatch,
     code, out, err = run(["commutators", "--p", "3", "--s", "1"], capsys)
     assert code == 1 and out == ""
     assert err.startswith("integrity failure") and "wrong sign" in err
+
+
+def _refused(argv, capsys, reason):
+    code, out, err = run(argv, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("integrity failure") and reason in err
+
+
+def test_commutators_refuse_same_kind_shifts_that_do_not_commute(
+        monkeypatch, capsys):
+    """Only sigma_i o sigma_j with i < j moves w by 1, so the mixed pairs
+    still meet their central shifts and the same-kind check alone must
+    refuse."""
+    real_sigma, real_compose = tower.sigma_shift, tower.compose_endo
+    sigmas = []
+
+    def sigma(pres, g):
+        sigmas.append(real_sigma(pres, g))
+        return sigmas[-1]
+
+    def index(endo):
+        return next((k for k, s in enumerate(sigmas) if s is endo), None)
+
+    def compose(a, b):
+        out = real_compose(a, b)
+        i, j = index(a), index(b)
+        if i is not None and j is not None and i < j:
+            return out.replace(w=out.images["w"] + out.pres.const(1))
+        return out
+
+    monkeypatch.setattr(tower, "sigma_shift", sigma)
+    monkeypatch.setattr(tower, "compose_endo", compose)
+    _refused(["commutators", "--p", "3", "--s", "1"], capsys,
+             "two same-kind shifts do not commute")
+
+
+def test_class_report_refuses_a_ladder_that_misses_a_class(monkeypatch,
+                                                           capsys):
+    """Without the w class the line counts cover only a rank-3 space."""
+    monkeypatch.setattr(genus, "_CLASS_ORDER", ("y2", "v1", "v2"))
+    _refused(["verify", "--p", "3", "--s", "1"], capsys,
+             "class counts fail to cover the dual space")
+
+
+def test_class_report_refuses_a_wrong_uniformizer_residual(monkeypatch,
+                                                           capsys):
+    """x^(q0+1) off by 1 leaves a residual of valuation 0, not q*b1."""
+    real = local.UniformizerData.xpow
+
+    def off_by_one(self, e):
+        out = real(self, e)
+        if e == self.params.q0 + 1:
+            return out + LaurentPoly(self.ctx, {0: 1})
+        return out
+
+    monkeypatch.setattr(local.UniformizerData, "xpow", off_by_one)
+    _refused(["verify", "--p", "3", "--s", "1"], capsys,
+             "uniformizer residual must start 1*z^3402, got valuation 0")
+
+
+def test_conductor_refuses_an_unreduced_pole(monkeypatch, capsys):
+    """A reduction that hands back its input's poles leaves the first
+    floor's pole z^-30, a jump divisible by 3."""
+    real = local.reduce_mod_wp
+
+    def unreduced(ctx, f):
+        return real(ctx, f)._replace(
+            reduced={e: c for e, c in f.d.items() if e < 0})
+
+    monkeypatch.setattr(local, "reduce_mod_wp", unreduced)
+    _refused(["conductor", "--p", "3", "--s", "1"], capsys,
+             "reduced conductor jump 30 divisible by 3")
 
 
 def test_class_report_refuses_a_wrong_p_root(monkeypatch, capsys):

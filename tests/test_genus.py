@@ -75,13 +75,15 @@ def test_rh_genus_unramified_over_elliptic():
 
 
 def test_rh_genus_rejects_bad_jumps():
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match="not reduced"):
         rh_genus(3, 0, 1)  # m = 1 is never a conductor here
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match="not reduced"):
         rh_genus(3, 0, 4)  # jump 3 is divisible by p
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match="not reduced"):
         rh_genus(2, 0, 3)
-    with pytest.raises(IntegrityError):
+    with pytest.raises(IntegrityError, match="half-integral"):
+        rh_genus(4, 0, 3)  # p = 4 is no prime, and 2g comes out odd
+    with pytest.raises(IntegrityError, match="negative"):
         rh_genus(3, 0, 0)  # unramified cover of the line: negative genus
 
 

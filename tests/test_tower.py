@@ -9,6 +9,7 @@ values were derived twice independently with the composition convention
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from astower import tower
 from astower.errors import IntegrityError, ParameterError, UnsupportedError
 from astower.ff import Params, basis_and_reps, make_field
 from astower.tower import (
@@ -303,6 +304,17 @@ def test_wp_solve_top_generator_needs_wider_box(mixed):
     assert got is not None and got.d == w.d
 
 
+def test_wp_solve_refuses_a_wrong_affine_solution(mixed, monkeypatch):
+    # every unknown off by one: the witness no longer replays to target
+    ctx = mixed.ctx
+    real = tower._solve_affine
+    monkeypatch.setattr(tower, "_solve_affine", lambda ctx_, forms, nvars: [
+        ctx.add(v, 1) for v in real(ctx_, forms, nvars)])
+    with pytest.raises(IntegrityError,
+                       match="witness failed its replay check"):
+        wp_solve(mixed, mixed.relations["y1"])
+
+
 # ---------------------------------------------------- presentation links
 
 
@@ -311,6 +323,13 @@ def test_presentation_equiv(mixed):
     assert links["v1"].d == {(1, 1, 0, 0, 0, 0): 1}
     assert links["v2"].d == {(1, 0, 1, 0, 0, 0): 1}
     assert links["w"].d == {(0, 1, 1, 0, 0, 0): 1}
+
+
+def test_presentation_equiv_refuses_a_missing_link(monkeypatch):
+    monkeypatch.setattr(tower, "wp_solve", lambda pres, target: None)
+    with pytest.raises(IntegrityError,
+                       match="presentations failed to link additively"):
+        presentation_equiv(P31)
 
 
 # ----------------------------------------------------------- prolongation
