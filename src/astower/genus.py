@@ -20,8 +20,9 @@ IntegrityError on disagreement.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import gcd
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import IntegrityError, ParameterError
 from .ff import FieldCtx, Params, prime_basis
@@ -252,12 +253,8 @@ def gs_aggregate(p: int, pieces: List[Tuple[int, int]], base_genus: int) -> int:
     return g
 
 
-class CoverClass(NamedTuple):
-    label: str
-    count: int
-    conductor: int
-    genus: int
-    base_genus: int
+CoverClass = namedtuple("CoverClass",
+                        "label count conductor genus base_genus")
 
 
 def cover_classes(params: Params, *,
@@ -279,15 +276,10 @@ def cover_classes(params: Params, *,
             for label in _CLASS_ORDER]
 
 
-class GenusReport(NamedTuple):
-    params: Params
-    base_genus: int
-    classes: Tuple[CoverClass, ...]
-    weighted_sum: int
-    gs_subtraction: int
-    genus: int
-    printed_subtraction: int
-    genus_printed: int
+# classes is a tuple of CoverClass; every other field but params is an int
+GenusReport = namedtuple("GenusReport", "params base_genus classes "
+                         "weighted_sum gs_subtraction genus "
+                         "printed_subtraction genus_printed")
 
 
 def genus_of_F(params: Params) -> GenusReport:
@@ -322,14 +314,9 @@ def genus_of_F(params: Params) -> GenusReport:
 # --------------------------------------------------------------- audit
 
 
-class AuditRow(NamedTuple):
-    """One class genus against its closed form; closed and difference
-    (closed minus pipeline) are `Exact`."""
-    label: str
-    closed: Exact
-    pipeline: int
-    match: bool
-    difference: Exact
+AuditRow = namedtuple("AuditRow", "label closed pipeline match difference")
+AuditRow.__doc__ = """One class genus against its closed form; closed and
+difference (closed minus pipeline) are `Exact`."""
 
 
 def audit_closed_forms(params: Params) -> List[AuditRow]:
@@ -412,18 +399,11 @@ def ree_aggregate(params: Params, *,
 # ------------------------------------------------------------- verdict
 
 
-class BigActionReport(NamedTuple):
-    """The verdict under both genus readings; bound and bound_printed
-    are 2p/(p-1) times the genus as `Exact`."""
-    params: Params
-    group_order: int
-    genus: int
-    genus_printed: int
-    bound: Exact
-    bound_printed: Exact
-    is_big: bool
-    is_big_printed: bool
-    readings_agree: bool
+BigActionReport = namedtuple(
+    "BigActionReport", "params group_order genus genus_printed bound "
+    "bound_printed is_big is_big_printed readings_agree")
+BigActionReport.__doc__ = """The verdict under both genus readings; bound and
+bound_printed are 2p/(p-1) times the genus as `Exact`."""
 
 
 def verify_big_action(params: Params) -> BigActionReport:

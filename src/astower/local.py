@@ -18,7 +18,8 @@ to read off the conductor of the corresponding degree-p cover.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, NamedTuple, Optional, Tuple, Union
+from collections import namedtuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import IntegrityError, ParameterError, UnsupportedError
 from .ff import FieldCtx, Params
@@ -191,21 +192,17 @@ def expand_rational(ctx: FieldCtx, rhs: XYPoly) -> LaurentPoly:
     return LaurentPoly(ctx, out, _trusted=True)
 
 
-class ReducedPart(NamedTuple):
-    """Principal part normalized mod the additive kernel image.
+ReducedPart = namedtuple(
+    "ReducedPart", "reduced witnesses dropped const geometric")
+ReducedPart.__doc__ = """Principal part normalized mod the additive kernel
+image.
 
-    witnesses is the list of (m, r) with u = r * z^-m applied as
-    f -> f - (u^p - u), in application order; `reduced` has no pole
-    order divisible by p; `const` is the original z^0 coefficient and
-    `geometric` says its absolute trace vanishes, i.e. the constant is
-    itself of the form u^p - u and the cover stays geometric.
-    """
-
-    reduced: Dict[int, int]
-    witnesses: List[Tuple[int, int]]
-    dropped: Dict[int, int]
-    const: int
-    geometric: bool
+witnesses is the list of (m, r) with u = r * z^-m applied as
+f -> f - (u^p - u), in application order; `reduced` has no pole
+order divisible by p; `const` is the original z^0 coefficient and
+`geometric` says its absolute trace vanishes, i.e. the constant is
+itself of the form u^p - u and the cover stays geometric.
+"""
 
 
 def reduce_mod_wp(ctx: FieldCtx, f: Union[TruncatedSeries, LaurentPoly]
@@ -249,15 +246,10 @@ def reduce_mod_wp(ctx: FieldCtx, f: Union[TruncatedSeries, LaurentPoly]
                        const=const, geometric=ctx.trace_to_prime(const) == 0)
 
 
-class ConductorResult(NamedTuple):
-    label: str
-    base: str
-    valuation: int
-    principal: Dict[int, int]
-    reduced: Dict[int, int]
-    witnesses: List[Tuple[int, int]]
-    m: int
-    geometric: bool
+# principal and reduced are {pole order: code}, witnesses [(m, r)] as in
+# ReducedPart, and m the conductor exponent
+ConductorResult = namedtuple("ConductorResult", "label base valuation "
+                             "principal reduced witnesses m geometric")
 
 
 def conductor_of_cover(params: Params, rhs: Union[str, XYPoly], *,

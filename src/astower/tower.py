@@ -20,6 +20,18 @@ below 2^(W-1): products of normal monomials stay below 2q, p^k-th powers
 (k <= n) below q^2, and any q with 2q^2 >= 2^(W-1) is refused.
 `TowerElement.d` and `TowerPresentation.element` keep a 6-tuple view.
 
+An `Endo` substitutes only the variables it moves.  `apply` hands an
+element back unchanged when every variable in it is fixed, and
+`check_endo` skips a fixed generator whose relation is fixed too.
+Whether a variable is fixed is read from `images` each time, because
+`invert_endo` fills its images in place.  Powers of an image are
+memoized on the image element, whose terms never change; `identity_endo`,
+`x()` and `gen()` share one element per variable, and `compose_endo`
+keeps a's image object wherever b fixes the variable, so endomorphisms
+holding the same image share its powers.  `check_endo` takes u^q - u
+from `TowerPresentation.wp`, which memoizes m^q - m per monomial m: the
+map is F_q-linear, so images that differ only in their codes share it.
+
 Three presentations of the same field are supported.  "unprimed" keeps
 the v-relations with generator entries on the right, "primed" replaces
 both v right-hand sides and the w right-hand side by expressions in x
@@ -30,10 +42,11 @@ the mixed presentation, where their images are smallest.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 from math import prod
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ._kernel_py import lp_add_scaled, lp_map_pow, lp_mul
 from .errors import IntegrityError, ParameterError, UnsupportedError
@@ -50,6 +63,10 @@ _X_SHIFT = len(GENS) * FIELD_BITS
 # (slot, name, bit offset) of each generator; slot 1 = y1, highest field
 _FIELDS = tuple((slot, name, (len(GENS) - slot) * FIELD_BITS)
                 for slot, name in enumerate(GENS, 1))
+# (name, bit offset, exponent mask) of every variable, x's unbounded
+_VARS = (("x", _X_SHIFT, -1),
+         *((name, shift, _FIELD_MASK) for _, name, shift in _FIELDS))
+_NAMES = frozenset(("x", *GENS))
 _ONE: Terms = {0: 1}  # the constant 1; packed monomial 0 is x^0 ... w^0
 
 _CANDIDATE_CAP = 4096
@@ -79,14 +96,18 @@ def check_field_width(q: int) -> None:
 class TowerElement:
     """A normal-form element; construct through TowerPresentation.
 
-    `terms` maps packed monomials to nonzero codes and is never mutated.
+    `terms` maps packed monomials to nonzero codes and is never mutated,
+    so the element memoizes its own powers for `Endo.apply`: `_pc` maps
+    e to the terms of its e-th power.  It holds terms only, never an
+    element, so no element is part of a reference cycle.
     """
 
-    __slots__ = ("pres", "terms")
+    __slots__ = ("pres", "terms", "_pc")
 
     def __init__(self, pres: "TowerPresentation", terms: Terms):
         self.pres = pres
         self.terms = terms
+        self._pc: Optional[Dict[int, Terms]] = None
 
     @property
     def d(self) -> Dict[Monomial, int]:
@@ -138,9 +159,48 @@ class TowerElement:
         return out
 
     def __pow__(self, e: int) -> "TowerElement":
+        """The e-th power from scratch, one product per unit of each
+        base-p digit of e; the reference `_pow_terms` is tested against."""
         if e < 0:
             raise ParameterError("negative powers are not defined here")
-        return _power(self.pres, e, self.pow_pk)
+        out, k = self.pres.const(1), 0
+        while e:
+            e, digit = divmod(e, self.pres.ctx.p)
+            for _ in range(digit):
+                out = out * self.pow_pk(k)
+            k += 1
+        return out
+
+    def _pow_terms(self, e: int) -> Terms:
+        """The terms of the e-th power, memoized with every power on the
+        way: the power of e is that of e - p^k, for p^k the place of e's
+        lowest nonzero base-p digit, times the p^k-th power, so exponents
+        that agree above that digit share their products."""
+        if not e:
+            return _ONE
+        pc = self._pc
+        if pc is None:
+            pc = self._pc = {1: self.terms}
+        out = pc.get(e)
+        if out is None:
+            p = self.pres.ctx.p
+            todo = []  # (exponent, place k), from e down to a memoized one
+            while e and e not in pc:
+                k, pk = 0, 1
+                while not e // pk % p:
+                    k, pk = k + 1, pk * p
+                todo.append((e, k))
+                e -= pk
+            out = pc.get(e)  # None at e = 0: start from the first block
+            kargs = self.pres.ctx.kernel_args
+            for e, k in reversed(todo):
+                pk = p ** k
+                block = pc.get(pk)
+                if block is None:
+                    block = pc[pk] = self.pow_pk(k).terms
+                out = pc[e] = block if out is None else self.pres.normalize(
+                    lp_mul(out, block, *kargs))
+        return out
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TowerElement) and self.pres is other.pres
@@ -151,24 +211,6 @@ class TowerElement:
 
     def __repr__(self):
         return f"TowerElement({self.d!r})"
-
-
-def _power(pres: "TowerPresentation", e: int,
-           block: Callable[[int], TowerElement]) -> TowerElement:
-    """The e-th power of an element, from its p^k-th powers block(k), one
-    product per unit of each base-p digit of e."""
-    result = None
-    k = 0
-    p = pres.ctx.p
-    while e:
-        digit = e % p
-        if digit:
-            b = block(k)
-            for _ in range(digit):
-                result = b if result is None else result * b
-        e //= p
-        k += 1
-    return pres.const(1) if result is None else result
 
 
 class TowerPresentation:
@@ -186,7 +228,12 @@ class TowerPresentation:
         self._bias = sum((_FIELD_LIMIT - q) << shift for _, _, shift in _FIELDS)
         self._gp: Dict[Tuple[int, int], Terms] = {}
         self._qpow: Dict[int, Terms] = {}
+        self._wp: Dict[int, Terms] = {}
         self.relations: Dict[str, TowerElement] = {}
+        # one shared element per variable, handed out by x(), gen() and
+        # identity_endo: an endomorphism that fixes a variable holds it
+        self._vars = {name: TowerElement(self, {1 << shift: 1})
+                      for name, shift, _ in _VARS}
 
         ctx = self.ctx
         n1 = ctx.neg(1)
@@ -285,16 +332,31 @@ class TowerPresentation:
             lp_mul(rewritten, _ONE, *kargs, out=out)
         return out
 
+    def wp(self, elem: TowerElement) -> TowerElement:
+        """u^q - u, summed from the memoized m^q - m of u's monomials: the
+        map is F_q-linear, as c^q = c for every code c."""
+        kargs = self.ctx.kernel_args
+        out: Terms = {}
+        for m, c in elem.terms.items():
+            w = self._wp.get(m)
+            if w is None:
+                w = self._wp[m] = lp_add_scaled(self.normalize(lp_map_pow(
+                    {m: 1}, self.params.q, *kargs)), {m: 1}, self.ctx.neg(1),
+                    *kargs)
+            lp_mul(w, {0: c}, *kargs, out=out)
+        return TowerElement(self, out)
+
     # -------------------------------------------------------- constructors
 
     def element(self, raw: Dict[Monomial, int]) -> TowerElement:
         """Normal form of {(x, y1, y2, v1, v2, w) exponents: code}."""
         packed: Terms = {}
         for m, c in raw.items():
-            if len(m) != 6 or not all(0 <= e < _FIELD_LIMIT for e in m[1:]):
+            if (len(m) != 6 or m[0] < 0
+                    or not all(0 <= e < _FIELD_LIMIT for e in m[1:])):
                 raise ParameterError(
-                    f"monomial {m!r} needs six exponents, the generator "
-                    f"ones in [0, 2^{FIELD_BITS - 1})")
+                    f"monomial {m!r} needs six exponents, x's nonnegative "
+                    f"and the generator ones in [0, 2^{FIELD_BITS - 1})")
             if c:
                 packed[_pack(m)] = c
         return TowerElement(self, self.normalize(packed))
@@ -306,10 +368,16 @@ class TowerPresentation:
         return TowerElement(self, {0: c} if c else {})
 
     def x(self, e: int = 1) -> TowerElement:
+        if e == 1:
+            return self._vars["x"]
+        if e < 0:  # the powers Endo.apply takes are of nonnegative exponents
+            raise ParameterError(f"x^{e}: negative exponents are not defined")
         return TowerElement(self, {e << _X_SHIFT: 1})
 
     def gen(self, name: str) -> TowerElement:
-        return TowerElement(self, {1 << _FIELDS[self.gens.index(name)][2]: 1})
+        if name not in self.gens:
+            raise ParameterError(f"no generator named {name!r}")
+        return self._vars[name]
 
     def __repr__(self):
         return f"TowerPresentation(p={self.params.p}, s={self.params.s}, {self.kind})"
@@ -326,47 +394,50 @@ def presentation(params: Params, kind: str = "mixed") -> TowerPresentation:
 class Endo:
     """Ring endomorphism fixing F_q, given by images of x and the generators."""
 
-    __slots__ = ("pres", "images", "_pc", "_blocks")
+    __slots__ = ("pres", "images")
 
     def __init__(self, pres: TowerPresentation, images: Dict[str, TowerElement]):
-        missing = ({"x", *pres.gens}) - set(images)
+        missing = _NAMES - images.keys()
         if missing:
             raise ParameterError(f"endomorphism lacks images for {sorted(missing)}")
         self.pres = pres
         self.images = images
-        self._pc: Dict[Tuple[str, int], Terms] = {}
-        self._blocks: Dict[Tuple[str, int], TowerElement] = {}
 
-    def _block(self, name: str, k: int) -> TowerElement:
-        """The p^k-th power of an image, shared by all of its powers."""
-        key = (name, k)
-        out = self._blocks.get(key)
-        if out is None:
-            out = self._blocks[key] = self.images[name].pow_pk(k)
-        return out
-
-    def _img_pow(self, name: str, e: int) -> Terms:
-        key = (name, e)
-        out = self._pc.get(key)
-        if out is None:
-            out = _power(self.pres, e, lambda k: self._block(name, k)).terms
-            self._pc[key] = out
-        return out
+    def _fixes(self, name: str) -> bool:
+        """Whether the variable's image is the variable itself, read now:
+        invert_endo fills `images` in place, so nothing caches this."""
+        return self.images[name].terms == self.pres._vars[name].terms
 
     def apply(self, elem: TowerElement) -> TowerElement:
+        """The image of elem; elem itself when every variable in it is fixed.
+
+        Only the moved variables are substituted: the fixed ones stay in
+        each monomial, which multiplies the product of the moved powers.
+        """
+        support = 0
+        for m in elem.terms:
+            support |= m
+        moved = [(self.images[name], shift, mask)
+                 for name, shift, mask in _VARS
+                 if support >> shift & mask and not self._fixes(name)]
+        if not moved:
+            return elem
         pres = self.pres
         kargs = pres.ctx.kernel_args
         acc: Terms = {}
         for m, c in elem.terms.items():
-            e = m >> _X_SHIFT
-            term = self._img_pow("x", e) if e else None
-            for _, name, shift in _FIELDS:
-                e = m >> shift & _FIELD_MASK
+            term = None
+            for img, shift, mask in moved:
+                e = m >> shift & mask
                 if e:
-                    f = self._img_pow(name, e)
+                    m -= e << shift
+                    f = img.terms if e == 1 else img._pow_terms(e)
                     term = f if term is None else pres.normalize(
                         lp_mul(term, f, *kargs))
-            lp_mul(_ONE if term is None else term, {0: c}, *kargs, out=acc)
+            if term is not None and m:
+                term = pres.normalize(lp_mul(term, {m: 1}, *kargs))
+                m = 0
+            lp_mul(_ONE if term is None else term, {m: c}, *kargs, out=acc)
         return TowerElement(pres, acc)
 
     def replace(self, **kwargs: TowerElement) -> "Endo":
@@ -383,24 +454,21 @@ class Endo:
                         for k in ("x", *self.pres.gens)))
 
     def __repr__(self):
-        ident = identity_endo(self.pres).images
-        moved = [k for k in ("x", *self.pres.gens)
-                 if self.images[k] != ident[k]]
+        moved = [k for k in ("x", *self.pres.gens) if not self._fixes(k)]
         return f"Endo(moves {moved or 'nothing'})"
 
 
 def identity_endo(pres: TowerPresentation) -> Endo:
-    images = {"x": pres.x()}
-    for name in pres.gens:
-        images[name] = pres.gen(name)
-    return Endo(pres, images)
+    return Endo(pres, dict(pres._vars))
 
 
 def compose_endo(a: Endo, b: Endo) -> Endo:
-    """(a o b): apply b first, then a."""
+    """(a o b): apply b first, then a; where b fixes a variable the
+    composite holds a's image of it, the same object."""
     if a.pres is not b.pres:
         raise ParameterError("endomorphisms from different presentations")
-    return Endo(a.pres, {k: a.apply(v) for k, v in b.images.items()})
+    return Endo(a.pres, {k: a.images[k] if b._fixes(k) else a.apply(v)
+                         for k, v in b.images.items()})
 
 
 def invert_endo(a: Endo) -> Endo:
@@ -409,7 +477,8 @@ def invert_endo(a: Endo) -> Endo:
     Requires x -> x + const and each generator image of the form
     generator + (terms in x and earlier generators); anything else is
     outside what back-substitution can see, hence UnsupportedError.
-    Each correction term only reads images already final in `inv`.
+    `inv.images` is filled in place, and each correction term only
+    reads images already final in `inv`.
     """
     pres = a.pres
     xdiff = a.images["x"] - pres.x()
@@ -433,20 +502,23 @@ def commutator(a: Endo, b: Endo) -> Endo:
                         compose_endo(invert_endo(a), invert_endo(b)))
 
 
-class CheckResult(NamedTuple):
-    ok: bool
-    defects: Dict[str, TowerElement]
+CheckResult = namedtuple("CheckResult", "ok defects")
 
 
 def check_endo(pres: TowerPresentation, endo: Endo) -> CheckResult:
-    """Certify that the images satisfy every defining relation exactly."""
+    """Certify that the images satisfy every defining relation exactly.
+
+    A generator g that E fixes, whose relation's variables E all fixes
+    (apply then hands back the relation itself), has defect
+    g^q - g - rhs_g = 0 by the relation, so it is skipped.
+    """
     defects = {}
-    n = pres.params.n
     for name in pres.gens:
-        img = endo.images[name]
-        lhs = img.pow_pk(n) - img
-        rhs = endo.apply(pres.relations[name])
-        defect = lhs - rhs
+        rel = pres.relations[name]
+        rhs = endo.apply(rel)
+        if rhs is rel and endo._fixes(name):
+            continue
+        defect = pres.wp(endo.images[name]) - rhs
         if defect:
             defects[name] = defect
     return CheckResult(ok=not defects, defects=defects)
@@ -696,17 +768,22 @@ def prolong_translation(pres: TowerPresentation, a: int) -> Endo:
     aA2 = ctx.mul(a, A2)
     two = 2 % ctx.p
     four = 4 % ctx.p
+    mul, neg = ctx.mul, ctx.neg
 
-    x, x2 = pres.x(), pres.x(2)
-    y1, y2 = pres.gen("y1"), pres.gen("y2")
-    v1, v2, w = pres.gen("v1"), pres.gen("v2"), pres.gen("w")
-    mul = ctx.mul
-    return identity_endo(pres).replace(
-        x=x + pres.const(a),
-        y1=y1 + x.scale(A),
-        y2=y2 + y1.scale(mul(two, A)) + x.scale(A2),
-        v1=v1 + x2.scale(A) + y1.scale(mul(two, a)) + x.scale(mul(two, aA)),
-        v2=(v2 + v1.scale(mul(two, A)) + x2.scale(A2) + y2.scale(mul(two, a))
-            + y1.scale(mul(four, aA)) + x.scale(mul(two, aA2))),
-        w=w + (v2 - x * y2).scale(A) + (v1 - x * y1).scale(A2),
-    )
+    # packed monomials: a product of monomials is the sum of their keys
+    x = 1 << _X_SHIFT
+    y1, y2, v1, v2, w = (1 << shift for _, _, shift in _FIELDS)
+    images = {
+        "x": {x: 1, 0: a},
+        "y1": {y1: 1, x: A},
+        "y2": {y2: 1, y1: mul(two, A), x: A2},
+        "v1": {v1: 1, 2 * x: A, y1: mul(two, a), x: mul(two, aA)},
+        "v2": {v2: 1, v1: mul(two, A), 2 * x: A2, y2: mul(two, a),
+               y1: mul(four, aA), x: mul(two, aA2)},
+        "w": {w: 1, v2: A, x + y2: neg(A), v1: A2, x + y1: neg(A2)},
+    }
+    # every monomial is normal and appears once, so dropping the zero
+    # codes leaves each image in normal form
+    return Endo(pres, {name: TowerElement(pres, {m: c for m, c in t.items()
+                                                 if c})
+                       for name, t in images.items()})

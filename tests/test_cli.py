@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, report shapes, determinism."""
 
+import gc
 import hashlib
 import json
 import os
@@ -469,6 +470,22 @@ def test_timings_go_to_stderr_not_stdout(capsys):
     assert "elapsed" in err
 
 
+@pytest.mark.parametrize("p, s", [(3, 1), (3, 2)])
+def test_reports_leave_no_garbage_cycles(p, s, capsys):
+    """A memo that refers back to its owner keeps it alive until the
+    cyclic collector runs, which raises peak RSS unnoticed; no report
+    leaves such a cycle."""
+    gc.collect()
+    gc.disable()
+    try:
+        for command in cli._COMMANDS:
+            code, _, _ = run([command, "--p", str(p), "--s", str(s)], capsys)
+            assert code in (0, 3)
+            assert gc.collect() == 0, command
+    finally:
+        gc.enable()
+
+
 def _count_calls(monkeypatch, module, name, counts):
     real = getattr(module, name)
 
@@ -507,18 +524,22 @@ def test_shift_reports_skip_orbit_representatives(command, monkeypatch,
 def test_prolong_builds_each_lift_once(p, s, seed, built, monkeypatch,
                                        capsys):
     """Only the n basis lifts and those of the n(n+1)/2 pairwise basis
-    sums are built, whichever translations the seed lists, and the relation
-    check runs n + n^2 + 5n times: each basis lift, each ordered basis pair
-    once, and the five vertical families at each basis element."""
+    sums are built, whichever translations the seed lists.  The relation
+    check runs n + n(n+1)/2 + 5n times: each basis lift, each pair-sum
+    lift (which certifies both orders of its cocycle), and the five
+    vertical families at each basis element.  Only the n inverse checks
+    of the basis lifts compose or invert."""
     counts = {}
-    _count_calls(monkeypatch, tower, "prolong_translation", counts)
-    _count_calls(monkeypatch, tower, "check_endo", counts)
+    for name in ("prolong_translation", "check_endo", "compose_endo",
+                 "invert_endo"):
+        _count_calls(monkeypatch, tower, name, counts)
     code, _, _ = run(["prolong", "--p", str(p), "--s", str(s),
                       "--seed", str(seed)], capsys)
     assert code == 0
     n = 2 * s + 1
     assert counts == {"prolong_translation": built,
-                      "check_endo": n + n * n + 5 * n}
+                      "check_endo": n + n * (n + 1) // 2 + 5 * n,
+                      "compose_endo": n, "invert_endo": n}
 
 
 def test_prolong_stops_drawing_once_every_translation_is_listed():
@@ -577,9 +598,9 @@ def test_prolong_refuses_a_broken_certificate(mutant, reason, monkeypatch,
     elif mutant == "inverse":  # the inverse of t's lift is off by a shift
         _mutate_lift_of(monkeypatch, "invert_endo", 3, lambda pres, inv:
                         inv.replace(w=inv.images["w"] + pres.const(1)))
-    elif mutant == "cocycle":  # the inverse lift of 1 + t moves w by x
-        _mutate_lift_of(monkeypatch, "invert_endo", 4, lambda pres, inv:
-                        inv.replace(w=inv.images["w"] + pres.x()))
+    elif mutant == "cocycle":  # the lift of 1 + t moves w by x
+        _mutate_lift_of(monkeypatch, "prolong_translation", 4, lambda pres,
+                        e: e.replace(w=e.images["w"] + pres.x()))
     elif mutant == "coordinates":  # 1's digits do not replay to 1
         _swap_digits(monkeypatch)
     else:  # a "basis" that misses t, so t is not its digit sum

@@ -184,6 +184,23 @@ def test_check_endo_violation(mixed):
     assert res.defects["w"].d == {(34, 0, 0, 0, 0, 0): 2, (8, 0, 0, 0, 0, 0): 1}
 
 
+def test_check_endo_checks_fixed_generators_whose_relation_moves(mixed):
+    # every generator is fixed, but y1's relation is in x, which moves:
+    # the fixed-variable shortcut must not skip it
+    shift = identity_endo(mixed).replace(x=mixed.x() + mixed.const(1))
+    res = check_endo(mixed, shift)
+    assert not res.ok and "y1" in res.defects
+    assert res.defects["y1"] == (mixed.relations["y1"]
+                                 - shift.apply(mixed.relations["y1"]))
+
+
+def test_apply_returns_an_element_whose_variables_are_fixed(mixed):
+    rel = mixed.relations["w"]  # in x, y1 and y2 only
+    assert identity_endo(mixed).apply(rel) is rel
+    assert vertical_shift_families(mixed)["v2"](3).apply(rel) is rel
+    assert sigma_shift(mixed, 3).apply(rel) is not rel
+
+
 def test_apply_distributes_over_products(mixed):
     s = sigma_shift(mixed, 3)
     y1w = mixed.element({(0, 1, 0, 0, 0, 1): 1})
@@ -388,6 +405,23 @@ def test_prolong_cocycle_is_vertical(mixed):
     assert wdiff[Y1] == ctx.neg(gamma2)
 
 
+def test_pair_lift_cocycles_are_vertical_at_3_2():
+    """The certificate `prolong` no longer computes: at (3, 2) every
+    ordered composite s_i o s_j o invert(s_{i+j}) of basis lifts fixes x
+    and passes the relation check."""
+    pres = presentation(Params(3, 2), "mixed")
+    ctx = pres.ctx
+    basis = [ctx.p ** i for i in range(ctx.n)]
+    lifts = [prolong_translation(pres, b) for b in basis]
+    for i, bi in enumerate(basis):
+        for j, bj in enumerate(basis):
+            delta = compose_endo(
+                compose_endo(lifts[i], lifts[j]),
+                invert_endo(prolong_translation(pres, ctx.add(bi, bj))))
+            assert delta.images["x"] == pres.x()
+            assert check_endo(pres, delta).ok
+
+
 def test_vertical_families_and_multiplicity(mixed):
     fams = vertical_shift_families(mixed)
     assert set(fams) == {"y1", "y2", "v1", "v2", "w"}
@@ -567,6 +601,17 @@ def test_packed_arithmetic_matches_tuple_oracle(params, data):
     assert low.pow_pk(k).d == orc.pow_pk(low.d, k)
 
 
+@pytest.mark.parametrize("params", [P31, P51], ids=["p3s1", "p5s1"])
+@given(data=st.data())
+@settings(max_examples=15)
+def test_wp_matches_the_qth_power(params, data):
+    # check_endo reads u^q - u from per-monomial memos, by F_q-linearity
+    pres = presentation(params, "mixed")
+    u = pres.element(data.draw(raw_elements(params.q)))
+    assert pres.wp(u) == u.pow_pk(params.n) - u
+    assert pres.wp(u) == u.pow_pk(params.n) - u  # from the memo this time
+
+
 def test_pow_pk_beyond_n_matches_tuple_oracle(mixed):
     # k > n is taken n steps at a time; the oracle scales in one go
     el = mixed.element({(1, 1, 0, 0, 0, 1): 2, (0, 0, 1, 1, 0, 0): 1, X: 5})
@@ -580,9 +625,11 @@ def test_endo_apply_matches_tuple_oracle(params, data):
     pres, orc = presentation(params, "mixed"), oracle(params)
     a = data.draw(st.integers(0, params.q - 1))
     g = data.draw(st.integers(1, params.q - 1))
+    fams = vertical_shift_families(pres)
     endo = data.draw(st.sampled_from([
         prolong_translation(pres, a), sigma_shift(pres, g),
-        tau_shift(pres, g)]))
+        tau_shift(pres, g), identity_endo(pres), fams["v1"](g),
+        fams["v2"](g), fams["w"](g)]))
     monos = st.tuples(st.integers(0, 3), *[st.integers(0, 2)] * 5)
     elem = pres.element(data.draw(
         st.dictionaries(monos, st.integers(1, params.q - 1), max_size=3)))
@@ -619,6 +666,11 @@ def test_element_rejects_exponents_outside_the_packed_fields(mixed):
         mixed.element({(0, 0, 0, 0, 0, 1 << 60): 1})
     with pytest.raises(ParameterError):
         mixed.element({(0, 1): 1})
+    # a negative x exponent would never finish a power in Endo.apply
+    with pytest.raises(ParameterError):
+        mixed.element({(-1, 0, 0, 0, 0, 0): 1})
+    with pytest.raises(ParameterError):
+        mixed.x(-1)
 
 
 @given(data=st.data())
@@ -636,8 +688,9 @@ def test_decoded_view_round_trips_through_element(data):
 @given(data=st.data())
 @settings(max_examples=10)
 def test_memoized_image_powers_match_fresh_powers(params, data):
-    # Endo._img_pow shares each image's p^k-th power blocks between
-    # exponents; every power it returns must equal one taken from scratch
+    # each image memoizes its powers, sharing p^k-th powers and products
+    # between exponents; every power it returns must equal one taken from
+    # scratch
     pres = presentation(params, "mixed")
     p, q, q0 = params.p, params.q, params.q0
     a = data.draw(st.integers(0, q - 1))
@@ -651,4 +704,4 @@ def test_memoized_image_powers_match_fresh_powers(params, data):
         st.tuples(st.just("x"), st.integers(0, 2 * q + 2 * q0)),
         st.tuples(st.sampled_from(pres.gens), st.integers(0, 2 * p)))
     for name, e in data.draw(st.lists(asks, min_size=1, max_size=8)):
-        assert endo._img_pow(name, e) == (endo.images[name] ** e).terms
+        assert endo.images[name]._pow_terms(e) == (endo.images[name] ** e).terms
