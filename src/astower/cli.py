@@ -193,6 +193,11 @@ def cmd_prolong(params: Params, args) -> dict:
         avals = sorted(drawn)
     basis = prime_basis(ctx)
 
+    def certified(lift, b) -> bool:
+        """The lift restricts to x -> x + b and passes the relation check."""
+        return (lift.images["x"] == pres.x() + pres.const(b)
+                and check_endo(pres, lift).ok)
+
     # Soundness: a basis lift s_i passing check_endo is an endomorphism of
     # the tower's function field fixing F_q, so injective, and s_i o t_i =
     # id makes it an automorphism with inverse t_i.  Each s_i sends x to
@@ -202,11 +207,11 @@ def cmd_prolong(params: Params, args) -> dict:
     # n certified lifts certify every listed translation.
     for b in basis:
         endo = prolong_translation(pres, b)
-        if not check_endo(pres, endo).ok:
-            raise IntegrityError("a prolongation failed its relation check")
-        if (endo.images["x"] != pres.x() + pres.const(b)
-                or compose_endo(endo, invert_endo(endo)) != ident):
-            raise IntegrityError(f"lift of {b}: wrong restriction or inverse")
+        if not certified(endo, b):
+            raise IntegrityError(
+                "a prolongation failed its relation check or restriction")
+        if compose_endo(endo, invert_endo(endo)) != ident:
+            raise IntegrityError(f"lift of {b}: wrong inverse")
     for a in avals:
         total = 0
         for d, b in zip(ctx.to_coeffs(a), basis):
@@ -225,9 +230,7 @@ def cmd_prolong(params: Params, args) -> dict:
     for i in range(n):
         for j in range(i, n):
             b = ctx.add(basis[i], basis[j])
-            lift = prolong_translation(pres, b)
-            if (lift.images["x"] != pres.x() + pres.const(b)
-                    or not check_endo(pres, lift).ok):
+            if not certified(prolong_translation(pres, b), b):
                 raise IntegrityError(
                     "a prolongation cocycle left the vertical group")
 

@@ -28,9 +28,7 @@ Whether a variable is fixed is read from `images` each time, because
 memoized on the image element, whose terms never change; `identity_endo`,
 `x()` and `gen()` share one element per variable, and `compose_endo`
 keeps a's image object wherever b fixes the variable, so endomorphisms
-holding the same image share its powers.  `check_endo` takes u^q - u
-from `TowerPresentation.wp`, which memoizes m^q - m per monomial m: the
-map is F_q-linear, so images that differ only in their codes share it.
+holding the same image share its powers.
 
 Three presentations of the same field are supported.  "unprimed" keeps
 the v-relations with generator entries on the right, "primed" replaces
@@ -228,7 +226,6 @@ class TowerPresentation:
         self._bias = sum((_FIELD_LIMIT - q) << shift for _, _, shift in _FIELDS)
         self._gp: Dict[Tuple[int, int], Terms] = {}
         self._qpow: Dict[int, Terms] = {}
-        self._wp: Dict[int, Terms] = {}
         self.relations: Dict[str, TowerElement] = {}
         # one shared element per variable, handed out by x(), gen() and
         # identity_endo: an endomorphism that fixes a variable holds it
@@ -331,20 +328,6 @@ class TowerPresentation:
             bad = [m for m in rewritten if (m + bias) & high]
             lp_mul(rewritten, _ONE, *kargs, out=out)
         return out
-
-    def wp(self, elem: TowerElement) -> TowerElement:
-        """u^q - u, summed from the memoized m^q - m of u's monomials: the
-        map is F_q-linear, as c^q = c for every code c."""
-        kargs = self.ctx.kernel_args
-        out: Terms = {}
-        for m, c in elem.terms.items():
-            w = self._wp.get(m)
-            if w is None:
-                w = self._wp[m] = lp_add_scaled(self.normalize(lp_map_pow(
-                    {m: 1}, self.params.q, *kargs)), {m: 1}, self.ctx.neg(1),
-                    *kargs)
-            lp_mul(w, {0: c}, *kargs, out=out)
-        return TowerElement(self, out)
 
     # -------------------------------------------------------- constructors
 
@@ -513,12 +496,15 @@ def check_endo(pres: TowerPresentation, endo: Endo) -> CheckResult:
     g^q - g - rhs_g = 0 by the relation, so it is skipped.
     """
     defects = {}
+    n = pres.params.n
     for name in pres.gens:
         rel = pres.relations[name]
         rhs = endo.apply(rel)
         if rhs is rel and endo._fixes(name):
             continue
-        defect = pres.wp(endo.images[name]) - rhs
+        img = endo.images[name]
+        lhs = img.pow_pk(n) - img
+        defect = lhs - rhs
         if defect:
             defects[name] = defect
     return CheckResult(ok=not defects, defects=defects)
@@ -768,22 +754,17 @@ def prolong_translation(pres: TowerPresentation, a: int) -> Endo:
     aA2 = ctx.mul(a, A2)
     two = 2 % ctx.p
     four = 4 % ctx.p
-    mul, neg = ctx.mul, ctx.neg
 
-    # packed monomials: a product of monomials is the sum of their keys
-    x = 1 << _X_SHIFT
-    y1, y2, v1, v2, w = (1 << shift for _, _, shift in _FIELDS)
-    images = {
-        "x": {x: 1, 0: a},
-        "y1": {y1: 1, x: A},
-        "y2": {y2: 1, y1: mul(two, A), x: A2},
-        "v1": {v1: 1, 2 * x: A, y1: mul(two, a), x: mul(two, aA)},
-        "v2": {v2: 1, v1: mul(two, A), 2 * x: A2, y2: mul(two, a),
-               y1: mul(four, aA), x: mul(two, aA2)},
-        "w": {w: 1, v2: A, x + y2: neg(A), v1: A2, x + y1: neg(A2)},
-    }
-    # every monomial is normal and appears once, so dropping the zero
-    # codes leaves each image in normal form
-    return Endo(pres, {name: TowerElement(pres, {m: c for m, c in t.items()
-                                                 if c})
-                       for name, t in images.items()})
+    x, x2 = pres.x(), pres.x(2)
+    y1, y2 = pres.gen("y1"), pres.gen("y2")
+    v1, v2, w = pres.gen("v1"), pres.gen("v2"), pres.gen("w")
+    mul = ctx.mul
+    return identity_endo(pres).replace(
+        x=x + pres.const(a),
+        y1=y1 + x.scale(A),
+        y2=y2 + y1.scale(mul(two, A)) + x.scale(A2),
+        v1=v1 + x2.scale(A) + y1.scale(mul(two, a)) + x.scale(mul(two, aA)),
+        v2=(v2 + v1.scale(mul(two, A)) + x2.scale(A2) + y2.scale(mul(two, a))
+            + y1.scale(mul(four, aA)) + x.scale(mul(two, aA2))),
+        w=w + (v2 - x * y2).scale(A) + (v1 - x * y1).scale(A2),
+    )

@@ -585,16 +585,26 @@ def _swap_digits(monkeypatch):
 
 @pytest.mark.parametrize("mutant, reason", [
     ("relation", "relation check"),
-    ("inverse", "wrong restriction or inverse"),
+    ("restriction", "relation check or restriction"),
+    ("inverse", "wrong inverse"),
     ("coordinates", "translation 1 is not its basis sum"),
     ("basis", "translation 3 is not its basis sum"),
     ("cocycle", "cocycle left the vertical group"),
-], ids=["relation", "inverse", "coordinates", "basis", "cocycle"])
+    ("cocycle_restriction", "cocycle left the vertical group"),
+], ids=["relation", "restriction", "inverse", "coordinates", "basis",
+        "cocycle", "cocycle_restriction"])
 def test_prolong_refuses_a_broken_certificate(mutant, reason, monkeypatch,
                                               capsys):
     if mutant == "relation":  # the lift of t breaks the w relation
         _mutate_lift_of(monkeypatch, "prolong_translation", 3, lambda pres, e:
                         e.replace(w=e.images["w"] + pres.x()))
+    elif mutant in ("restriction", "cocycle_restriction"):
+        # the lift of t (of 1 + t) is the real lift of 2t (of 2 + t): it
+        # passes the relation check but restricts to the wrong translation
+        a, b = (3, 6) if mutant == "restriction" else (4, 5)
+        real = tower.prolong_translation
+        monkeypatch.setattr(tower, "prolong_translation", lambda pres, c:
+                            real(pres, b if c == a else c))
     elif mutant == "inverse":  # the inverse of t's lift is off by a shift
         _mutate_lift_of(monkeypatch, "invert_endo", 3, lambda pres, inv:
                         inv.replace(w=inv.images["w"] + pres.const(1)))

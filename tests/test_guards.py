@@ -26,9 +26,9 @@ MUTANTS = {
     ("cli.py", "two same-kind shifts do not commute"):
         "test_cli.py::test_commutators_refuse_same_kind_shifts_that_do_not_"
         "commute",
-    ("cli.py", "a prolongation failed its relation check"):
+    ("cli.py", "a prolongation failed its relation check or restriction"):
         "test_cli.py::test_prolong_refuses_a_broken_certificate",
-    ("cli.py", "lift of {}: wrong restriction or inverse"):
+    ("cli.py", "lift of {}: wrong inverse"):
         "test_cli.py::test_prolong_refuses_a_broken_certificate",
     ("cli.py", "translation {} is not its basis sum"):
         "test_cli.py::test_prolong_refuses_a_broken_certificate",

@@ -601,17 +601,6 @@ def test_packed_arithmetic_matches_tuple_oracle(params, data):
     assert low.pow_pk(k).d == orc.pow_pk(low.d, k)
 
 
-@pytest.mark.parametrize("params", [P31, P51], ids=["p3s1", "p5s1"])
-@given(data=st.data())
-@settings(max_examples=15)
-def test_wp_matches_the_qth_power(params, data):
-    # check_endo reads u^q - u from per-monomial memos, by F_q-linearity
-    pres = presentation(params, "mixed")
-    u = pres.element(data.draw(raw_elements(params.q)))
-    assert pres.wp(u) == u.pow_pk(params.n) - u
-    assert pres.wp(u) == u.pow_pk(params.n) - u  # from the memo this time
-
-
 def test_pow_pk_beyond_n_matches_tuple_oracle(mixed):
     # k > n is taken n steps at a time; the oracle scales in one go
     el = mixed.element({(1, 1, 0, 0, 0, 1): 2, (0, 0, 1, 1, 0, 0): 1, X: 5})
