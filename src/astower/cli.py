@@ -118,8 +118,8 @@ def cmd_audit(params: Params, args) -> dict:
 
 
 def cmd_commutators(params: Params, args) -> dict:
-    from .tower import (compose_endo, identity_endo, presentation,
-                        sigma_shift, tau_shift)
+    from .tower import (certify_automorphism, compose_endo, identity_endo,
+                        presentation, sigma_shift, tau_shift)
 
     pres = presentation(params, "mixed")
     ctx = params.field()
@@ -127,31 +127,26 @@ def cmd_commutators(params: Params, args) -> dict:
     n = params.n
     two = 2 % ctx.p
     ident = identity_endo(pres)
-    sigma = [sigma_shift(pres, g) for g in basis]
-    tau = [tau_shift(pres, g) for g in basis]
+    sigma = [certify_automorphism(pres, sigma_shift(pres, g), 0,
+                                  f"sigma shift by {g}") for g in basis]
+    tau = [certify_automorphism(pres, tau_shift(pres, g), 0,
+                                f"tau shift by {g}") for g in basis]
 
     def w_shift(c: int):
         return ident.replace(w=pres.gen("w") + pres.const(c))
 
-    # Soundness: each shift sends every generator to itself plus constants
-    # and earlier generators (triangular-unipotent), so it is invertible
-    # by back-substitution (`invert_endo`), and for invertible a, b, c:
-    # [a, b] = a b a^-1 b^-1 = c  <=>  a b = c b a.  So each identity
-    # below proves a commutator without inverting anything:
-    # sigma_i tau_j = c tau_j sigma_i with c the w-shift by -2 g_i g_j,
-    # tau_j sigma_i = c^-1 sigma_i tau_j, and a same-kind pair commutes.
+    # Soundness: the shifts are automorphisms (`certify_automorphism`), and
+    # so is the w-shift W_c, since c^q = c for c in F_q.  For automorphisms
+    # a b = c b a proves [a, b] = c, and then [b, a] = c^-1 in any group.
     def pair_job(i: int, j: int) -> dict:
         gi, gj = basis[i], basis[j]
         expected = ctx.neg(ctx.mul(two, ctx.mul(gi, gj)))
-        st = compose_endo(sigma[i], tau[j])
-        ts = compose_endo(tau[j], sigma[i])
-        if st != compose_endo(w_shift(expected), ts):
+        if (compose_endo(sigma[i], tau[j])
+                != compose_endo(w_shift(expected),
+                                compose_endo(tau[j], sigma[i]))):
             raise IntegrityError(
                 f"commutator at basis pair ({i}, {j}) is not the expected "
                 "central shift")
-        if ts != compose_endo(w_shift(ctx.neg(expected)), st):
-            raise IntegrityError(
-                f"reverse commutator at ({i}, {j}) has the wrong sign")
         return {"i": i, "j": j, "gamma_i": gi, "gamma_j": gj,
                 "w_shift": expected, "reverse_w_shift": ctx.neg(expected)}
 
@@ -170,14 +165,12 @@ def cmd_commutators(params: Params, args) -> dict:
 
 
 def cmd_prolong(params: Params, args) -> dict:
-    from .tower import (check_endo, compose_endo, extension_multiplicity,
-                        identity_endo, invert_endo, presentation,
-                        prolong_translation)
+    from .tower import (certify_automorphism, extension_multiplicity,
+                        presentation, prolong_translation)
 
     pres = presentation(params, "mixed")
     ctx = params.field()
     q, n = params.q, params.n
-    ident = identity_endo(pres)
     exhaustive = q <= 128
     if exhaustive:
         avals = list(range(q))
@@ -193,46 +186,22 @@ def cmd_prolong(params: Params, args) -> dict:
         avals = sorted(drawn)
     basis = prime_basis(ctx)
 
-    def certified(lift, b) -> bool:
-        """The lift restricts to x -> x + b and passes the relation check."""
-        return (lift.images["x"] == pres.x() + pres.const(b)
-                and check_endo(pres, lift).ok)
-
-    # Soundness: a basis lift s_i passing check_endo is an endomorphism of
-    # the tower's function field fixing F_q, so injective, and s_i o t_i =
-    # id makes it an automorphism with inverse t_i.  Each s_i sends x to
-    # x + b_i, so for a listed a whose base-p digits d_i replay below to
-    # sum d_i b_i = a, the composite of the s_i^d_i is an automorphism
-    # sending x to x + a, inverted by the reverse composite of the t_i:
-    # n certified lifts certify every listed translation.
-    for b in basis:
-        endo = prolong_translation(pres, b)
-        if not certified(endo, b):
-            raise IntegrityError(
-                "a prolongation failed its relation check or restriction")
-        if compose_endo(endo, invert_endo(endo)) != ident:
-            raise IntegrityError(f"lift of {b}: wrong inverse")
+    # Soundness: each lift is an automorphism (`certify_automorphism`).  A
+    # listed a whose digits d_i replay below to sum d_i b_i = a is reached
+    # by the composite of the s_i^d_i, s_i the lift of b_i; with L the lift
+    # of b_i + b_j, s_i s_j L^-1 and s_j s_i L^-1 fix x: they are vertical.
+    lifts = [(f"b{i}", b) for i, b in enumerate(basis)]
+    lifts += [(f"b{i} + b{j}", ctx.add(basis[i], basis[j]))
+              for i in range(n) for j in range(i, n)]
+    for name, b in lifts:
+        certify_automorphism(pres, prolong_translation(pres, b), b,
+                             f"lift of {name}")
     for a in avals:
         total = 0
         for d, b in zip(ctx.to_coeffs(a), basis):
             total = ctx.add(total, ctx.mul(d, b))
         if total != a:
             raise IntegrityError(f"translation {a} is not its basis sum")
-
-    # Soundness of the cocycles: the lift L of b_i + b_j passing
-    # check_endo is an endomorphism of the function field F fixing F_q,
-    # and it maps F_q(x) onto itself by x -> x + b_i + b_j.  F is a finite
-    # extension of F_q(x), so L(F) is a subfield of F of the same degree
-    # over F_q(x), L(F) = F, and L is an automorphism.  Then
-    # s_i o s_j o L^-1 and s_j o s_i o L^-1 are automorphisms fixing x,
-    # which is what vertical means: one certified L covers both orders
-    # of the pair (i, j), without composing or inverting anything.
-    for i in range(n):
-        for j in range(i, n):
-            b = ctx.add(basis[i], basis[j])
-            if not certified(prolong_translation(pres, b), b):
-                raise IntegrityError(
-                    "a prolongation cocycle left the vertical group")
 
     return {
         "command": "prolong",
@@ -272,21 +241,25 @@ _HELP = {
 
 def _atomic_write(path: str, text: str) -> None:
     """Replace a regular or missing file by renaming a temp file; write
-    a FIFO or device in place, which a rename would replace."""
+    a FIFO or device in place, which a rename would replace.  The file
+    keeps its mode, and a new one gets open()'s: 0o666 less the umask."""
     import stat
     import tempfile
 
     try:
-        regular = stat.S_ISREG(os.stat(path).st_mode)
+        mode = os.stat(path).st_mode
     except FileNotFoundError:
-        regular = True
-    if not regular:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = stat.S_IFREG | 0o666 & ~umask
+    if not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        os.fchmod(fd, stat.S_IMODE(mode))  # mkstemp's file is 0o600
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         os.replace(tmp, path)

@@ -9,6 +9,9 @@ the module (certifying endomorphisms, inverting them, commutators, the
 additive-equation solver, prolongations of x-translations) reduces to
 exact computations on these normal forms.
 
+Every automorphism a report relies on passes `certify_automorphism`; the
+finite-extension lemma stated there proves it one without inverting it.
+
 A monomial x^e0 y1^e1 y2^e2 v1^e3 v2^e4 w^e5 is one Python int,
 e0 << 5W | e1 << 4W | ... | e5 with W = FIELD_BITS bits per generator
 and x in the unbounded top bits: a product of monomials is one int
@@ -510,6 +513,20 @@ def check_endo(pres: TowerPresentation, endo: Endo) -> CheckResult:
     return CheckResult(ok=not defects, defects=defects)
 
 
+def certify_automorphism(pres: TowerPresentation, endo: Endo, a: int,
+                         label: str) -> Endo:
+    """Return endo once its x image is x + a and it passes `check_endo`,
+    else raise IntegrityError naming label.  That proves an automorphism
+    by the finite-extension lemma: an F_q-endomorphism of the function
+    field F that maps F_q(x) onto itself is an automorphism, since F is
+    finite over F_q(x) and its image is a subfield of the same degree."""
+    if endo.images["x"] != pres.x() + pres.const(a):
+        raise IntegrityError(f"{label} does not restrict to x -> x + {a}")
+    if not check_endo(pres, endo).ok:
+        raise IntegrityError(f"{label} fails the relation check")
+    return endo
+
+
 # ---------------------------------------------------------- shift tables
 
 
@@ -571,8 +588,8 @@ def extension_multiplicity(pres: TowerPresentation) -> int:
     basis = prime_basis(pres.ctx)
     for name, fam in vertical_shift_families(pres).items():
         for g in basis:
-            if not check_endo(pres, fam(g)).ok:
-                raise IntegrityError(f"vertical family {name} failed at {g}")
+            certify_automorphism(pres, fam(g), 0,
+                                 f"vertical family {name} at {g}")
     return pres.params.q ** len(pres.gens)
 
 

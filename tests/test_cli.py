@@ -285,6 +285,29 @@ def test_out_writes_into_a_fifo_without_replacing_it(tmp_path, capsys):
     assert received == [direct.encode("utf-8")]
 
 
+def test_written_files_get_the_mode_open_would_give(tmp_path, capsys):
+    """A new --out file and a new cache entry get 0o666 less the umask,
+    as open(path, "w") gives them, and a replaced --out file keeps its
+    mode, instead of the 0o600 of the temp file renamed over it."""
+    new, kept, cache = (tmp_path / "new.json", tmp_path / "kept.json",
+                        tmp_path / "cache")
+    kept.write_text("")
+    os.chmod(kept, 0o640)
+    old = os.umask(0o022)
+    try:
+        for out in (new, kept):
+            code, _, _ = run(["verify", "--p", "3", "--s", "1", "--out",
+                              str(out), "--cache-dir", str(cache)], capsys)
+            assert code == 0
+    finally:
+        os.umask(old)
+    entries = list(cache.iterdir())
+    assert len(entries) == 1
+    assert {path.name: stat.S_IMODE(os.stat(path).st_mode)
+            for path in (new, kept, *entries)} == {
+        "new.json": 0o644, "kept.json": 0o640, entries[0].name: 0o644}
+
+
 # Prints the modules that importing astower.cli, then running main on
 # the arguments, adds to those the interpreter had already loaded.
 _LOADS = """
@@ -527,8 +550,9 @@ def test_prolong_builds_each_lift_once(p, s, seed, built, monkeypatch,
     sums are built, whichever translations the seed lists.  The relation
     check runs n + n(n+1)/2 + 5n times: each basis lift, each pair-sum
     lift (which certifies both orders of its cocycle), and the five
-    vertical families at each basis element.  Only the n inverse checks
-    of the basis lifts compose or invert."""
+    vertical families at each basis element.  Nothing composes or
+    inverts: a certified lift is an automorphism by the finite-extension
+    lemma."""
     counts = {}
     for name in ("prolong_translation", "check_endo", "compose_endo",
                  "invert_endo"):
@@ -538,8 +562,23 @@ def test_prolong_builds_each_lift_once(p, s, seed, built, monkeypatch,
     assert code == 0
     n = 2 * s + 1
     assert counts == {"prolong_translation": built,
-                      "check_endo": n + n * (n + 1) // 2 + 5 * n,
-                      "compose_endo": n, "invert_endo": n}
+                      "check_endo": n + n * (n + 1) // 2 + 5 * n}
+
+
+@pytest.mark.parametrize("p, s", [(3, 1), (5, 1), (3, 2)])
+def test_commutators_certify_each_shift_once(p, s, monkeypatch, capsys):
+    """Each of the n sigma and n tau shifts is certified once; each of
+    the n^2 mixed pairs composes sigma tau, tau sigma and the w-shift
+    after it, and each same-kind pair i < j composes both orders.  No
+    reverse identity is composed and nothing is inverted."""
+    counts = {}
+    for name in ("check_endo", "compose_endo", "invert_endo"):
+        _count_calls(monkeypatch, tower, name, counts)
+    code, _, _ = run(["commutators", "--p", str(p), "--s", str(s)], capsys)
+    assert code == 0
+    n = 2 * s + 1
+    assert counts == {"check_endo": 2 * n,
+                      "compose_endo": 3 * n * n + 2 * n * (n - 1)}
 
 
 def test_prolong_stops_drawing_once_every_translation_is_listed():
@@ -556,21 +595,16 @@ def test_prolong_stops_drawing_once_every_translation_is_listed():
 # that the n basis lifts extend to every listed translation.
 
 
-def _mutate_lift_of(monkeypatch, name, a, mutate):
-    """Pass tower.<name>'s result through mutate(pres, result) where it
-    belongs to the translation x -> x + a (at p = 3, t has code 3 and
-    1 + t code 4)."""
-    real = getattr(tower, name)
+def _move_w_by_x_in_lift_of(monkeypatch, a):
+    """The lift of x -> x + a also moves w by x, which breaks its w
+    relation (at p = 3, t has code 3 and 1 + t code 4)."""
+    real = tower.prolong_translation
 
-    def mutant(*args):
-        out = real(*args)
-        pres = out.pres
-        lift = out if name == "prolong_translation" else args[0]
-        if lift.images["x"] == pres.x() + pres.const(a):
-            return mutate(pres, out)
-        return out
+    def mutant(pres, c):
+        lift = real(pres, c)
+        return lift.replace(w=lift.images["w"] + pres.x()) if c == a else lift
 
-    monkeypatch.setattr(tower, name, mutant)
+    monkeypatch.setattr(tower, "prolong_translation", mutant)
 
 
 def _swap_digits(monkeypatch):
@@ -584,20 +618,18 @@ def _swap_digits(monkeypatch):
 
 
 @pytest.mark.parametrize("mutant, reason", [
-    ("relation", "relation check"),
-    ("restriction", "relation check or restriction"),
-    ("inverse", "wrong inverse"),
+    ("relation", "lift of b1 fails the relation check"),
+    ("restriction", "lift of b1 does not restrict to x -> x + 3"),
     ("coordinates", "translation 1 is not its basis sum"),
     ("basis", "translation 3 is not its basis sum"),
-    ("cocycle", "cocycle left the vertical group"),
-    ("cocycle_restriction", "cocycle left the vertical group"),
-], ids=["relation", "restriction", "inverse", "coordinates", "basis",
-        "cocycle", "cocycle_restriction"])
+    ("cocycle", "lift of b0 + b1 fails the relation check"),
+    ("cocycle_restriction", "lift of b0 + b1 does not restrict to x -> x + 4"),
+], ids=["relation", "restriction", "coordinates", "basis", "cocycle",
+        "cocycle_restriction"])
 def test_prolong_refuses_a_broken_certificate(mutant, reason, monkeypatch,
                                               capsys):
-    if mutant == "relation":  # the lift of t breaks the w relation
-        _mutate_lift_of(monkeypatch, "prolong_translation", 3, lambda pres, e:
-                        e.replace(w=e.images["w"] + pres.x()))
+    if mutant in ("relation", "cocycle"):  # the lift of t (of 1 + t)
+        _move_w_by_x_in_lift_of(monkeypatch, 3 if mutant == "relation" else 4)
     elif mutant in ("restriction", "cocycle_restriction"):
         # the lift of t (of 1 + t) is the real lift of 2t (of 2 + t): it
         # passes the relation check but restricts to the wrong translation
@@ -605,12 +637,6 @@ def test_prolong_refuses_a_broken_certificate(mutant, reason, monkeypatch,
         real = tower.prolong_translation
         monkeypatch.setattr(tower, "prolong_translation", lambda pres, c:
                             real(pres, b if c == a else c))
-    elif mutant == "inverse":  # the inverse of t's lift is off by a shift
-        _mutate_lift_of(monkeypatch, "invert_endo", 3, lambda pres, inv:
-                        inv.replace(w=inv.images["w"] + pres.const(1)))
-    elif mutant == "cocycle":  # the lift of 1 + t moves w by x
-        _mutate_lift_of(monkeypatch, "prolong_translation", 4, lambda pres,
-                        e: e.replace(w=e.images["w"] + pres.x()))
     elif mutant == "coordinates":  # 1's digits do not replay to 1
         _swap_digits(monkeypatch)
     else:  # a "basis" that misses t, so t is not its digit sum
@@ -634,31 +660,33 @@ def test_commutators_refuse_a_perturbed_sigma_shift(monkeypatch, capsys):
     assert err.startswith("integrity failure")
 
 
-def test_commutators_refuse_a_reverse_shift_of_the_wrong_sign(monkeypatch,
-                                                              capsys):
-    """Only the reverse identity's w-shift has its sign flipped, so the
-    forward identity holds and the reverse check alone must refuse."""
-    real_sigma, real_compose = tower.sigma_shift, tower.compose_endo
-    sigmas, sigma_first = [], []  # held, so `is` never meets a new object
+def test_commutators_refuse_a_sigma_shift_that_moves_w_by_x(monkeypatch,
+                                                          capsys):
+    """A sigma whose w image gains x breaks the w relation; its
+    composites still meet every commutator identity, so only the shift's
+    own certificate can refuse it."""
+    real = tower.sigma_shift
 
-    def sigma(pres, g):
-        sigmas.append(real_sigma(pres, g))
-        return sigmas[-1]
+    def perturbed(pres, g):
+        shift = real(pres, g)
+        return shift.replace(w=shift.images["w"] + pres.x())
 
-    def compose(a, b):
-        if any(b is done for done in sigma_first):  # c^-1 o (sigma_i tau_j)
-            w = a.pres.gen("w")
-            a = a.replace(w=w - (a.images["w"] - w))
-        out = real_compose(a, b)
-        if any(a is s for s in sigmas):
-            sigma_first.append(out)
-        return out
+    monkeypatch.setattr(tower, "sigma_shift", perturbed)
+    _refused(["commutators", "--p", "3", "--s", "1"], capsys,
+             "sigma shift by 1 fails the relation check")
 
-    monkeypatch.setattr(tower, "sigma_shift", sigma)
-    monkeypatch.setattr(tower, "compose_endo", compose)
-    code, out, err = run(["commutators", "--p", "3", "--s", "1"], capsys)
-    assert code == 1 and out == ""
-    assert err.startswith("integrity failure") and "wrong sign" in err
+
+def test_commutators_refuse_a_certified_shift_with_the_wrong_commutator(
+        monkeypatch, capsys):
+    """The shift reported for t is the real shift by 2t: an automorphism
+    that passes its certificate, whose commutator with tau_j is the
+    w-shift by -4 t g_j instead of -2 t g_j."""
+    real = tower.sigma_shift
+    monkeypatch.setattr(tower, "sigma_shift", lambda pres, g:
+                        real(pres, 6 if g == 3 else g))
+    _refused(["commutators", "--p", "3", "--s", "1"], capsys,
+             "commutator at basis pair (1, 0) is not the expected central "
+             "shift")
 
 
 def _refused(argv, capsys, reason):
@@ -773,7 +801,7 @@ def test_prolong_refuses_a_wrong_vertical_shift(monkeypatch, capsys):
     code, out, err = run(["prolong", "--p", "3", "--s", "1"], capsys)
     assert code == 1 and out == ""
     assert err.startswith("integrity failure")
-    assert "vertical family w failed at 3" in err
+    assert "vertical family w at 3 fails the relation check" in err
 
 
 def test_cache_hit_loads_no_hashlib(tmp_path, capsys):

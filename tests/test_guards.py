@@ -4,11 +4,17 @@ Every certificate refusal (`raise IntegrityError`) has a test that makes
 it fire, and every function and class is reached from inside the
 package unless it is listed here with a reason.  Both lists are read
 from the source with `ast`, so a new refusal without a test, or a new
-name only the tests call, fails here.
+name only the tests call, fails here.  The benchmark's per-layer
+metrics are keyed on names its tracer wraps, so deleting or renaming
+one of those names fails here too.
 """
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "astower"
@@ -19,20 +25,12 @@ TESTS = ROOT / "tests"
 MUTANTS = {
     ("cli.py", "commutator at basis pair ({}, {}) is not the expected "
                "central shift"):
-        "test_cli.py::test_commutators_refuse_a_perturbed_sigma_shift",
-    ("cli.py", "reverse commutator at ({}, {}) has the wrong sign"):
-        "test_cli.py::test_commutators_refuse_a_reverse_shift_of_the_wrong_"
-        "sign",
+        "test_cli.py::test_commutators_refuse_a_certified_shift_with_the_"
+        "wrong_commutator",
     ("cli.py", "two same-kind shifts do not commute"):
         "test_cli.py::test_commutators_refuse_same_kind_shifts_that_do_not_"
         "commute",
-    ("cli.py", "a prolongation failed its relation check or restriction"):
-        "test_cli.py::test_prolong_refuses_a_broken_certificate",
-    ("cli.py", "lift of {}: wrong inverse"):
-        "test_cli.py::test_prolong_refuses_a_broken_certificate",
     ("cli.py", "translation {} is not its basis sum"):
-        "test_cli.py::test_prolong_refuses_a_broken_certificate",
-    ("cli.py", "a prolongation cocycle left the vertical group"):
         "test_cli.py::test_prolong_refuses_a_broken_certificate",
     ("genus.py", "conductor exponent {} is not reduced for p={}"):
         "test_genus.py::test_rh_genus_rejects_bad_jumps",
@@ -62,8 +60,10 @@ MUTANTS = {
         "test_cli.py::test_class_report_refuses_a_wrong_p_root",
     ("local.py", "reduced conductor jump {} divisible by {}"):
         "test_cli.py::test_conductor_refuses_an_unreduced_pole",
-    ("tower.py", "vertical family {} failed at {}"):
-        "test_cli.py::test_prolong_refuses_a_wrong_vertical_shift",
+    ("tower.py", "{} does not restrict to x -> x + {}"):
+        "test_cli.py::test_prolong_refuses_a_broken_certificate",
+    ("tower.py", "{} fails the relation check"):
+        "test_cli.py::test_commutators_refuse_a_sigma_shift_that_moves_w_by_x",
     ("tower.py", "additive solver witness failed its replay check"):
         "test_tower.py::test_wp_solve_refuses_a_wrong_affine_solution",
     ("tower.py", "presentations failed to link additively"):
@@ -78,9 +78,10 @@ UNCALLED = {
     "commutator": "metric tower.commutator.*; criterion 06's oracle",
     "presentation_equiv": "criterion 08; reaches wp_solve, whose calls "
                           "are metric tower.wp_solve.calls",
-    # the benchmark's tracer reads and resets the support watermark
+    # the benchmark's tracer reads the support watermark; only tests
+    # reset it
     "support_watermark": "read as metric laurent.support_max",
-    "reset_support_watermark": "resets the watermark between runs",
+    "reset_support_watermark": "tests reset the watermark between runs",
 }
 
 
@@ -131,3 +132,26 @@ def test_every_name_has_a_caller_in_the_package():
                 used.update(alias.name for alias in node.names)
     dunders = {n for n in defined if n.startswith("__") and n.endswith("__")}
     assert defined - dunders - used == set(UNCALLED)
+
+
+def test_every_per_layer_metric_is_keyed_on_a_traced_name(tmp_path):
+    """Each per-layer metric `<key>.calls`, `<key>.s` or `<key>.self_s`
+    in BENCHMARK.json names a function or method the benchmark's tracer
+    wraps, or a layer holding one; a name deleted from the package would
+    leave its metrics absent from every traced run."""
+    trace = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(trace),
+         "verify", "--p", "3", "--s", "1"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    wrapped = set(json.loads(trace.read_text(encoding="utf-8"))["stats"])
+    layers = {key.split(".", 1)[0] for key in wrapped}
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    keys = {key for key, _, stat in (metric["name"].rpartition(".")
+                                     for metric in spec["per_layer"])
+            if stat in ("calls", "s", "self_s")}
+    assert keys
+    assert keys - wrapped - layers == set()
