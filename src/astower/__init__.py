@@ -25,11 +25,11 @@ _OWNERS = {
     "laurent": ("LaurentPoly", "TruncatedSeries"),
     "local": ("build_uniformizer", "conductor_of_cover", "cover_rhs_polys",
               "expand_at_infinity", "reduce_mod_wp"),
-    "tower": ("certify_automorphism", "check_endo", "commutator",
-              "compose_endo", "extension_multiplicity", "identity_endo",
-              "invert_endo", "presentation", "presentation_equiv",
-              "prolong_translation", "sigma_shift", "tau_shift",
-              "vertical_shift_families", "wp_solve"),
+    "tower": ("certify_automorphism", "certify_group", "check_endo",
+              "commutator", "compose_endo", "extension_multiplicity",
+              "identity_endo", "invert_endo", "presentation",
+              "presentation_equiv", "prolong_translation", "sigma_shift",
+              "tau_shift", "vertical_shift_families", "wp_solve"),
 }
 _OWNER = {name: module for module, names in _OWNERS.items()
           for name in names}

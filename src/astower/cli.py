@@ -18,8 +18,8 @@ from . import __version__
 from .errors import IntegrityError, ParameterError, UnsupportedError
 from .ff import MAX_FIELD_Q, Params, _within_budget, prime_basis
 
-# Each command imports the layers it uses when it runs, so a report
-# loads only those: the class reports never load `tower`, and
+# Each command imports the layers it uses when it runs: conductor, genus
+# and audit never load `tower`, which verify loads to certify |G|, and
 # commutators/prolong never load `genus`, `local` or `laurent`.
 
 
@@ -165,10 +165,13 @@ def cmd_commutators(params: Params, args) -> dict:
 
 
 def cmd_prolong(params: Params, args) -> dict:
-    from .tower import (certify_automorphism, extension_multiplicity,
-                        presentation, prolong_translation)
+    """Soundness: `certify_group` certifies each lift s_i of b_i.  A listed
+    a whose digits d_i replay to sum d_i b_i = a is reached by the composite
+    of the s_i^d_i.  s_i s_j and s_j s_i both restrict to x -> x + b_i + b_j,
+    so each of the n^2 cocycles s_i s_j (s_j s_i)^-1 fixes x and is
+    vertical by the finite-extension lemma."""
+    from .tower import certify_group, presentation
 
-    pres = presentation(params, "mixed")
     ctx = params.field()
     q, n = params.q, params.n
     exhaustive = q <= 128
@@ -186,16 +189,7 @@ def cmd_prolong(params: Params, args) -> dict:
         avals = sorted(drawn)
     basis = prime_basis(ctx)
 
-    # Soundness: each lift is an automorphism (`certify_automorphism`).  A
-    # listed a whose digits d_i replay below to sum d_i b_i = a is reached
-    # by the composite of the s_i^d_i, s_i the lift of b_i; with L the lift
-    # of b_i + b_j, s_i s_j L^-1 and s_j s_i L^-1 fix x: they are vertical.
-    lifts = [(f"b{i}", b) for i, b in enumerate(basis)]
-    lifts += [(f"b{i} + b{j}", ctx.add(basis[i], basis[j]))
-              for i in range(n) for j in range(i, n)]
-    for name, b in lifts:
-        certify_automorphism(pres, prolong_translation(pres, b), b,
-                             f"lift of {name}")
+    total_order = certify_group(presentation(params, "mixed"))
     for a in avals:
         total = 0
         for d, b in zip(ctx.to_coeffs(a), basis):
@@ -212,8 +206,8 @@ def cmd_prolong(params: Params, args) -> dict:
         "inverses_ok": True,
         "cocycle_pairs": n ** 2,
         "cocycles_vertical": True,
-        "multiplicity": extension_multiplicity(pres),
-        "total_order": q ** 6,
+        "multiplicity": total_order // q,
+        "total_order": total_order,
     }
 
 

@@ -409,13 +409,15 @@ bound_printed are 2p/(p-1) times the genus as `Exact`."""
 def verify_big_action(params: Params) -> BigActionReport:
     """Check |G| > 2p/(p-1) * g for the full action, under both readings.
 
-    The group is the extension of the q-fold translation group by the
-    q^5 vertical shifts, so |G| = q^6.  The inequality is decided in
-    integers as |G| * (p-1) > 2p * g.
+    |G| = q^6 is certified in this run by `tower.certify_group`, imported
+    here so that the other class reports never load `tower`.  The
+    inequality is decided in integers as |G| * (p-1) > 2p * g.
     """
+    from .tower import certify_group, presentation
+
     rep = genus_of_F(params)
     p = params.p
-    order = params.q ** 6
+    order = certify_group(presentation(params, "mixed"))
     is_big = order * (p - 1) > 2 * p * rep.genus
     is_big_printed = order * (p - 1) > 2 * p * rep.genus_printed
     return BigActionReport(

@@ -564,33 +564,35 @@ def vertical_shift_families(pres: TowerPresentation
     _require_mixed(pres)
 
     def simple(name: str) -> Callable[[int], Endo]:
-        def fam(g: int) -> Endo:
-            return identity_endo(pres).replace(
-                **{name: pres.gen(name) + pres.const(g)})
-        return fam
+        return lambda g: identity_endo(pres).replace(
+            **{name: pres.gen(name) + pres.const(g)})
 
-    return {
-        "y1": lambda g: sigma_shift(pres, g),
-        "y2": lambda g: tau_shift(pres, g),
-        "v1": simple("v1"),
-        "v2": simple("v2"),
-        "w": simple("w"),
-    }
+    return {"y1": lambda g: sigma_shift(pres, g),
+            "y2": lambda g: tau_shift(pres, g),
+            **{name: simple(name) for name in ("v1", "v2", "w")}}
 
 
 def extension_multiplicity(pres: TowerPresentation) -> int:
-    """Number of endomorphisms above a fixed x-translation.
-
-    The five certified shift families fix x, move independent
-    generators, and are additive in their parameter, so they generate a
-    group of order q^5 acting simply transitively on the extensions.
-    """
+    """Certify the five vertical families at each basis element and return
+    q^5, the lifts of each x-translation (see `certify_group`)."""
     basis = prime_basis(pres.ctx)
     for name, fam in vertical_shift_families(pres).items():
         for g in basis:
             certify_automorphism(pres, fam(g), 0,
                                  f"vertical family {name} at {g}")
     return pres.params.q ** len(pres.gens)
+
+
+def certify_group(pres: TowerPresentation) -> int:
+    """Certify and return |G| = q^6, G the x-translations extended by the
+    vertical shifts.  Composites of the n certified basis lifts reach every
+    a = sum d_i b_i.  The five additive families of `extension_multiplicity`
+    give q^5 distinct automorphisms fixing x, and the degree q^5 of F over
+    F_q(x) caps those at q^5, so each translation has q^5 lifts."""
+    for i, b in enumerate(prime_basis(pres.ctx)):
+        certify_automorphism(pres, prolong_translation(pres, b), b,
+                             f"lift of b{i}")
+    return pres.params.q * extension_multiplicity(pres)
 
 
 # --------------------------------------------------------------- solver

@@ -365,7 +365,7 @@ _CLASS_LAYERS = {"astower.genus", "astower.local", "astower.laurent"}
 
 
 @pytest.mark.parametrize("command, used, unused", [
-    ("verify", _CLASS_LAYERS, {"astower.tower"}),
+    ("verify", _CLASS_LAYERS | {"astower.tower"}, set()),
     ("conductor", _CLASS_LAYERS, {"astower.tower"}),
     ("genus", _CLASS_LAYERS, {"astower.tower"}),
     ("audit", _CLASS_LAYERS, {"astower.tower"}),
@@ -542,27 +542,26 @@ def test_shift_reports_skip_orbit_representatives(command, monkeypatch,
     assert counts == {}
 
 
-@pytest.mark.parametrize("p, s, seed, built", [
-    (3, 1, 0, 9), (5, 1, 0, 9), (3, 2, 0, 20), (3, 2, 7, 20)])
-def test_prolong_builds_each_lift_once(p, s, seed, built, monkeypatch,
+@pytest.mark.parametrize("p, s, seed", [
+    (3, 1, 0), (5, 1, 0), (3, 2, 0), (3, 2, 7)])
+@pytest.mark.parametrize("command", ["prolong", "verify"])
+def test_prolong_builds_each_lift_once(command, p, s, seed, monkeypatch,
                                        capsys):
-    """Only the n basis lifts and those of the n(n+1)/2 pairwise basis
-    sums are built, whichever translations the seed lists.  The relation
-    check runs n + n(n+1)/2 + 5n times: each basis lift, each pair-sum
-    lift (which certifies both orders of its cocycle), and the five
-    vertical families at each basis element.  Nothing composes or
-    inverts: a certified lift is an automorphism by the finite-extension
-    lemma."""
+    """Both reports run the one group certificate, `certify_group`: only
+    the n basis lifts are built, whichever translations the seed lists,
+    and the relation check runs 6n times, once for each basis lift and
+    once for each of the five vertical families at each basis element.
+    Nothing composes or inverts: a certified lift is an automorphism by
+    the finite-extension lemma."""
     counts = {}
     for name in ("prolong_translation", "check_endo", "compose_endo",
                  "invert_endo"):
         _count_calls(monkeypatch, tower, name, counts)
-    code, _, _ = run(["prolong", "--p", str(p), "--s", str(s),
+    code, _, _ = run([command, "--p", str(p), "--s", str(s),
                       "--seed", str(seed)], capsys)
     assert code == 0
     n = 2 * s + 1
-    assert counts == {"prolong_translation": built,
-                      "check_endo": n + n * (n + 1) // 2 + 5 * n}
+    assert counts == {"prolong_translation": n, "check_endo": 6 * n}
 
 
 @pytest.mark.parametrize("p, s", [(3, 1), (5, 1), (3, 2)])
@@ -597,7 +596,7 @@ def test_prolong_stops_drawing_once_every_translation_is_listed():
 
 def _move_w_by_x_in_lift_of(monkeypatch, a):
     """The lift of x -> x + a also moves w by x, which breaks its w
-    relation (at p = 3, t has code 3 and 1 + t code 4)."""
+    relation (at p = 3, t has code 3)."""
     real = tower.prolong_translation
 
     def mutant(pres, c):
@@ -622,21 +621,17 @@ def _swap_digits(monkeypatch):
     ("restriction", "lift of b1 does not restrict to x -> x + 3"),
     ("coordinates", "translation 1 is not its basis sum"),
     ("basis", "translation 3 is not its basis sum"),
-    ("cocycle", "lift of b0 + b1 fails the relation check"),
-    ("cocycle_restriction", "lift of b0 + b1 does not restrict to x -> x + 4"),
-], ids=["relation", "restriction", "coordinates", "basis", "cocycle",
-        "cocycle_restriction"])
+], ids=["relation", "restriction", "coordinates", "basis"])
 def test_prolong_refuses_a_broken_certificate(mutant, reason, monkeypatch,
                                               capsys):
-    if mutant in ("relation", "cocycle"):  # the lift of t (of 1 + t)
-        _move_w_by_x_in_lift_of(monkeypatch, 3 if mutant == "relation" else 4)
-    elif mutant in ("restriction", "cocycle_restriction"):
-        # the lift of t (of 1 + t) is the real lift of 2t (of 2 + t): it
-        # passes the relation check but restricts to the wrong translation
-        a, b = (3, 6) if mutant == "restriction" else (4, 5)
+    if mutant == "relation":  # the lift of t
+        _move_w_by_x_in_lift_of(monkeypatch, 3)
+    elif mutant == "restriction":
+        # the lift of t is the real lift of 2t: it passes the relation
+        # check but restricts to the wrong translation
         real = tower.prolong_translation
         monkeypatch.setattr(tower, "prolong_translation", lambda pres, c:
-                            real(pres, b if c == a else c))
+                            real(pres, 6 if c == 3 else c))
     elif mutant == "coordinates":  # 1's digits do not replay to 1
         _swap_digits(monkeypatch)
     else:  # a "basis" that misses t, so t is not its digit sum
@@ -647,33 +642,31 @@ def test_prolong_refuses_a_broken_certificate(mutant, reason, monkeypatch,
     assert err.startswith("integrity failure") and reason in err
 
 
-def test_commutators_refuse_a_perturbed_sigma_shift(monkeypatch, capsys):
-    real = tower.sigma_shift
-
-    def perturbed(pres, g):  # w picks up y2, which tau moves by g_j
-        shift = real(pres, g)
-        return shift.replace(w=shift.images["w"] + pres.gen("y2"))
-
-    monkeypatch.setattr(tower, "sigma_shift", perturbed)
-    code, out, err = run(["commutators", "--p", "3", "--s", "1"], capsys)
-    assert code == 1 and out == ""
-    assert err.startswith("integrity failure")
-
-
-def test_commutators_refuse_a_sigma_shift_that_moves_w_by_x(monkeypatch,
+@pytest.mark.parametrize("extra", ["x", "y2"])
+def test_commutators_refuse_a_sigma_shift_that_moves_w_by_x(extra,
+                                                          monkeypatch,
                                                           capsys):
-    """A sigma whose w image gains x breaks the w relation; its
-    composites still meet every commutator identity, so only the shift's
-    own certificate can refuse it."""
+    """A sigma whose w image gains x, or y2 (which tau moves by g_j),
+    breaks the w relation, and the shift's own certificate refuses it.
+    With x its composites still meet every commutator identity, so only
+    that certificate can refuse it."""
     real = tower.sigma_shift
 
     def perturbed(pres, g):
         shift = real(pres, g)
-        return shift.replace(w=shift.images["w"] + pres.x())
+        moved = pres.x() if extra == "x" else pres.gen(extra)
+        return shift.replace(w=shift.images["w"] + moved)
 
     monkeypatch.setattr(tower, "sigma_shift", perturbed)
     _refused(["commutators", "--p", "3", "--s", "1"], capsys,
              "sigma shift by 1 fails the relation check")
+
+
+def test_verify_refuses_a_broken_basis_lift(monkeypatch, capsys):
+    """verify prints |G| only once this run certified the basis lifts."""
+    _move_w_by_x_in_lift_of(monkeypatch, 3)
+    _refused(["verify", "--p", "3", "--s", "1"], capsys,
+             "lift of b1 fails the relation check")
 
 
 def test_commutators_refuse_a_certified_shift_with_the_wrong_commutator(
@@ -779,9 +772,11 @@ def test_class_report_refuses_a_wrong_p_root(monkeypatch, capsys):
     assert "additive reduction failed its replay check" in err
 
 
-def test_prolong_refuses_a_wrong_vertical_shift(monkeypatch, capsys):
+@pytest.mark.parametrize("command", ["prolong", "verify"])
+def test_prolong_refuses_a_wrong_vertical_shift(command, monkeypatch, capsys):
     """One image of one vertical family moves w by x as well, which
-    breaks the w relation, so the multiplicity must not be reported."""
+    breaks the w relation, so neither report that prints the group order
+    may print it."""
     real = tower.vertical_shift_families
 
     def families(pres):
@@ -798,7 +793,7 @@ def test_prolong_refuses_a_wrong_vertical_shift(monkeypatch, capsys):
         return fams
 
     monkeypatch.setattr(tower, "vertical_shift_families", families)
-    code, out, err = run(["prolong", "--p", "3", "--s", "1"], capsys)
+    code, out, err = run([command, "--p", "3", "--s", "1"], capsys)
     assert code == 1 and out == ""
     assert err.startswith("integrity failure")
     assert "vertical family w at 3 fails the relation check" in err

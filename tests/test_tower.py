@@ -13,6 +13,7 @@ from astower import tower
 from astower.errors import IntegrityError, ParameterError, UnsupportedError
 from astower.ff import Params, basis_and_reps, make_field
 from astower.tower import (
+    certify_group,
     check_endo,
     commutator,
     compose_endo,
@@ -430,6 +431,7 @@ def test_vertical_families_and_multiplicity(mixed):
         assert check_endo(mixed, e).ok
         assert compose_endo(fam(3), fam(9)) == fam(mixed.ctx.add(3, 9))
     assert extension_multiplicity(mixed) == 27 ** 5
+    assert certify_group(mixed) == 27 ** 6
 
 
 def test_prolong_identity_at_zero(mixed):
