@@ -496,7 +496,7 @@ def main(argv=None) -> int:
     else:
         print(rendered, end="")
     elapsed = time.perf_counter() - started
-    print(f"{args.command} elapsed {elapsed:.3f}s", file=sys.stderr)
+    print(f"{args.command} elapsed {elapsed:.6f}s", file=sys.stderr)
     return code
 
 

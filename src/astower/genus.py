@@ -94,8 +94,8 @@ def conductor_ladder(params: Params) -> Dict[str, int]:
     }
 
 
-def _line_histogram(ctx: FieldCtx, reduced_basis: List[Dict[int, int]]
-                    ) -> Dict[int, int]:
+def _line_histogram(ctx: FieldCtx, reduced_basis: List[Dict[int, int]],
+                    pivots: Optional[dict] = None) -> Dict[int, int]:
     """Conductor histogram {m: lines} over every line of a coefficient space.
 
     reduced_basis holds the `reduce_mod_wp(...).reduced` principal parts
@@ -105,9 +105,8 @@ def _line_histogram(ctx: FieldCtx, reduced_basis: List[Dict[int, int]]
     Soundness: each reduction replayed its certificate
     f_i = red_i + (u_i^p - u_i) + (terms without a pole).  Since
     u -> u^p - u is additive, u = sum a_i u_i certifies
-    sum a_i f_i = sum a_i red_i + (u^p - u) + (terms without a pole), and
-    sum a_i red_i has no pole order divisible by p because no red_i has
-    one.  So the top pole order e of sum a_i red_i gives the line's
+    sum a_i f_i = sum a_i red_i + (u^p - u) + (terms without a pole).  So
+    a line whose top pole order e in sum a_i red_i is prime to p has
     conductor m = e + 1 (Stichtenoth, Prop. 3.7.8), proved from the dim
     replayed basis certificates rather than from sampled lines.
 
@@ -118,6 +117,11 @@ def _line_histogram(ctx: FieldCtx, reduced_basis: List[Dict[int, int]]
     of the columns above e and at or above e, the lines whose top pole
     order is e number (p^k_{>e} - p^k_{>=e}) / (p - 1).
 
+    Rows are eliminated one at a time and never change an earlier pivot,
+    so `pivots` may carry the echelon an earlier call left (full rank, so
+    len(pivots) rows): the new rows extend it in place, each entered
+    once, and the histogram covers the old and new rows together.
+
     Every bar must be a reduced conductor (m >= 2, m - 1 prime to p) and
     the bars must cover all (p^dim - 1)/(p - 1) lines (no line without a
     pole); either failure raises IntegrityError.
@@ -125,7 +129,8 @@ def _line_histogram(ctx: FieldCtx, reduced_basis: List[Dict[int, int]]
     p = ctx.p
     # echelon rows keyed by their leading column (exponent, digit); the
     # most negative exponent is the highest pole order and sorts first
-    pivots: Dict[Tuple[int, int], Dict[Tuple[int, int], int]] = {}
+    pivots = {} if pivots is None else pivots
+    dim = len(pivots) + len(reduced_basis)
     for red in reduced_basis:
         row = {(e, j): d for e, c in red.items()
                for j, d in enumerate(ctx.to_coeffs(c)) if d}
@@ -147,7 +152,7 @@ def _line_histogram(ctx: FieldCtx, reduced_basis: List[Dict[int, int]]
     for e, _ in pivots:
         rank_at[-e] = rank_at.get(-e, 0) + 1
     hist: Dict[int, int] = {}
-    kernel = len(reduced_basis)
+    kernel = dim
     for pole in sorted(rank_at, reverse=True):
         m = pole + 1
         if m < 2 or pole % p == 0:
@@ -156,7 +161,7 @@ def _line_histogram(ctx: FieldCtx, reduced_basis: List[Dict[int, int]]
         rank = rank_at[pole]
         hist[m] = (p ** kernel - p ** (kernel - rank)) // (p - 1)
         kernel -= rank
-    if sum(hist.values()) != (p ** len(reduced_basis) - 1) // (p - 1):
+    if sum(hist.values()) != (p ** dim - 1) // (p - 1):
         raise IntegrityError(
             f"{p ** kernel - 1} nonzero vectors of the coefficient space "
             "reduce to no pole")
@@ -169,9 +174,11 @@ def _certified_classes(params: Params, top: int) -> Dict[str, int]:
     The coefficient space V_{<=i} is spanned by b * part_j for j <= i and
     b in the F_p-basis of F_q; each part is expanded once and scaled by
     b (expansion is F_q-linear), and each product is reduced on its own
-    (reduction is only F_p-linear).  Class i's histogram is
-    hist(V_{<=i}) - hist(V_{<i}) and must be the single bar
-    {ladder[label]: class_line_counts[label]}.
+    (reduction is only F_p-linear).  The classes grow one running echelon
+    (see `_line_histogram`), so each of the (top + 1) * n rows is
+    eliminated once and hist(V_{<=i}) is read off the pivots after class
+    i.  Class i's histogram is hist(V_{<=i}) - hist(V_{<i}) and must be
+    the single bar {ladder[label]: class_line_counts[label]}.
     """
     ctx = params.field()
     data = build_uniformizer(params)
@@ -180,13 +187,13 @@ def _certified_classes(params: Params, top: int) -> Dict[str, int]:
     ladder = conductor_ladder(params)
     counts = class_line_counts(params)
     labels = _CLASS_ORDER[:top + 1]
-    reduced: List[Dict[int, int]] = []
+    pivots: dict = {}
     below: Dict[int, int] = {}
     for label in labels:
         expansion = expand_at_infinity(data, parts[label])
-        reduced += [reduce_mod_wp(ctx, expansion.scale(b)).reduced
-                    for b in basis]
-        upto = _line_histogram(ctx, reduced)
+        upto = _line_histogram(
+            ctx, [reduce_mod_wp(ctx, expansion.scale(b)).reduced
+                  for b in basis], pivots)
         want = dict(below)
         m = ladder[label]
         want[m] = want.get(m, 0) + counts[label]

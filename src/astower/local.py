@@ -22,6 +22,7 @@ from collections import namedtuple
 from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import IntegrityError, ParameterError, UnsupportedError
+from ._kernel_py import lp_add_scaled
 from .ff import FieldCtx, Params
 from .laurent import LaurentPoly, TruncatedSeries
 
@@ -30,8 +31,8 @@ class XYPoly:
     """Sparse polynomial in (x, y) with F_q coefficients.
 
     Keys are (x_exponent, y_exponent) pairs; y stands for the first
-    tower generator.  Only the small linear-algebra surface the cover
-    pipeline needs is implemented.
+    tower generator.  Sums and scalings run through `_kernel_py`, whose
+    loops only index keys, so pair keys serve as well as ints.
     """
 
     __slots__ = ("ctx", "d")
@@ -43,21 +44,12 @@ class XYPoly:
             raise ParameterError("XYPoly exponents must be nonnegative")
 
     def scale(self, c: int) -> "XYPoly":
-        if c == 0:
-            return XYPoly(self.ctx)
-        mul = self.ctx.mul
-        return XYPoly(self.ctx, {m: mul(v, c) for m, v in self.d.items()})
+        return XYPoly(self.ctx, lp_add_scaled({}, self.d, c,
+                                              *self.ctx.kernel_args))
 
     def __add__(self, other: "XYPoly") -> "XYPoly":
-        out = dict(self.d)
-        add = self.ctx.add
-        for m, c in other.d.items():
-            v = add(out.get(m, 0), c)
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        return XYPoly(self.ctx, out)
+        return XYPoly(self.ctx, lp_add_scaled(self.d, other.d, 1,
+                                              *self.ctx.kernel_args))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, XYPoly) and self.d == other.d
@@ -79,7 +71,7 @@ def cover_rhs_polys(params: Params) -> Dict[str, XYPoly]:
     q0, q = params.q0, params.q
     n1 = ctx.neg(1)
     n2 = ctx.neg(2)
-    out = {
+    return {
         "y1": XYPoly(ctx, {(q0 + q, 0): 1, (q0 + 1, 0): n1}),
         "y2": XYPoly(ctx, {(2 * q0 + q, 0): 1, (2 * q0 + 1, 0): n1}),
         "v1": XYPoly(ctx, {(q0 + 2 * q, 0): 1, (q0 + 2, 0): n1}),
@@ -92,7 +84,6 @@ def cover_rhs_polys(params: Params) -> Dict[str, XYPoly]:
             (3 * q0 + 2, 0): 1,
         }),
     }
-    return out
 
 
 class UniformizerData:
@@ -179,23 +170,19 @@ def expand_at_infinity(data: UniformizerData, rhs: XYPoly) -> TruncatedSeries:
 
 
 def expand_rational(ctx: FieldCtx, rhs: XYPoly) -> LaurentPoly:
-    """Evaluate rhs at x = 1/z, the uniformizer at infinity of F_q(x)."""
-    out = {}
-    for (ex, ey), c in rhs.d.items():
-        if ey:
-            raise ParameterError("rational-base expansion is x-only")
-        v = ctx.add(out.get(-ex, 0), c)
-        if v:
-            out[-ex] = v
-        else:
-            out.pop(-ex, None)
-    return LaurentPoly(ctx, out, _trusted=True)
+    """Evaluate rhs at x = 1/z, the uniformizer at infinity of F_q(x).
+
+    Its keys (e, 0) are distinct, so x^e -> z^-e needs no sum.
+    """
+    if any(ey for _, ey in rhs.d):
+        raise ParameterError("rational-base expansion is x-only")
+    return LaurentPoly(ctx, {-ex: c for (ex, _), c in rhs.d.items()},
+                       _trusted=True)
 
 
 ReducedPart = namedtuple(
     "ReducedPart", "reduced witnesses dropped const geometric")
-ReducedPart.__doc__ = """Principal part normalized mod the additive kernel
-image.
+ReducedPart.__doc__ = """Principal part reduced mod the image of u -> u^p - u.
 
 witnesses is the list of (m, r) with u = r * z^-m applied as
 f -> f - (u^p - u), in application order; `reduced` has no pole
@@ -207,6 +194,17 @@ itself of the form u^p - u and the cover stays geometric.
 
 def reduce_mod_wp(ctx: FieldCtx, f: Union[TruncatedSeries, LaurentPoly]
                   ) -> ReducedPart:
+    """Normalize the principal part of f modulo the image of u -> u^p - u.
+
+    A fold moves c*z^e (p | e) to p_root(c)*z^(e/p), a higher order, so
+    only p*e folds into e.  One ascending sweep over the orders a fold
+    can reach therefore visits each once, after all that lands on it,
+    in the min-first order of repeatedly folding the top divisible pole.
+    The certificate is then replayed once, exactly: with u = sum r*z^-m,
+    f == reduced + (u^p - u) + dropped + const.  Each order folds once,
+    so the m are distinct; were two equal, u would merge them and the
+    identity would fail closed.
+    """
     if isinstance(f, TruncatedSeries) and f.prec <= 0:
         raise ParameterError(
             f"series certified only above z^{f.prec}; cannot reduce")
@@ -217,28 +215,22 @@ def reduce_mod_wp(ctx: FieldCtx, f: Union[TruncatedSeries, LaurentPoly]
     dropped = {e: c for e, c in original.items() if e > 0}
     const = original.get(0, 0)
 
+    folds = set()
+    for e in work:
+        while e % p == 0:
+            folds.add(e)
+            e //= p
     witnesses: List[Tuple[int, int]] = []
-    while True:
-        cands = [e for e in work if e % p == 0]
-        if not cands:
-            break
-        e = min(cands)
-        c = work.pop(e)
-        r = ctx.p_root(c)
-        ne = e // p
-        v = ctx.add(work.get(ne, 0), r)
-        if v:
-            work[ne] = v
-        else:
-            work.pop(ne, None)
-        witnesses.append((-ne, r))
+    for e in sorted(folds):
+        c = work.pop(e, 0)
+        if c:
+            r = ctx.p_root(c)
+            work[e // p] = ctx.add(work.get(e // p, 0), r)
+            witnesses.append((-(e // p), r))
+    work = {e: c for e, c in work.items() if c}
 
-    # replay the certificate against the input, exactly
-    acc = LaurentPoly(ctx, work)
-    for m, r in witnesses:
-        acc = acc + LaurentPoly(ctx, {-p * m: ctx.frobenius_iter(r, 1),
-                                      -m: ctx.neg(r)})
-    acc = acc + LaurentPoly(ctx, dropped) + LaurentPoly(ctx, {0: const})
+    u = LaurentPoly(ctx, {-m: r for m, r in witnesses})
+    acc = LaurentPoly(ctx, {**work, **dropped, 0: const}) + u.pow_pk(1) - u
     if acc.d != original:
         raise IntegrityError("additive reduction failed its replay check")
 

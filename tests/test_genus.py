@@ -12,6 +12,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from astower import genus
 from astower.errors import IntegrityError, ParameterError
 from astower.ff import Params, make_field
 from astower.genus import (
@@ -190,12 +191,43 @@ def test_class_conductors_reject_a_wrong_ladder(monkeypatch):
         class_conductors(P31)
 
 
+class _CountedRow(dict):
+    """A reduced part that counts how often it is read as an echelon row."""
+
+    reads = 0
+
+    def items(self):
+        _CountedRow.reads += 1
+        return super().items()
+
+
+@pytest.mark.parametrize("params", [P31, P51, P32])
+def test_class_conductors_eliminate_each_row_once(params, monkeypatch):
+    """The four classes grow one echelon: each of their 4n reduced parts
+    enters the elimination once, where recomputing the 1n, 2n, 3n and 4n
+    row prefixes would enter 10n."""
+    real = genus.reduce_mod_wp
+
+    def counted(ctx, f):
+        out = real(ctx, f)
+        return out._replace(reduced=_CountedRow(out.reduced))
+
+    monkeypatch.setattr(genus, "reduce_mod_wp", counted)
+    _CountedRow.reads = 0
+    assert class_conductors(params) == conductor_ladder(params)
+    assert _CountedRow.reads == 4 * params.n
+
+
 # ------------------------------------------------------ line certifier
 
 def test_line_histogram_counts_lines_by_top_pole():
     F3, F27 = make_field(3, 1), make_field(3, 3)
     # a*z^-2 + b*z^-1: 3 lines with a != 0, 1 line with a = 0
     assert _line_histogram(F3, [{-2: 1}, {-1: 1}]) == {3: 3, 2: 1}
+    # an echelon carried over from the first rows gives the same bars
+    pivots = {}
+    assert _line_histogram(F3, [{-2: 1}], pivots) == {3: 1}
+    assert _line_histogram(F3, [{-1: 1}], pivots) == {3: 3, 2: 1}
     # 1 and t are F_3-independent at the same pole order
     assert _line_histogram(F27, [{-2: 1, -1: 5}, {-2: 3}]) == {3: 4}
     assert _line_histogram(F27, []) == {}

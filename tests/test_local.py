@@ -7,6 +7,7 @@ the sparse pipeline computes the same functions.
 """
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from astower.laurent import (
     support_watermark,
 )
 from astower.local import (
+    ReducedPart,
     XYPoly,
     build_uniformizer,
     conductor_of_cover,
@@ -192,6 +194,31 @@ def test_conductor_over_rational_base():
     assert r2.m == 12
 
 
+def _xy_oracle_add(ctx, a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = ctx.add(out.get(m, 0), c)
+    return {m: c for m, c in out.items() if c}
+
+
+@settings(max_examples=50)
+@given(data=st.data())
+def test_xypoly_add_and_scale_match_a_dict_oracle(data):
+    ctx = make_field(*data.draw(st.sampled_from([(3, 3), (5, 3)])))
+    monomials = st.tuples(st.integers(0, 6), st.integers(0, 2))
+    coeffs = st.integers(1, ctx.q - 1)
+    a = data.draw(st.dictionaries(monomials, coeffs, max_size=6))
+    b = data.draw(st.dictionaries(monomials, coeffs, max_size=6))
+    c = data.draw(st.integers(0, ctx.q - 1))
+    assert (XYPoly(ctx, a) + XYPoly(ctx, b)).d == _xy_oracle_add(ctx, a, b)
+    assert XYPoly(ctx, a).scale(c).d == {
+        m: ctx.mul(v, c) for m, v in a.items() if ctx.mul(v, c)}
+    # a sum that cancels to zero leaves no zero coefficient behind
+    minus = XYPoly(ctx, a).scale(ctx.neg(1))
+    assert (XYPoly(ctx, a) + minus).d == {}
+    assert (XYPoly(ctx, a) + XYPoly(ctx, b) + minus).d == b
+
+
 def test_rational_base_rejects_y_terms():
     ctx = make_field(3, 3)
     with pytest.raises(ParameterError):
@@ -291,6 +318,83 @@ def test_reduce_invariant_under_wp_shifts(data):
             fd.pop(e, None)
     assert reduce_mod_wp(ctx, LaurentPoly(ctx, fd)).reduced == \
         reduce_mod_wp(ctx, LaurentPoly(ctx, f)).reduced
+
+
+def _reduce_oracle(ctx, f):
+    """The min-first reduction: fold the most negative pole order
+    divisible by p until none is left, then replay each witness on its
+    own against the input."""
+    original = f.d
+    p = ctx.p
+    work = {e: c for e, c in original.items() if e < 0}
+    dropped = {e: c for e, c in original.items() if e > 0}
+    const = original.get(0, 0)
+    witnesses = []
+    while True:
+        cands = [e for e in work if e % p == 0]
+        if not cands:
+            break
+        e = min(cands)
+        r = ctx.p_root(work.pop(e))
+        ne = e // p
+        v = ctx.add(work.get(ne, 0), r)
+        if v:
+            work[ne] = v
+        else:
+            work.pop(ne, None)
+        witnesses.append((-ne, r))
+    acc = LaurentPoly(ctx, work)
+    for m, r in witnesses:
+        acc = acc + LaurentPoly(ctx, {-p * m: ctx.frobenius_iter(r, 1),
+                                      -m: ctx.neg(r)})
+    acc = acc + LaurentPoly(ctx, dropped) + LaurentPoly(ctx, {0: const})
+    assert acc.d == original
+    return ReducedPart(reduced=work, witnesses=witnesses, dropped=dropped,
+                       const=const, geometric=ctx.trace_to_prime(const) == 0)
+
+
+def _orders_with_chains(p):
+    # m * p^k reaches fold chains and collisions, which plain small
+    # integers seldom do
+    return st.one_of(
+        st.integers(-60, 8),
+        st.builds(lambda m, k: -m * p ** k, st.integers(1, 12),
+                  st.integers(1, 5)))
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_reduce_matches_the_min_first_oracle(data):
+    ctx = make_field(*data.draw(st.sampled_from([(3, 3), (5, 3), (3, 5)])))
+    f = data.draw(st.dictionaries(_orders_with_chains(ctx.p),
+                                  st.integers(1, ctx.q - 1), max_size=8))
+    out = reduce_mod_wp(ctx, LaurentPoly(ctx, f))
+    assert out == _reduce_oracle(ctx, LaurentPoly(ctx, f))
+
+
+class _CountedOrder(int):
+    """A pole order that counts its tests for divisibility by p."""
+
+    tests = Counter()
+
+    def __mod__(self, p):
+        _CountedOrder.tests[int(self)] += 1
+        return int(self) % p
+
+
+def test_reduce_examines_each_pole_order_once():
+    """One ascending sweep: each input order is tested for divisibility
+    once, not once per fold, and the folds run from the top pole down."""
+    ctx = make_field(3, 3)
+    f = {-243: 1, -162: 2, -54: 5, -20: 1, -9: 3, -7: 4, 2: 1, 0: 9}
+    _CountedOrder.tests.clear()
+    out = reduce_mod_wp(ctx, LaurentPoly(
+        ctx, {_CountedOrder(e): c for e, c in f.items()}))
+    assert out == _reduce_oracle(ctx, LaurentPoly(ctx, f))
+    assert {e: _CountedOrder.tests[e] for e in f if e < 0} == {
+        e: 1 for e in f if e < 0}
+    folded = [-3 * m for m, _ in out.witnesses]
+    assert folded == sorted(set(folded))
 
 
 def test_reduce_rejects_uncertified_series():
