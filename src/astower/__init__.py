@@ -18,7 +18,7 @@ from .errors import IntegrityError, ParameterError, UnsupportedError
 
 _OWNERS = {
     "ff": ("FieldCtx", "Params", "basis_and_reps", "make_field"),
-    "genus": ("audit_closed_forms", "base_floor_genus", "class_conductors",
+    "genus": ("audit_closed_forms", "base_floor", "class_conductors",
               "class_line_counts", "conductor_ladder", "cover_classes",
               "genus_of_F", "gs_aggregate", "ree_aggregate",
               "ree_line_groups", "rh_genus", "verify_big_action"),

@@ -72,22 +72,13 @@ def cmd_genus(params: Params, args) -> dict:
 
 
 def cmd_conductor(params: Params, args) -> dict:
-    from .genus import cover_classes, ree_aggregate, ree_line_groups, rh_genus
-    from .local import conductor_of_cover
+    from .genus import cover_classes, ree_aggregate, ree_line_groups
 
-    first = conductor_of_cover(params, "y1", base="rational")
-    lines = (params.q - 1) // (params.p - 1)
-    line_genus = rh_genus(params.p, 0, first.m)
-    classes = cover_classes(params, base_genus=lines * line_genus)
+    classes = cover_classes(params)
     payload = {
         "command": "conductor",
         "params": _params_payload(params),
-        "base_floor": {
-            "conductor": first.m,
-            "line_genus": line_genus,
-            "lines": lines,
-            "genus": classes[0].base_genus,
-        },
+        "base_floor": classes[0].base._asdict(),
         "classes": _class_rows(classes),
     }
     if params.p == 3:
@@ -121,16 +112,16 @@ def cmd_commutators(params: Params, args) -> dict:
     from .tower import (certify_automorphism, compose_endo, identity_endo,
                         presentation, sigma_shift, tau_shift)
 
-    pres = presentation(params, "mixed")
+    pres = presentation(params)
     ctx = params.field()
     basis = prime_basis(ctx)
     n = params.n
     two = 2 % ctx.p
     ident = identity_endo(pres)
-    sigma = [certify_automorphism(pres, sigma_shift(pres, g), 0,
+    sigma = [certify_automorphism(sigma_shift(pres, g), 0,
                                   f"sigma shift by {g}") for g in basis]
-    tau = [certify_automorphism(pres, tau_shift(pres, g), 0,
-                                f"tau shift by {g}") for g in basis]
+    tau = [certify_automorphism(tau_shift(pres, g), 0, f"tau shift by {g}")
+           for g in basis]
 
     def w_shift(c: int):
         return ident.replace(w=pres.gen("w") + pres.const(c))
@@ -189,7 +180,7 @@ def cmd_prolong(params: Params, args) -> dict:
         avals = sorted(drawn)
     basis = prime_basis(ctx)
 
-    total_order = certify_group(presentation(params, "mixed"))
+    total_order = certify_group(presentation(params))
     for a in avals:
         total = 0
         for d, b in zip(ctx.to_coeffs(a), basis):

@@ -278,7 +278,7 @@ class FieldCtx:
     """
 
     __slots__ = ("p", "n", "q", "modulus", "gen", "LOG", "ALOG", "ZECH",
-                 "kernel_args", "_half", "_reps")
+                 "kernel_args", "_half")
 
     def __init__(self, p: int, n: int):
         q = p ** n
@@ -326,7 +326,6 @@ class FieldCtx:
         object.__setattr__(self, "ZECH", zech)
         object.__setattr__(self, "kernel_args", (log, self.ALOG, zech))
         object.__setattr__(self, "_half", (q - 1) // 2)
-        object.__setattr__(self, "_reps", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FieldCtx is immutable")
@@ -434,14 +433,10 @@ def basis_and_reps(ctx: FieldCtx) -> Tuple[List[int], List[int]]:
     exactly one such element, so the list has (q-1)/(p-1) entries in
     ascending code order.
     """
-    basis = prime_basis(ctx)
-    reps = ctx._reps
-    if reps is None:
-        reps = []
-        for code in range(1, ctx.q):
-            digs = ctx.to_coeffs(code)
-            lead = max(i for i, d in enumerate(digs) if d)
-            if digs[lead] == 1:
-                reps.append(code)
-        object.__setattr__(ctx, "_reps", reps)
-    return basis, list(reps)
+    reps = []
+    for code in range(1, ctx.q):
+        digs = ctx.to_coeffs(code)
+        lead = max(i for i, d in enumerate(digs) if d)
+        if digs[lead] == 1:
+            reps.append(code)
+    return prime_basis(ctx), reps

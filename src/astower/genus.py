@@ -168,17 +168,17 @@ def _line_histogram(ctx: FieldCtx, reduced_basis: List[Dict[int, int]],
     return hist
 
 
-def _certified_classes(params: Params, top: int) -> Dict[str, int]:
-    """Certify the classes _CLASS_ORDER[:top + 1] over all of their lines.
+def _certified_classes(params: Params) -> Dict[str, int]:
+    """Certify the conductor of every cover class over all of its lines.
 
     The coefficient space V_{<=i} is spanned by b * part_j for j <= i and
     b in the F_p-basis of F_q; each part is expanded once and scaled by
     b (expansion is F_q-linear), and each product is reduced on its own
     (reduction is only F_p-linear).  The classes grow one running echelon
-    (see `_line_histogram`), so each of the (top + 1) * n rows is
-    eliminated once and hist(V_{<=i}) is read off the pivots after class
-    i.  Class i's histogram is hist(V_{<=i}) - hist(V_{<i}) and must be
-    the single bar {ladder[label]: class_line_counts[label]}.
+    (see `_line_histogram`), so each of the 4n rows is eliminated once
+    and hist(V_{<=i}) is read off the pivots after class i.  Class i's
+    histogram is hist(V_{<=i}) - hist(V_{<i}) and must be the single bar
+    {ladder[label]: class_line_counts[label]}.
     """
     ctx = params.field()
     data = build_uniformizer(params)
@@ -186,10 +186,9 @@ def _certified_classes(params: Params, top: int) -> Dict[str, int]:
     basis = prime_basis(ctx)
     ladder = conductor_ladder(params)
     counts = class_line_counts(params)
-    labels = _CLASS_ORDER[:top + 1]
     pivots: dict = {}
     below: Dict[int, int] = {}
-    for label in labels:
+    for label in _CLASS_ORDER:
         expansion = expand_at_infinity(data, parts[label])
         upto = _line_histogram(
             ctx, [reduce_mod_wp(ctx, expansion.scale(b)).reduced
@@ -202,36 +201,37 @@ def _certified_classes(params: Params, top: int) -> Dict[str, int]:
                 f"class {label}: lines by conductor {upto} up to this class, "
                 f"the ladder predicts {want}")
         below = upto
-    return {label: ladder[label] for label in labels}
-
-
-def class_conductor(params: Params, label: str) -> int:
-    """Conductor of one cover class, certified on every line of the class.
-
-    The lower classes are certified along the way, since the class
-    histogram is a difference of two prefix histograms; see
-    `_certified_classes`.
-    """
-    if label not in _CLASS_ORDER:
-        raise ParameterError(f"unknown cover class {label!r}")
-    return _certified_classes(params, _CLASS_ORDER.index(label))[label]
+    return {label: ladder[label] for label in _CLASS_ORDER}
 
 
 def class_conductors(params: Params) -> Dict[str, int]:
-    """Certified conductor of every cover class; see `class_conductor`."""
-    return _certified_classes(params, len(_CLASS_ORDER) - 1)
+    """Conductor of every cover class, certified on every line of it;
+    see `_certified_classes`."""
+    return _certified_classes(params)
 
 
-def base_floor_genus(params: Params) -> int:
-    """Genus of the first floor, the degree-q cover cut out by y1.
+def class_conductor(params: Params, label: str) -> int:
+    """Conductor of one cover class; see `class_conductors`."""
+    if label not in _CLASS_ORDER:
+        raise ParameterError(f"unknown cover class {label!r}")
+    return class_conductors(params)[label]
+
+
+BaseFloor = namedtuple("BaseFloor", "conductor line_genus lines genus")
+
+
+def base_floor(params: Params) -> BaseFloor:
+    """Conductor, line genus, line count and genus of the first floor,
+    the degree-q cover cut out by y1.
 
     All (q - 1)/(p - 1) of its lines share the rhs shape c * f1 with
     f1 = x^q0 * (x^q - x), hence one conductor and one line genus.
     """
     p, q = params.p, params.q
     lines = (q - 1) // (p - 1)
-    res = conductor_of_cover(params, "y1", base="rational")
-    return lines * rh_genus(p, 0, res.m)
+    m = conductor_of_cover(params, "y1", base="rational").m
+    line_genus = rh_genus(p, 0, m)
+    return BaseFloor(m, line_genus, lines, lines * line_genus)
 
 
 # --------------------------------------------------------- aggregation
@@ -260,26 +260,22 @@ def gs_aggregate(p: int, pieces: List[Tuple[int, int]], base_genus: int) -> int:
     return g
 
 
-CoverClass = namedtuple("CoverClass",
-                        "label count conductor genus base_genus")
+CoverClass = namedtuple("CoverClass", "label count conductor genus base")
 
 
-def cover_classes(params: Params, *,
-                  base_genus: Optional[int] = None) -> List[CoverClass]:
+def cover_classes(params: Params) -> List[CoverClass]:
     """Count, conductor, and line genus for each of the four classes.
 
-    Line genera are taken over the first floor, whose genus every class
-    carries as base_genus so that `genus_of_F` need not certify it
-    again.  A caller that has already certified the first floor can pass
-    its genus in (the conductor report does this).
+    Line genera are taken over the first floor, whose `BaseFloor` every
+    class carries as base, so that neither `genus_of_F` nor the
+    conductor report certifies it again.
     """
     counts = class_line_counts(params)
     conductors = class_conductors(params)
-    if base_genus is None:
-        base_genus = base_floor_genus(params)
+    base = base_floor(params)
     return [CoverClass(label, counts[label], conductors[label],
-                       rh_genus(params.p, base_genus, conductors[label]),
-                       base_genus)
+                       rh_genus(params.p, base.genus, conductors[label]),
+                       base)
             for label in _CLASS_ORDER]
 
 
@@ -301,7 +297,7 @@ def genus_of_F(params: Params) -> GenusReport:
     """
     p, q, q0 = params.p, params.q, params.q0
     classes = tuple(cover_classes(params))
-    gb = classes[0].base_genus
+    gb = classes[0].base.genus
     weighted = sum(c.count * c.genus for c in classes)
     g = gs_aggregate(p, [(c.count, c.genus) for c in classes], gb)
     unit = (q - 1) // (p - 1)
@@ -424,7 +420,7 @@ def verify_big_action(params: Params) -> BigActionReport:
 
     rep = genus_of_F(params)
     p = params.p
-    order = certify_group(presentation(params, "mixed"))
+    order = certify_group(presentation(params))
     is_big = order * (p - 1) > 2 * p * rep.genus
     is_big_printed = order * (p - 1) > 2 * p * rep.genus_printed
     return BigActionReport(

@@ -23,22 +23,23 @@ below 2^(W-1): products of normal monomials stay below 2q, p^k-th powers
 (k <= n) below q^2, and any q with 2q^2 >= 2^(W-1) is refused.
 `TowerElement.d` and `TowerPresentation.element` keep a 6-tuple view.
 
-An `Endo` substitutes only the variables it moves.  `apply` hands an
-element back unchanged when every variable in it is fixed, and
-`check_endo` skips a fixed generator whose relation is fixed too.
-Whether a variable is fixed is read from `images` each time, because
-`invert_endo` fills its images in place.  Powers of an image are
+An `Endo` is fixed when it is built: `images` is a read-only mapping and
+`moved` the frozenset of variables whose image is not the variable
+itself.  `apply` substitutes only the moved variables and hands an
+element back unchanged when it holds none, and `check_endo` skips a
+fixed generator whose relation is fixed too.  Powers of an image are
 memoized on the image element, whose terms never change; `identity_endo`,
 `x()` and `gen()` share one element per variable, and `compose_endo`
 keeps a's image object wherever b fixes the variable, so endomorphisms
 holding the same image share its powers.
 
-Three presentations of the same field are supported.  "unprimed" keeps
-the v-relations with generator entries on the right, "primed" replaces
-both v right-hand sides and the w right-hand side by expressions in x
-and the first generator, and "mixed" uses the primed v's with the
-unprimed w.  The shift tables and prolongations below are stated for
-the mixed presentation, where their images are smallest.
+The paper writes the tower in three equivalent ways.  This module builds
+the one in which the shift tables and prolongations have their smallest
+images: v_i^q - v_i = x^(i q0) (x^(2q) - x^2) over x alone, and w over
+x, y1 and y2.  The other two differ from it only in the right-hand sides
+of v1, v2 or w; `presentation_equiv` writes those right-hand sides as
+elements of this presentation and links each to this one's by an
+additive witness.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 from math import prod
+from types import MappingProxyType
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ._kernel_py import lp_add_scaled, lp_map_pow, lp_mul
@@ -217,13 +219,10 @@ class TowerElement:
 class TowerPresentation:
     gens = GENS
 
-    def __init__(self, params: Params, kind: str):
-        if kind not in ("mixed", "unprimed", "primed"):
-            raise ParameterError(f"unknown presentation kind {kind!r}")
+    def __init__(self, params: Params):
         q0, q = params.q0, params.q
         check_field_width(q)
         self.params = params
-        self.kind = kind
         self.ctx = params.field()
         self._high = sum(_FIELD_LIMIT << shift for _, _, shift in _FIELDS)
         self._bias = sum((_FIELD_LIMIT - q) << shift for _, _, shift in _FIELDS)
@@ -237,7 +236,6 @@ class TowerPresentation:
 
         ctx = self.ctx
         n1 = ctx.neg(1)
-        n2 = ctx.neg(2)
 
         def xm(e: int) -> Monomial:
             return (e, 0, 0, 0, 0, 0)
@@ -251,30 +249,14 @@ class TowerPresentation:
 
         reg(1, {xm(q0 + q): 1, xm(q0 + 1): n1})
         reg(2, {xm(2 * q0 + q): 1, xm(2 * q0 + 1): n1})
-
-        if kind == "unprimed":
-            # y_i^q * x - x^q * y_i, normalized through the y-relations
-            reg(3, {(1, q, 0, 0, 0, 0): 1, (q, 1, 0, 0, 0, 0): n1})
-            reg(4, {(1, 0, q, 0, 0, 0): 1, (q, 0, 1, 0, 0, 0): n1})
-        else:
-            reg(3, {xm(q0 + 2 * q): 1, xm(q0 + 2): n1})
-            reg(4, {xm(2 * q0 + 2 * q): 1, xm(2 * q0 + 2): n1})
-
-        if kind == "primed":
-            reg(5, {
-                (2 * q0 + q, 1, 0, 0, 0, 0): 2,
-                (2 * q0 + 1, 1, 0, 0, 0, 0): n2,
-                xm(3 * q0 + 2 * q): 1,
-                xm(3 * q0 + q + 1): n2,
-                xm(3 * q0 + 2): 1,
-            })
-        else:
-            reg(5, {
-                (2 * q0 + q, 1, 0, 0, 0, 0): 1,
-                (2 * q0 + 1, 1, 0, 0, 0, 0): n1,
-                (q0 + q, 0, 1, 0, 0, 0): n1,
-                (q0 + 1, 0, 1, 0, 0, 0): 1,
-            })
+        reg(3, {xm(q0 + 2 * q): 1, xm(q0 + 2): n1})
+        reg(4, {xm(2 * q0 + 2 * q): 1, xm(2 * q0 + 2): n1})
+        reg(5, {
+            (2 * q0 + q, 1, 0, 0, 0, 0): 1,
+            (2 * q0 + 1, 1, 0, 0, 0, 0): n1,
+            (q0 + q, 0, 1, 0, 0, 0): n1,
+            (q0 + 1, 0, 1, 0, 0, 0): 1,
+        })
 
     # ------------------------------------------------------------- algebra
 
@@ -366,12 +348,12 @@ class TowerPresentation:
         return self._vars[name]
 
     def __repr__(self):
-        return f"TowerPresentation(p={self.params.p}, s={self.params.s}, {self.kind})"
+        return f"TowerPresentation(p={self.params.p}, s={self.params.s})"
 
 
 @lru_cache(maxsize=None)
-def presentation(params: Params, kind: str = "mixed") -> TowerPresentation:
-    return TowerPresentation(params, kind)
+def presentation(params: Params) -> TowerPresentation:
+    return TowerPresentation(params)
 
 
 # ---------------------------------------------------------------- endos
@@ -380,19 +362,16 @@ def presentation(params: Params, kind: str = "mixed") -> TowerPresentation:
 class Endo:
     """Ring endomorphism fixing F_q, given by images of x and the generators."""
 
-    __slots__ = ("pres", "images")
+    __slots__ = ("pres", "images", "moved")
 
     def __init__(self, pres: TowerPresentation, images: Dict[str, TowerElement]):
         missing = _NAMES - images.keys()
         if missing:
             raise ParameterError(f"endomorphism lacks images for {sorted(missing)}")
         self.pres = pres
-        self.images = images
-
-    def _fixes(self, name: str) -> bool:
-        """Whether the variable's image is the variable itself, read now:
-        invert_endo fills `images` in place, so nothing caches this."""
-        return self.images[name].terms == self.pres._vars[name].terms
+        self.images = MappingProxyType(dict(images))
+        self.moved = frozenset(name for name, img in images.items()
+                               if img.terms != pres._vars[name].terms)
 
     def apply(self, elem: TowerElement) -> TowerElement:
         """The image of elem; elem itself when every variable in it is fixed.
@@ -405,7 +384,7 @@ class Endo:
             support |= m
         moved = [(self.images[name], shift, mask)
                  for name, shift, mask in _VARS
-                 if support >> shift & mask and not self._fixes(name)]
+                 if support >> shift & mask and name in self.moved]
         if not moved:
             return elem
         pres = self.pres
@@ -440,12 +419,12 @@ class Endo:
                         for k in ("x", *self.pres.gens)))
 
     def __repr__(self):
-        moved = [k for k in ("x", *self.pres.gens) if not self._fixes(k)]
+        moved = [k for k in ("x", *self.pres.gens) if k in self.moved]
         return f"Endo(moves {moved or 'nothing'})"
 
 
 def identity_endo(pres: TowerPresentation) -> Endo:
-    return Endo(pres, dict(pres._vars))
+    return Endo(pres, pres._vars)
 
 
 def compose_endo(a: Endo, b: Endo) -> Endo:
@@ -453,7 +432,7 @@ def compose_endo(a: Endo, b: Endo) -> Endo:
     composite holds a's image of it, the same object."""
     if a.pres is not b.pres:
         raise ParameterError("endomorphisms from different presentations")
-    return Endo(a.pres, {k: a.images[k] if b._fixes(k) else a.apply(v)
+    return Endo(a.pres, {k: a.apply(v) if k in b.moved else a.images[k]
                          for k, v in b.images.items()})
 
 
@@ -463,15 +442,15 @@ def invert_endo(a: Endo) -> Endo:
     Requires x -> x + const and each generator image of the form
     generator + (terms in x and earlier generators); anything else is
     outside what back-substitution can see, hence UnsupportedError.
-    `inv.images` is filled in place, and each correction term only
-    reads images already final in `inv`.
+    `inv` gains one inverted image per step, and each correction term
+    only reads images already final in `inv`.
     """
     pres = a.pres
     xdiff = a.images["x"] - pres.x()
     if xdiff.terms.keys() - {0}:
         raise UnsupportedError("x-image is not a translation")
-    inv = identity_endo(pres)
-    inv.images["x"] = pres.x() - pres.const(xdiff.constant_term())
+    inv = identity_endo(pres).replace(
+        x=pres.x() - pres.const(xdiff.constant_term()))
     for _, name, shift in _FIELDS:
         t = a.images[name] - pres.gen(name)
         # this generator and everything after it sit below this bit
@@ -479,7 +458,7 @@ def invert_endo(a: Endo) -> Endo:
         if any(m & later for m in t.terms):
             raise UnsupportedError(
                 f"image of {name} is not triangular-unipotent")
-        inv.images[name] = pres.gen(name) - inv.apply(t)
+        inv = inv.replace(**{name: pres.gen(name) - inv.apply(t)})
     return inv
 
 
@@ -491,19 +470,20 @@ def commutator(a: Endo, b: Endo) -> Endo:
 CheckResult = namedtuple("CheckResult", "ok defects")
 
 
-def check_endo(pres: TowerPresentation, endo: Endo) -> CheckResult:
+def check_endo(endo: Endo) -> CheckResult:
     """Certify that the images satisfy every defining relation exactly.
 
     A generator g that E fixes, whose relation's variables E all fixes
     (apply then hands back the relation itself), has defect
     g^q - g - rhs_g = 0 by the relation, so it is skipped.
     """
+    pres = endo.pres
     defects = {}
     n = pres.params.n
     for name in pres.gens:
         rel = pres.relations[name]
         rhs = endo.apply(rel)
-        if rhs is rel and endo._fixes(name):
+        if rhs is rel and name not in endo.moved:
             continue
         img = endo.images[name]
         lhs = img.pow_pk(n) - img
@@ -513,16 +493,16 @@ def check_endo(pres: TowerPresentation, endo: Endo) -> CheckResult:
     return CheckResult(ok=not defects, defects=defects)
 
 
-def certify_automorphism(pres: TowerPresentation, endo: Endo, a: int,
-                         label: str) -> Endo:
+def certify_automorphism(endo: Endo, a: int, label: str) -> Endo:
     """Return endo once its x image is x + a and it passes `check_endo`,
     else raise IntegrityError naming label.  That proves an automorphism
     by the finite-extension lemma: an F_q-endomorphism of the function
     field F that maps F_q(x) onto itself is an automorphism, since F is
     finite over F_q(x) and its image is a subfield of the same degree."""
+    pres = endo.pres
     if endo.images["x"] != pres.x() + pres.const(a):
         raise IntegrityError(f"{label} does not restrict to x -> x + {a}")
-    if not check_endo(pres, endo).ok:
+    if not check_endo(endo).ok:
         raise IntegrityError(f"{label} fails the relation check")
     return endo
 
@@ -530,15 +510,8 @@ def certify_automorphism(pres: TowerPresentation, endo: Endo, a: int,
 # ---------------------------------------------------------- shift tables
 
 
-def _require_mixed(pres: TowerPresentation) -> None:
-    if pres.kind != "mixed":
-        raise ParameterError(
-            "shift tables are stated for the mixed presentation only")
-
-
 def sigma_shift(pres: TowerPresentation, g: int) -> Endo:
     """Shift the first generator by g; v1 and w move along."""
-    _require_mixed(pres)
     c = pres.const(g)
     return identity_endo(pres).replace(
         y1=pres.gen("y1") + c,
@@ -549,7 +522,6 @@ def sigma_shift(pres: TowerPresentation, g: int) -> Endo:
 
 def tau_shift(pres: TowerPresentation, g: int) -> Endo:
     """Shift the second generator by g; v1 and w move along."""
-    _require_mixed(pres)
     c = pres.const(g)
     return identity_endo(pres).replace(
         y2=pres.gen("y2") + c,
@@ -561,7 +533,6 @@ def tau_shift(pres: TowerPresentation, g: int) -> Endo:
 def vertical_shift_families(pres: TowerPresentation
                             ) -> Dict[str, Callable[[int], Endo]]:
     """Five one-parameter families of endomorphisms fixing x."""
-    _require_mixed(pres)
 
     def simple(name: str) -> Callable[[int], Endo]:
         return lambda g: identity_endo(pres).replace(
@@ -578,8 +549,7 @@ def extension_multiplicity(pres: TowerPresentation) -> int:
     basis = prime_basis(pres.ctx)
     for name, fam in vertical_shift_families(pres).items():
         for g in basis:
-            certify_automorphism(pres, fam(g), 0,
-                                 f"vertical family {name} at {g}")
+            certify_automorphism(fam(g), 0, f"vertical family {name} at {g}")
     return pres.params.q ** len(pres.gens)
 
 
@@ -590,8 +560,7 @@ def certify_group(pres: TowerPresentation) -> int:
     give q^5 distinct automorphisms fixing x, and the degree q^5 of F over
     F_q(x) caps those at q^5, so each translation has q^5 lifts."""
     for i, b in enumerate(prime_basis(pres.ctx)):
-        certify_automorphism(pres, prolong_translation(pres, b), b,
-                             f"lift of b{i}")
+        certify_automorphism(prolong_translation(pres, b), b, f"lift of b{i}")
     return pres.params.q * extension_multiplicity(pres)
 
 
@@ -733,22 +702,33 @@ def wp_solve(pres: TowerPresentation, target: TowerElement,
 
 
 def presentation_equiv(params: Params) -> Dict[str, TowerElement]:
-    """Witnesses translating between the three presentations.
+    """Witnesses linking this presentation to the paper's two others.
 
-    For each v-generator the returned element u satisfies
-    primed = unprimed + u, and for w it satisfies
-    primed = mixed + u; existence is established constructively via
-    `wp_solve` on the difference of the defining right-hand sides.
+    The unprimed presentation defines each v_i by x*y_i^q - x^q*y_i and
+    keeps this w; the primed one keeps these v_i and defines w by
+    2 x^(2q0) y1 (x^q - x) + x^(3q0) (x^q - x)^2.  Both are written as
+    elements of this presentation, `element` normalizing y_i^q.  For v_i
+    the returned u satisfies u^q - u = (this rhs) - (unprimed rhs), and
+    for w, u^q - u = (primed rhs) - (this rhs); `wp_solve` finds each u
+    and replays it.
     """
-    mixed = presentation(params, "mixed")
-    unp = presentation(params, "unprimed")
-    prm = presentation(params, "primed")
-    out = {}
-    for name in ("v1", "v2"):
-        target = mixed.relations[name] - mixed.element(unp.relations[name].d)
-        out[name] = wp_solve(mixed, target)
-    target_w = mixed.element(prm.relations["w"].d) - mixed.relations["w"]
-    out["w"] = wp_solve(mixed, target_w)
+    pres = presentation(params)
+    q0, q = params.q0, params.q
+    n1, n2 = pres.ctx.neg(1), pres.ctx.neg(2)
+    unprimed = {
+        "v1": pres.element({(1, q, 0, 0, 0, 0): 1, (q, 1, 0, 0, 0, 0): n1}),
+        "v2": pres.element({(1, 0, q, 0, 0, 0): 1, (q, 0, 1, 0, 0, 0): n1}),
+    }
+    primed_w = pres.element({
+        (2 * q0 + q, 1, 0, 0, 0, 0): 2,
+        (2 * q0 + 1, 1, 0, 0, 0, 0): n2,
+        (3 * q0 + 2 * q, 0, 0, 0, 0, 0): 1,
+        (3 * q0 + q + 1, 0, 0, 0, 0, 0): n2,
+        (3 * q0 + 2, 0, 0, 0, 0, 0): 1,
+    })
+    out = {name: wp_solve(pres, pres.relations[name] - rhs)
+           for name, rhs in unprimed.items()}
+    out["w"] = wp_solve(pres, primed_w - pres.relations["w"])
     if any(v is None for v in out.values()):
         raise IntegrityError("presentations failed to link additively")
     return out
@@ -764,7 +744,6 @@ def prolong_translation(pres: TowerPresentation, a: int) -> Endo:
     the change each right-hand side undergoes under the translation;
     with A = a^q0 the w-correction is A*(v2 - x*y2) + A^2*(v1 - x*y1).
     """
-    _require_mixed(pres)
     ctx = pres.ctx
     q0 = pres.params.q0
     A = ctx.pow_int(a, q0) if a else 0

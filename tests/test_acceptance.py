@@ -117,7 +117,7 @@ def test_criterion_05_big_action_verdicts():
               "with sign reversal and same-kind commuting")
 def test_criterion_06_commutators():
     for params in (P31, P51):
-        pres = presentation(params, "mixed")
+        pres = presentation(params)
         ctx = params.field()
         basis, _ = basis_and_reps(ctx)
         ident = identity_endo(pres)
@@ -140,12 +140,12 @@ def test_criterion_06_commutators():
 @criterion(7, "every x-translation at (3, 1) prolongs to a certified "
               "automorphism; the fiber has q^5 extensions")
 def test_criterion_07_prolongations():
-    pres = presentation(P31, "mixed")
+    pres = presentation(P31)
     ctx = P31.field()
     ident = identity_endo(pres)
     for a in range(27):
         endo = prolong_translation(pres, a)
-        assert check_endo(pres, endo).ok
+        assert check_endo(endo).ok
         assert endo.images["x"] == pres.x() + pres.const(a)
         assert compose_endo(endo, invert_endo(endo)) == ident
     basis, _ = basis_and_reps(ctx)
@@ -156,14 +156,14 @@ def test_criterion_07_prolongations():
                              prolong_translation(pres, b)),
                 invert_endo(prolong_translation(pres, ctx.add(a, b))))
             assert delta.images["x"] == pres.x()
-            assert check_endo(pres, delta).ok
+            assert check_endo(delta).ok
     assert extension_multiplicity(pres) == 27 ** 5
 
 
 @criterion(8, "the three presentations differ by the additive witnesses "
               "x*y1, x*y2, y1*y2")
 def test_criterion_08_presentation_equivalence():
-    for params in (P31, P51):
+    for params in (P31, P51, Params(7, 1), P32):
         links = presentation_equiv(params)
         assert links["v1"].d == {(1, 1, 0, 0, 0, 0): 1}
         assert links["v2"].d == {(1, 0, 1, 0, 0, 0): 1}
@@ -215,7 +215,7 @@ def test_criterion_09_property_suites():
         assert reduce_mod_wp(ctx125, base).reduced == \
             reduce_mod_wp(ctx125, shifted).reduced
 
-    pres = presentation(P31, "mixed")
+    pres = presentation(P31)
     mono = st.tuples(st.integers(0, 3), st.integers(0, 30),
                      st.integers(0, 28), st.integers(0, 27),
                      st.integers(0, 27), st.integers(0, 27))

@@ -18,7 +18,7 @@ from astower.ff import Params, make_field
 from astower.genus import (
     _line_histogram,
     audit_closed_forms,
-    base_floor_genus,
+    base_floor,
     class_conductors,
     class_line_counts,
     conductor_ladder,
@@ -249,9 +249,10 @@ def test_line_histogram_rejects_short_line_total():
 # ---------------------------------------------------------- base floor
 
 def test_base_floor_genus():
-    assert base_floor_genus(P31) == 117
-    assert base_floor_genus(P51) == 1550
-    assert base_floor_genus(P32) == 3267
+    assert base_floor(P31) == (11, 9, 13, 117)
+    assert base_floor(P51) == (27, 50, 31, 1550)
+    assert base_floor(P32) == (29, 27, 121, 3267)
+    assert all(c.base == base_floor(P31) for c in cover_classes(P31))
 
 
 # --------------------------------------------------------- aggregation

@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from astower import tower
 from astower.errors import IntegrityError, ParameterError, UnsupportedError
-from astower.ff import Params, basis_and_reps, make_field
+from astower.ff import Params, basis_and_reps, make_field, prime_basis
 from astower.tower import (
+    GENS,
     certify_group,
     check_endo,
     commutator,
@@ -47,12 +48,12 @@ def mono(*pairs):
 
 @pytest.fixture(scope="module")
 def mixed():
-    return presentation(P31, "mixed")
+    return presentation(P31)
 
 
 @pytest.fixture(scope="module")
 def mixed51():
-    return presentation(P51, "mixed")
+    return presentation(P51)
 
 
 # ---------------------------------------------------------- presentations
@@ -75,26 +76,21 @@ def test_relation_shapes(mixed):
     }
 
 
-def test_unprimed_relation_normalized():
-    up = presentation(P31, "unprimed")
+def unprimed_v1(pres):
+    """The unprimed v1 right-hand side x*y1^q - x^q*y1, as written by
+    `presentation_equiv`; `element` normalizes y1^q."""
+    q = pres.params.q
+    return pres.element({(1, q, 0, 0, 0, 0): 1,
+                         (q, 1, 0, 0, 0, 0): pres.ctx.neg(1)})
+
+
+def test_unprimed_relation_normalized(mixed):
     q0, q = 3, 27
-    assert up.relations["v1"].d == {
+    assert unprimed_v1(mixed).d == {
         (1, 1, 0, 0, 0, 0): 1,
         (q0 + q + 1, 0, 0, 0, 0, 0): 1,
         (q0 + 2, 0, 0, 0, 0, 0): 2,
         (q, 1, 0, 0, 0, 0): 2,
-    }
-
-
-def test_primed_w_relation():
-    pr = presentation(P31, "primed")
-    q0, q = 3, 27
-    assert pr.relations["w"].d == {
-        (2 * q0 + q, 1, 0, 0, 0, 0): 2,
-        (2 * q0 + 1, 1, 0, 0, 0, 0): 1,
-        (3 * q0 + 2 * q, 0, 0, 0, 0, 0): 1,
-        (3 * q0 + q + 1, 0, 0, 0, 0, 0): 1,
-        (3 * q0 + 2, 0, 0, 0, 0, 0): 1,
     }
 
 
@@ -140,7 +136,7 @@ def small_elements(pres):
 @given(data=st.data())
 @settings(max_examples=40)
 def test_normal_form_confluence(data):
-    pres = presentation(P31, "mixed")
+    pres = presentation(P31)
     a = data.draw(small_elements(pres))
     b = data.draw(small_elements(pres))
     c = data.draw(small_elements(pres))
@@ -152,7 +148,7 @@ def test_normal_form_confluence(data):
 @given(data=st.data())
 @settings(max_examples=25)
 def test_element_pow_pk_is_cube(data):
-    pres = presentation(P31, "mixed")
+    pres = presentation(P31)
     a = data.draw(small_elements(pres))
     assert a.pow_pk(1).d == (a * a * a).d
 
@@ -164,22 +160,13 @@ def test_shift_tables_certified(mixed):
     ctx = mixed.ctx
     basis, reps = basis_and_reps(ctx)
     for g in basis + [reps[7]]:
-        assert check_endo(mixed, sigma_shift(mixed, g)).ok
-        assert check_endo(mixed, tau_shift(mixed, g)).ok
-
-
-def test_shift_tables_need_mixed_presentation():
-    pr = presentation(P31, "primed")
-    with pytest.raises(ParameterError):
-        sigma_shift(pr, 1)
-    up = presentation(P31, "unprimed")
-    with pytest.raises(ParameterError):
-        tau_shift(up, 1)
+        assert check_endo(sigma_shift(mixed, g)).ok
+        assert check_endo(tau_shift(mixed, g)).ok
 
 
 def test_check_endo_violation(mixed):
     bad = identity_endo(mixed).replace(y1=mixed.gen("y1") + mixed.x())
-    res = check_endo(mixed, bad)
+    res = check_endo(bad)
     assert not res.ok
     assert res.defects["y1"].d == {(27, 0, 0, 0, 0, 0): 1, X: 2}
     assert res.defects["w"].d == {(34, 0, 0, 0, 0, 0): 2, (8, 0, 0, 0, 0, 0): 1}
@@ -189,7 +176,7 @@ def test_check_endo_checks_fixed_generators_whose_relation_moves(mixed):
     # every generator is fixed, but y1's relation is in x, which moves:
     # the fixed-variable shortcut must not skip it
     shift = identity_endo(mixed).replace(x=mixed.x() + mixed.const(1))
-    res = check_endo(mixed, shift)
+    res = check_endo(shift)
     assert not res.ok and "y1" in res.defects
     assert res.defects["y1"] == (mixed.relations["y1"]
                                  - shift.apply(mixed.relations["y1"]))
@@ -222,6 +209,30 @@ def test_compose_and_invert_shifts(mixed):
     assert compose_endo(s1, invert_endo(s1)) == identity_endo(mixed)
 
 
+@pytest.mark.parametrize("params", [P31, P51], ids=["p3s1", "p5s1"])
+def test_endos_record_what_they_move_and_cannot_be_rewritten(params):
+    pres = presentation(params)
+    basis = prime_basis(pres.ctx)
+    fams = vertical_shift_families(pres)
+    endos = [identity_endo(pres)]
+    for g in basis:
+        endos += [sigma_shift(pres, g), tau_shift(pres, g),
+                  prolong_translation(pres, g)]
+        endos += [fam(g) for fam in fams.values()]
+    lift, sigma = prolong_translation(pres, basis[-1]), sigma_shift(pres, 1)
+    endos += [compose_endo(lift, sigma), compose_endo(sigma, lift),
+              invert_endo(lift), invert_endo(sigma),
+              compose_endo(lift, invert_endo(lift))]
+    variables = {"x": pres.x(), **{name: pres.gen(name) for name in GENS}}
+    for e in endos:
+        assert e.moved == {name for name, img in e.images.items()
+                           if img != variables[name]}
+        with pytest.raises(TypeError):
+            e.images["y1"] = pres.gen("y1")
+    assert endos[0].moved == endos[-1].moved == frozenset()
+    assert invert_endo(lift).moved == lift.moved == frozenset(variables)
+
+
 def test_invert_rejects_non_unipotent(mixed):
     doubled = identity_endo(mixed).replace(y1=mixed.gen("y1").scale(2))
     with pytest.raises(UnsupportedError):
@@ -230,7 +241,7 @@ def test_invert_rejects_non_unipotent(mixed):
 
 @pytest.mark.parametrize("params", [P31, P51], ids=["p3s1", "p5s1"])
 def test_commutator_table(params):
-    pres = presentation(params, "mixed")
+    pres = presentation(params)
     ctx = pres.ctx
     basis, _ = basis_and_reps(ctx)
     ident = identity_endo(pres)
@@ -269,8 +280,7 @@ def test_wp_solve_scaled_x(mixed):
 
 def test_wp_solve_mixed_witness(mixed):
     # difference between the two shapes of the second-level relation
-    up = presentation(P31, "unprimed")
-    target = mixed.relations["v1"] - mixed.element(up.relations["v1"].d)
+    target = mixed.relations["v1"] - unprimed_v1(mixed)
     assert wp_solve(mixed, target).d == {(1, 1, 0, 0, 0, 0): 1}
 
 
@@ -290,7 +300,7 @@ def test_wp_solve_roundtrip(data):
     # alone cannot see u when u^q - u cancels u's own top terms (any pure
     # generator with an F_q coefficient does that), so the box is widened
     # to u's degrees and the solver must then recover u exactly
-    pres = presentation(P31, "mixed")
+    pres = presentation(P31)
     monos = st.tuples(
         st.integers(min_value=0, max_value=2),
         st.integers(min_value=0, max_value=1),
@@ -356,7 +366,7 @@ def test_presentation_equiv_refuses_a_missing_link(monkeypatch):
 def test_prolong_images_frozen(mixed):
     a = 3  # the basis element t
     P = prolong_translation(mixed, a)
-    assert check_endo(mixed, P).ok
+    assert check_endo(P).ok
     assert P.images["x"].d == {X: 1, ONE: 3}
     assert P.images["y1"].d == {Y1: 1, X: 5}
     assert P.images["y2"].d == {Y2: 1, Y1: 7, X: 13}
@@ -373,9 +383,9 @@ def test_prolong_certified_on_basis_and_inverse(mixed):
     ctx = mixed.ctx
     for a in [1, 3, 9, 22]:
         P = prolong_translation(mixed, a)
-        assert check_endo(mixed, P).ok
+        assert check_endo(P).ok
         Q = invert_endo(P)
-        assert check_endo(mixed, Q).ok
+        assert check_endo(Q).ok
         assert Q.images["x"].d == {X: 1, ONE: ctx.neg(a)}
         assert compose_endo(P, Q) == identity_endo(mixed)
 
@@ -388,7 +398,7 @@ def test_prolong_cocycle_is_vertical(mixed):
         compose_endo(prolong_translation(mixed, a), prolong_translation(mixed, b)),
         invert_endo(Pab),
     )
-    assert check_endo(mixed, delta).ok
+    assert check_endo(delta).ok
     assert delta.images["x"] == mixed.x()
     # A certified x-fixing endo shifts each generator by a constant,
     # except w, which also picks up gamma1*y2 - gamma2*y1 from the
@@ -410,7 +420,7 @@ def test_pair_lift_cocycles_are_vertical_at_3_2():
     """The certificate `prolong` no longer computes: at (3, 2) every
     ordered composite s_i o s_j o invert(s_{i+j}) of basis lifts fixes x
     and passes the relation check."""
-    pres = presentation(Params(3, 2), "mixed")
+    pres = presentation(Params(3, 2))
     ctx = pres.ctx
     basis = [ctx.p ** i for i in range(ctx.n)]
     lifts = [prolong_translation(pres, b) for b in basis]
@@ -420,7 +430,7 @@ def test_pair_lift_cocycles_are_vertical_at_3_2():
                 compose_endo(lifts[i], lifts[j]),
                 invert_endo(prolong_translation(pres, ctx.add(bi, bj))))
             assert delta.images["x"] == pres.x()
-            assert check_endo(pres, delta).ok
+            assert check_endo(delta).ok
 
 
 def test_vertical_families_and_multiplicity(mixed):
@@ -428,7 +438,7 @@ def test_vertical_families_and_multiplicity(mixed):
     assert set(fams) == {"y1", "y2", "v1", "v2", "w"}
     for fam in fams.values():
         e = fam(9)
-        assert check_endo(mixed, e).ok
+        assert check_endo(e).ok
         assert compose_endo(fam(3), fam(9)) == fam(mixed.ctx.add(3, 9))
     assert extension_multiplicity(mixed) == 27 ** 5
     assert certify_group(mixed) == 27 ** 6
@@ -444,7 +454,7 @@ def test_basis_lift_composites_lift_every_translation(params):
     composite of basis lifts along a's base-p digits restricts to x + a,
     passes the relation check, and differs from the direct lift of a by
     a certified x-fixing (vertical) automorphism."""
-    pres = presentation(params, "mixed")
+    pres = presentation(params)
     ctx = pres.ctx
     p = ctx.p
     basis = [p ** i for i in range(ctx.n)]
@@ -457,10 +467,10 @@ def test_basis_lift_composites_lift_every_translation(params):
         composite[a] = compose_endo(composite[a - basis[i]], sigma[i])
     for a, endo in composite.items():
         assert endo.images["x"] == pres.x() + pres.const(a)
-        assert check_endo(pres, endo).ok
+        assert check_endo(endo).ok
         delta = compose_endo(endo, invert_endo(prolong_translation(pres, a)))
         assert delta.images["x"] == pres.x()
-        assert check_endo(pres, delta).ok
+        assert check_endo(delta).ok
 
 
 # ------------------------------------------- packed kernel vs tuple oracle
@@ -469,7 +479,8 @@ def test_basis_lift_composites_lift_every_translation(params):
 class TupleOracle:
     """Tuple-keyed tower arithmetic: a dict cross product and a stack
     rewriter over 6-tuple monomials, one field operation per coefficient.
-    Relations are the mixed presentation's, written out from q0 and q."""
+    Relations are the ones `presentation` builds, written out from q0
+    and q."""
 
     def __init__(self, params):
         self.ctx = ctx = params.field()
@@ -585,7 +596,7 @@ def raw_elements(q):
 @given(data=st.data())
 @settings(max_examples=15)
 def test_packed_arithmetic_matches_tuple_oracle(params, data):
-    pres, orc = presentation(params, "mixed"), oracle(params)
+    pres, orc = presentation(params), oracle(params)
     ra = data.draw(raw_elements(params.q))
     rb = data.draw(raw_elements(params.q))
     c = data.draw(st.integers(0, params.q - 1))
@@ -613,7 +624,7 @@ def test_pow_pk_beyond_n_matches_tuple_oracle(mixed):
 @given(data=st.data())
 @settings(max_examples=10)
 def test_endo_apply_matches_tuple_oracle(params, data):
-    pres, orc = presentation(params, "mixed"), oracle(params)
+    pres, orc = presentation(params), oracle(params)
     a = data.draw(st.integers(0, params.q - 1))
     g = data.draw(st.integers(1, params.q - 1))
     fams = vertical_shift_families(pres)
@@ -667,7 +678,7 @@ def test_element_rejects_exponents_outside_the_packed_fields(mixed):
 @given(data=st.data())
 @settings(max_examples=30)
 def test_decoded_view_round_trips_through_element(data):
-    pres = presentation(P51, "mixed")
+    pres = presentation(P51)
     el = pres.element(data.draw(raw_elements(P51.q)))
     again = pres.element(el.d)
     assert again == el and again.d == el.d
@@ -682,7 +693,7 @@ def test_memoized_image_powers_match_fresh_powers(params, data):
     # each image memoizes its powers, sharing p^k-th powers and products
     # between exponents; every power it returns must equal one taken from
     # scratch
-    pres = presentation(params, "mixed")
+    pres = presentation(params)
     p, q, q0 = params.p, params.q, params.q0
     a = data.draw(st.integers(0, q - 1))
     g = data.draw(st.integers(1, q - 1))
