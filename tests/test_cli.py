@@ -1,7 +1,9 @@
 """Command-line surface: exit codes, report shapes, determinism."""
 
+import atexit
 import gc
 import hashlib
+import io
 import json
 import os
 import re
@@ -328,13 +330,16 @@ print(" ".join(sorted(set(sys.modules) - before)))
 _ENTRY = "import sys\nfrom astower.cli import main\nsys.exit(main())\n"
 
 
-def _python(code, *argv, check=False, timeout=None):
+def _env() -> dict:
     src = os.path.dirname(os.path.dirname(ff.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _python(code, *argv, check=False, timeout=None):
     return subprocess.run([sys.executable, "-c", code, *argv],
                           capture_output=True, text=True, check=check,
-                          env=env, timeout=timeout)
+                          env=_env(), timeout=timeout)
 
 
 def _modules_loaded(*argv):
@@ -842,3 +847,113 @@ def test_report_bytes_match_pinned_references(report, capsys):
     code, out, _ = run(report.split() + ["--seed", seed], capsys)
     assert code == ref["exit"]
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == ref["sha256"]
+
+
+@pytest.mark.parametrize("report", sorted(_PINNED["reports"]))
+def test_pinned_references_through_the_console_script(report):
+    """The same pins through the console script, the path users and the
+    benchmark run, which ends the process without interpreter teardown."""
+    ref = _PINNED["reports"][report]
+    done = _python(_ENTRY, *report.split(), "--seed",
+                   str(_PINNED["pinned_seed"]), timeout=60)
+    assert done.returncode == ref["exit"], done.stderr
+    assert hashlib.sha256(done.stdout.encode("utf-8")).hexdigest() == \
+        ref["sha256"]
+
+
+# The console script behind an atexit hook registered before the CLI is
+# imported; each time it runs, the hook appends the sizes of stdout and
+# stderr, both files, to hook.log.
+_HOOKED = """import atexit, os
+def hook():
+    with open("hook.log", "a") as log:
+        log.write(f"{os.fstat(1).st_size} {os.fstat(2).st_size}\\n")
+atexit.register(hook)
+""" + _ENTRY
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "--p", "3", "--s", "1"], 0),
+    (["verify", "--p", "3", "--s", "1", "--out", "report.json"], 0),
+    (["--version"], 0),
+    (["verify", "--p", "3"], 2),
+    (["verify", "--p", "4", "--s", "1"], 2),
+    (["audit", "--p", "3", "--s", "1"], 3),
+], ids=["report", "out", "version", "usage", "p4", "audit"])
+def test_console_script_runs_atexit_hooks_once_after_output(argv, code,
+                                                            tmp_path,
+                                                            capsys):
+    with open(tmp_path / "out", "wb") as out, \
+            open(tmp_path / "err", "wb") as err:
+        done = subprocess.run([sys.executable, "-c", _HOOKED, *argv],
+                              stdout=out, stderr=err, cwd=tmp_path,
+                              env=_env(), timeout=60)
+    assert done.returncode == code
+    out_size, err_size = (os.path.getsize(tmp_path / name)
+                          for name in ("out", "err"))
+    assert (tmp_path / "hook.log").read_text().splitlines() == \
+        [f"{out_size} {err_size}"]
+    if "--out" in argv:
+        assert out_size == 0
+        assert (tmp_path / "report.json").read_text() == \
+            run(argv[:-2], capsys)[1]
+    else:
+        assert (out_size > 0) == (code != 2)
+
+
+@pytest.fixture
+def exits(monkeypatch):
+    """The calls to os._exit and atexit._run_exitfuncs, recorded in
+    place of making them."""
+    calls = []
+    monkeypatch.setattr(os, "_exit",
+                        lambda code: calls.append(("_exit", code)))
+    monkeypatch.setattr(atexit, "_run_exitfuncs",
+                        lambda: calls.append(("atexit",)))
+    return calls
+
+
+class _RefusingStdout(io.StringIO):
+    def __init__(self, exc):
+        super().__init__()
+        self.exc = exc
+
+    def flush(self):
+        raise self.exc
+
+
+@pytest.mark.parametrize("stdout, calls", [
+    (_RefusingStdout(BrokenPipeError(32, "Broken pipe")), []),
+    (_RefusingStdout(ValueError("I/O operation on closed file")), []),
+    (None, [("atexit",), ("_exit", 0)]),
+], ids=["broken_pipe", "closed", "none"])
+def test_console_script_ends_only_when_its_output_flushes(stdout, calls,
+                                                          exits, monkeypatch):
+    """A flush that raises leaves the exit to the interpreter, as before;
+    an absent stdout has nothing to flush."""
+    monkeypatch.setattr(sys, "stdout", stdout)
+    monkeypatch.setattr(sys, "argv", ["astower", "verify", "--p", "3",
+                                      "--s", "1"])
+    assert main() == 0
+    assert exits == calls
+    monkeypatch.setattr(sys, "argv", ["astower", "--version"])
+    exits.clear()
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 0
+    assert exits == calls
+
+
+@pytest.mark.parametrize("argv, code", [
+    *(([command, "--p", "3", "--s", "1"], 3 if command == "audit" else 0)
+      for command in cli._COMMANDS),
+    (["--version"], SystemExit(0)),
+    (["--help"], SystemExit(0)),
+    (["verify", "--p", "3"], SystemExit(2)),
+])
+def test_main_with_argv_never_ends_the_process(argv, code, exits, capsys):
+    if isinstance(code, SystemExit):
+        assert _exits(argv, capsys)[0] == code.code
+    else:
+        assert run(argv, capsys)[0] == code
+    assert exits == []

@@ -134,6 +134,28 @@ def test_every_name_has_a_caller_in_the_package():
     assert defined - dunders - used == set(UNCALLED)
 
 
+def _exit_references(tree):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_exit"
+            or isinstance(node, ast.Name) and node.id == "_exit"
+            or isinstance(node, ast.alias)
+            and node.name.rpartition(".")[2] == "_exit"]
+
+
+def test_only_the_cli_exit_helper_calls_os_exit():
+    """`os._exit` skips buffered output and `atexit` handlers; only the
+    CLI's exit helper, which flushes and runs them first, may call it."""
+    sites = []
+    for name, tree in _trees().items():
+        owner = {}
+        for func in ast.walk(tree):  # outer functions come first
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, func.name)
+                             for node in _exit_references(func))
+        sites += [(name, owner.get(node)) for node in _exit_references(tree)]
+    assert sites == [("cli.py", "_fast_exit")]
+
+
 def test_every_per_layer_metric_is_keyed_on_a_traced_name(tmp_path):
     """Each per-layer metric `<key>.calls`, `<key>.s` or `<key>.self_s`
     in BENCHMARK.json names a function or method the benchmark's tracer
