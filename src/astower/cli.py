@@ -2,7 +2,9 @@
 
 Every subcommand produces one canonical JSON document (sorted keys,
 two-space indent, integers and fraction strings only, never floats) so
-that repeated runs and cached runs are byte identical.  `_canonical`
+that repeated runs and cached runs are byte identical.  `verify`, `genus`
+and `audit` print the fields of their `genus` record, with `params`
+printed as p, s, q0, q, n (`_report`).  `_canonical`
 writes it without the `json` package and refuses a float; `json` is
 loaded only to decode a cache entry.  Timing chatter goes to stderr.
 Exit codes: 0 success, 1 integrity failure, 2 usage or parameter error,
@@ -31,8 +33,16 @@ def _params_payload(params: Params) -> dict:
 
 
 def _class_rows(classes) -> list:
-    return [{"label": c.label, "count": c.count, "conductor": c.conductor,
-             "genus": c.genus} for c in classes]
+    """The rows of `CoverClass` records, without the shared `base`."""
+    return [{k: v for k, v in c._asdict().items() if k != "base"}
+            for c in classes]
+
+
+def _report(command: str, record) -> dict:
+    """A `genus` record as its report: its fields, the command, and
+    `params` as p, s, q0, q, n."""
+    return {**record._asdict(), "command": command,
+            "params": _params_payload(record.params)}
 
 
 # ------------------------------------------------------------ commands
@@ -41,36 +51,14 @@ def _class_rows(classes) -> list:
 def cmd_verify(params: Params, args) -> dict:
     from .genus import verify_big_action
 
-    rep = verify_big_action(params)
-    return {
-        "command": "verify",
-        "params": _params_payload(params),
-        "group_order": rep.group_order,
-        "genus": rep.genus,
-        "genus_printed": rep.genus_printed,
-        "bound": rep.bound,
-        "bound_printed": rep.bound_printed,
-        "is_big": rep.is_big,
-        "is_big_printed": rep.is_big_printed,
-        "readings_agree": rep.readings_agree,
-    }
+    return _report("verify", verify_big_action(params))
 
 
 def cmd_genus(params: Params, args) -> dict:
     from .genus import genus_of_F
 
     rep = genus_of_F(params)
-    return {
-        "command": "genus",
-        "params": _params_payload(params),
-        "base_genus": rep.base_genus,
-        "classes": _class_rows(rep.classes),
-        "weighted_sum": rep.weighted_sum,
-        "gs_subtraction": rep.gs_subtraction,
-        "genus": rep.genus,
-        "printed_subtraction": rep.printed_subtraction,
-        "genus_printed": rep.genus_printed,
-    }
+    return {**_report("genus", rep), "classes": _class_rows(rep.classes)}
 
 
 def cmd_conductor(params: Params, args) -> dict:
@@ -87,7 +75,7 @@ def cmd_conductor(params: Params, args) -> dict:
         groups = ree_line_groups(params)
         payload["two_floor_groups"] = {str(m): c
                                        for m, c in sorted(groups.items())}
-        payload["two_floor_genus"] = ree_aggregate(params, groups=groups)
+        payload["two_floor_genus"] = ree_aggregate(params, groups)
     return payload
 
 
@@ -95,17 +83,10 @@ def cmd_audit(params: Params, args) -> dict:
     from .genus import audit_closed_forms
 
     rows = audit_closed_forms(params)
-    encoded = [{
-        "label": r.label,
-        "closed": r.closed,
-        "pipeline": r.pipeline,
-        "match": r.match,
-        "difference": r.difference,
-    } for r in rows]
     return {
         "command": "audit",
         "params": _params_payload(params),
-        "rows": encoded,
+        "rows": [r._asdict() for r in rows],
         "mismatches": sum(1 for r in rows if not r.match),
     }
 

@@ -180,13 +180,6 @@ def _digits(code: int, p: int, n: int) -> List[int]:
     return out
 
 
-def _code(digs, p: int) -> int:
-    out = 0
-    for d in reversed(digs):
-        out = out * p + d
-    return out
-
-
 def _find_modulus(p: int, n: int) -> Tuple[int, ...]:
     if n == 1:
         return (0, 1)
@@ -288,26 +281,11 @@ class FieldCtx:
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "modulus", modulus)
 
-        mod_list = list(modulus)
-
-        def cmul(a, b):
-            digs = _pmul(_digits(a, p, n), _digits(b, p, n), p)
-            digs = _pmod(digs, mod_list, p)
-            return _code(digs + [0] * n, p)
-
-        def cpow(a, e):
-            r = 1
-            while e:
-                if e & 1:
-                    r = cmul(r, a)
-                a = cmul(a, a)
-                e >>= 1
-            return r
-
         factors = _prime_factors(q - 1)
         gen = None
         for g in range(2, q):
-            if all(cpow(g, (q - 1) // r) != 1 for r in factors):
+            if all(_ppow_mod(_digits(g, p, n), (q - 1) // r, modulus, p)
+                   != [1] for r in factors):
                 gen = g
                 break
         if gen is None:

@@ -168,8 +168,8 @@ def _line_histogram(ctx: FieldCtx, reduced_basis: List[Dict[int, int]],
     return hist
 
 
-def _certified_classes(params: Params) -> Dict[str, int]:
-    """Certify the conductor of every cover class over all of its lines.
+def class_conductors(params: Params) -> Dict[str, int]:
+    """Conductor of every cover class, certified over all of its lines.
 
     The coefficient space V_{<=i} is spanned by b * part_j for j <= i and
     b in the F_p-basis of F_q; each part is expanded once and scaled by
@@ -202,12 +202,6 @@ def _certified_classes(params: Params) -> Dict[str, int]:
                 f"the ladder predicts {want}")
         below = upto
     return {label: ladder[label] for label in _CLASS_ORDER}
-
-
-def class_conductors(params: Params) -> Dict[str, int]:
-    """Conductor of every cover class, certified on every line of it;
-    see `_certified_classes`."""
-    return _certified_classes(params)
 
 
 def class_conductor(params: Params, label: str) -> int:
@@ -379,15 +373,9 @@ def ree_line_groups(params: Params) -> Dict[int, int]:
     return _line_histogram(ctx, reduced)
 
 
-def ree_aggregate(params: Params, *,
-                  groups: Optional[Dict[int, int]] = None) -> int:
-    """Genus of the two-floor compositum, checked against its closed form.
-
-    A histogram already computed by `ree_line_groups` can be passed in
-    as groups (the conductor report does this).
-    """
-    if groups is None:
-        groups = ree_line_groups(params)
+def ree_aggregate(params: Params, groups: Dict[int, int]) -> int:
+    """Genus of the two-floor compositum whose conductor histogram is
+    groups (`ree_line_groups`), checked against its closed form."""
     pieces = [(count, rh_genus(params.p, 0, m))
               for m, count in sorted(groups.items())]
     g = gs_aggregate(params.p, pieces, 0)

@@ -99,7 +99,7 @@ def test_criterion_03_genus_audit():
 
 @criterion(4, "two-floor compositum genus is 3627 at (3, 1)")
 def test_criterion_04_two_floor_aggregate():
-    assert ree_aggregate(P31) == 3627
+    assert ree_aggregate(P31, ree_line_groups(P31)) == 3627
 
 
 @criterion(5, "big-action verdict: false at (3, 1), true at (3, 2), "

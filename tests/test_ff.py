@@ -215,8 +215,10 @@ def _oracle_codes(ctx):
                   | set(range(0, q, q // 45)))
 
 
-@pytest.mark.parametrize("p,n", [(3, 3), (5, 3), (3, 5), (7, 3), (3, 7),
-                                 (5, 5)])
+_ORACLE_GRID = [(3, 3), (5, 3), (3, 5), (7, 3), (3, 7), (5, 5)]
+
+
+@pytest.mark.parametrize("p,n", _ORACLE_GRID)
 def test_arithmetic_matches_naive_oracle(p, n):
     ctx = make_field(p, n)
     naive = NaiveField(p, ctx.modulus)
@@ -237,6 +239,23 @@ def test_arithmetic_matches_naive_oracle(p, n):
         assert ctx.frobenius_iter(a, -1) == iterates[n - 1]
         assert naive.frob(ctx.p_root(a)) == a
         assert ctx.trace_to_prime(a) == naive.trace(a) < p
+
+
+def _naive_order(naive, a):
+    """Multiplicative order of a nonzero code, by successive products."""
+    k, x = 1, a
+    while x != 1:
+        x = naive.mul(x, a)
+        k += 1
+    return k
+
+
+@pytest.mark.parametrize("p,n", _ORACLE_GRID)
+def test_gen_is_the_smallest_primitive_code(p, n):
+    ctx = make_field(p, n)
+    naive = NaiveField(p, ctx.modulus)
+    assert _naive_order(naive, ctx.gen) == ctx.q - 1
+    assert all(_naive_order(naive, g) < ctx.q - 1 for g in range(1, ctx.gen))
 
 
 @pytest.mark.parametrize("p,n", [(3, 3), (5, 3), (7, 3), (3, 5)])

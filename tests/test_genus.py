@@ -384,7 +384,7 @@ def test_ree_line_groups_match_per_line_enumeration(params):
 
 
 def test_ree_aggregate_p3s1():
-    assert ree_aggregate(P31) == 3627
+    assert ree_aggregate(P31, ree_line_groups(P31)) == 3627
 
 
 def test_ree_aggregate_takes_precomputed_groups():
