@@ -5,8 +5,9 @@ two-space indent, integers and fraction strings only, never floats) so
 that repeated runs and cached runs are byte identical.  `verify`, `genus`
 and `audit` print the fields of their `genus` record, with `params`
 printed as p, s, q0, q, n (`_report`).  `_canonical`
-writes it without the `json` package and refuses a float; `json` is
-loaded only to decode a cache entry.  Timing chatter goes to stderr.
+writes it without the `json` package and refuses a float, None, a tuple
+or a string that needs an escape; `json` is loaded only to decode a
+cache entry.  Timing chatter goes to stderr.
 Exit codes: 0 success, 1 integrity failure, 2 usage or parameter error,
 3 audit found mismatching rows.  The console script (`main()` with no
 argv) flushes stdout and stderr, runs the `atexit` handlers and ends
@@ -20,7 +21,7 @@ from types import SimpleNamespace
 
 from . import __version__
 from .errors import IntegrityError, ParameterError, UnsupportedError
-from .ff import MAX_FIELD_Q, Params, _within_budget, prime_basis
+from .ff import Params, _check_field, prime_basis
 
 # Each command imports the layers it uses when it runs: conductor, genus
 # and audit never load `tower`, which verify loads to certify |G|, and
@@ -92,22 +93,19 @@ def cmd_audit(params: Params, args) -> dict:
 
 
 def cmd_commutators(params: Params, args) -> dict:
-    from .tower import (certify_automorphism, compose_endo, identity_endo,
-                        presentation, sigma_shift, tau_shift)
+    from .tower import (certify_automorphism, compose_endo, presentation,
+                        sigma_shift, tau_shift, vertical_shift_families)
 
     pres = presentation(params)
     ctx = params.field()
     basis = prime_basis(ctx)
     n = params.n
     two = 2 % ctx.p
-    ident = identity_endo(pres)
     sigma = [certify_automorphism(sigma_shift(pres, g), 0,
                                   f"sigma shift by {g}") for g in basis]
     tau = [certify_automorphism(tau_shift(pres, g), 0, f"tau shift by {g}")
            for g in basis]
-
-    def w_shift(c: int):
-        return ident.replace(w=pres.gen("w") + pres.const(c))
+    w_shift = vertical_shift_families(pres)["w"]
 
     # Soundness: the shifts are automorphisms (`certify_automorphism`), and
     # so is the w-shift W_c, since c^q = c for c in F_q.  For automorphisms
@@ -185,22 +183,18 @@ def cmd_prolong(params: Params, args) -> dict:
     }
 
 
+# Each command's report builder and help line.
 _COMMANDS = {
-    "verify": cmd_verify,
-    "conductor": cmd_conductor,
-    "genus": cmd_genus,
-    "commutators": cmd_commutators,
-    "prolong": cmd_prolong,
-    "audit": cmd_audit,
-}
-
-_HELP = {
-    "verify": "evaluate the big-action inequality under both readings",
-    "conductor": "certified conductors for floors and cover classes",
-    "genus": "full genus pipeline report",
-    "commutators": "shift commutators acting on the last generator",
-    "prolong": "certify prolongations of the x-translations",
-    "audit": "compare pipeline genera with closed forms (exit 3 on mismatch)",
+    "verify": (cmd_verify,
+               "evaluate the big-action inequality under both readings"),
+    "conductor": (cmd_conductor,
+                  "certified conductors for floors and cover classes"),
+    "genus": (cmd_genus, "full genus pipeline report"),
+    "commutators": (cmd_commutators,
+                    "shift commutators acting on the last generator"),
+    "prolong": (cmd_prolong, "certify prolongations of the x-translations"),
+    "audit": (cmd_audit, "compare pipeline genera with closed forms "
+                         "(exit 3 on mismatch)"),
 }
 
 
@@ -208,12 +202,15 @@ _HELP = {
 
 
 def _atomic_write(path: str, text: str) -> None:
-    """Replace a regular or missing file by renaming a temp file; write
-    a FIFO or device in place, which a rename would replace.  The file
-    keeps its mode, and a new one gets open()'s: 0o666 less the umask."""
+    """Write text where open(path, "w") would: through any symlinks, so
+    a link stays a link and a dangling one creates its target.  A regular
+    or missing file is replaced by renaming a temp file; a FIFO or device
+    is written in place, which a rename would replace.  The file keeps
+    its mode, and a new one gets open()'s: 0o666 less the umask."""
     import stat
     import tempfile
 
+    path = os.path.realpath(path)
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
@@ -245,24 +242,21 @@ def _cache_path(args) -> str:
 
 
 def _write(value, pad: str) -> str:
-    """json.dumps(value, sort_keys=True, indent=2) at indent pad, for
-    bools, None, ints, str, lists, tuples and dicts with str keys; any
-    other value, a float included, raises TypeError."""
+    """json.dumps(value, sort_keys=True, indent=2) at indent pad, for what
+    reports print: bools, ints, strings json need not escape, lists and
+    dicts with such string keys.  Any other value, such as a float, None,
+    a tuple or a string that needs an escape, raises TypeError."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if value is None:
-        return "null"
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
-        if (value.isascii() and value.isprintable()
+        if not (value.isascii() and value.isprintable()
                 and '"' not in value and "\\" not in value):
-            return f'"{value}"'
-        import json  # an escape is needed; no report emits one
-
-        return json.dumps(value)
+            raise TypeError(f"{value!r} needs a JSON escape")
+        return f'"{value}"'
     inner = pad + "  "
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         brackets = "[]"
         items = [_write(v, inner) for v in value]
     elif isinstance(value, dict):
@@ -316,7 +310,7 @@ def _obtain(args) -> tuple:
         if cached is not None:
             return cached
     params = Params(args.p, args.s)
-    payload = _COMMANDS[args.command](params, args)
+    payload = _COMMANDS[args.command][0](params, args)
     text = _canonical(payload)
     if cache_file:
         try:
@@ -377,7 +371,7 @@ def _help() -> str:
     return "\n".join([
         _USAGE, "", "exact conductor, genus, and automorphism reports for "
         "the five-step tower", "", "commands:",
-        *(row(name, text) for name, text in _HELP.items()),
+        *(row(name, text) for name, (_, text) in _COMMANDS.items()),
         "", "flags, as --flag VALUE or --flag=VALUE:",
         *(row(f"{flag} {flag[2:].upper()}", text)
           for flag, (_, _, text) in _FLAGS.items()),
@@ -433,17 +427,13 @@ def _parse(argv: list) -> SimpleNamespace:
 
 def _check_args(args) -> None:
     """Exit 2 before Params, whose primality test and powers hang on an
-    absurd --p or --s."""
+    absurd --p or --s: the CLI's own checks on --samples and --s, then
+    `ff`'s check of p and of the field budget for F_q, q = p^(2s+1)."""
     if args.samples < 0:
         raise ParameterError("--samples must be nonnegative")
-    if args.p < 3:
-        raise ParameterError(f"p must be an odd prime, got {args.p}")
     if args.s < 1:
         raise ParameterError(f"s must be a positive integer, got {args.s}")
-    if not _within_budget(args.p, 2 * args.s + 1):
-        raise UnsupportedError(
-            f"q = {args.p}^{2 * args.s + 1} has more than {MAX_FIELD_Q} "
-            "elements, above the field table budget")
+    _check_field(args.p, 2 * args.s + 1)
 
 
 def _flushed() -> bool:

@@ -366,35 +366,34 @@ class FieldCtx:
 
 @lru_cache(maxsize=None)
 def make_field(p: int, n: int) -> FieldCtx:
-    """The cached context for F_{p^n}, refused above the table budget.
+    """The cached context for F_{p^n}, once `_check_field` admits it.
 
-    A field with more than MAX_FIELD_Q elements raises UnsupportedError
-    before any search or allocation (and before the primality test, so a
-    huge p is refused at once).  Near the limit, at q = 101^3 =
-    1,030,301 on 64-bit CPython 3.11, the tables hold about 66 MiB and
-    building them peaks about 81 MiB above the interpreter's baseline.
+    Near the table budget, at q = 101^3 = 1,030,301 on 64-bit CPython
+    3.11, the tables hold about 66 MiB and building them peaks about
+    81 MiB above the interpreter's baseline.
+    """
+    _check_field(p, n)
+    return FieldCtx(p, n)
+
+
+def _check_field(p: int, n: int) -> None:
+    """Refuse F_{p^n} unless p is an odd prime, n >= 1 and p^n is at most
+    MAX_FIELD_Q.  The budget is decided before the primality test and
+    without computing a huge power, so a huge p or n is refused at once.
     """
     if not isinstance(p, int) or p < 3:
         raise ParameterError(f"p must be an odd prime, got {p}")
     if not isinstance(n, int) or n < 1:
         raise ParameterError(f"n must be a positive integer, got {n}")
-    if not _within_budget(p, n):
-        raise UnsupportedError(
-            f"F_{p}^{n} has more than {MAX_FIELD_Q} elements, above the "
-            "field table budget")
-    if not _is_prime(p):
-        raise ParameterError(f"p must be an odd prime, got {p}")
-    return FieldCtx(p, n)
-
-
-def _within_budget(p: int, n: int) -> bool:
-    """p^n <= MAX_FIELD_Q, decided without computing a huge power."""
     q = 1
     for _ in range(n):
         q *= p
         if q > MAX_FIELD_Q:
-            return False
-    return True
+            raise UnsupportedError(
+                f"F_{p}^{n} has more than {MAX_FIELD_Q} elements, above the "
+                "field table budget")
+    if not _is_prime(p):
+        raise ParameterError(f"p must be an odd prime, got {p}")
 
 
 def prime_basis(ctx: FieldCtx) -> List[int]:

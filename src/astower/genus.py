@@ -24,6 +24,7 @@ from collections import namedtuple
 from math import gcd
 from typing import Dict, List, Optional, Tuple, Union
 
+from ._kernel_py import lp_add_scaled
 from .errors import IntegrityError, ParameterError
 from .ff import FieldCtx, Params, prime_basis
 from .local import (build_uniformizer, conductor_of_cover, cover_rhs_polys,
@@ -126,9 +127,10 @@ def _line_histogram(ctx: FieldCtx, reduced_basis: List[Dict[int, int]],
     the bars must cover all (p^dim - 1)/(p - 1) lines (no line without a
     pole); either failure raises IntegrityError.
     """
-    p = ctx.p
+    p, kargs = ctx.p, ctx.kernel_args
     # echelon rows keyed by their leading column (exponent, digit); the
-    # most negative exponent is the highest pole order and sorts first
+    # most negative exponent is the highest pole order and sorts first.
+    # Entries are F_p digits, codes below p, which F_q's tables keep there.
     pivots = {} if pivots is None else pivots
     dim = len(pivots) + len(reduced_basis)
     for red in reduced_basis:
@@ -138,16 +140,10 @@ def _line_histogram(ctx: FieldCtx, reduced_basis: List[Dict[int, int]],
             lead = min(row)
             piv = pivots.get(lead)
             if piv is None:
-                inv = pow(row[lead], p - 2, p)
-                pivots[lead] = {k: v * inv % p for k, v in row.items()}
+                pivots[lead] = lp_add_scaled({}, row, ctx.inv(row[lead]),
+                                             *kargs)
                 break
-            c = row[lead]
-            for k, v in piv.items():
-                w = (row.get(k, 0) - c * v) % p
-                if w:
-                    row[k] = w
-                else:
-                    del row[k]
+            row = lp_add_scaled(row, piv, ctx.neg(row[lead]), *kargs)
     rank_at: Dict[int, int] = {}
     for e, _ in pivots:
         rank_at[-e] = rank_at.get(-e, 0) + 1
@@ -155,7 +151,7 @@ def _line_histogram(ctx: FieldCtx, reduced_basis: List[Dict[int, int]],
     kernel = dim
     for pole in sorted(rank_at, reverse=True):
         m = pole + 1
-        if m < 2 or pole % p == 0:
+        if m < 2 or gcd(pole, p) != 1:
             raise IntegrityError(
                 f"line conductor {m} is not reduced for p={p}")
         rank = rank_at[pole]

@@ -20,7 +20,8 @@ on the `_kernel_py` kernel the Laurent series use.  A monomial is normal
 iff (m + bias) & high == 0, with 2^(W-1) - q in each field of bias and
 the top bit of each field in high.  No field carries while it stays
 below 2^(W-1): products of normal monomials stay below 2q, p^k-th powers
-(k <= n) below q^2, and any q with 2q^2 >= 2^(W-1) is refused.
+(k <= n) below q^2, and every q within `ff`'s table budget has
+2q^2 < 2^(W-1).
 `TowerElement.d` and `TowerPresentation.element` keep a 6-tuple view.
 
 An `Endo` is fixed when it is built: `images` is a read-only mapping and
@@ -87,13 +88,6 @@ def _unpack(m: int) -> Monomial:
     w, mask = FIELD_BITS, _FIELD_MASK
     return (m >> 5 * w, m >> 4 * w & mask, m >> 3 * w & mask,
             m >> 2 * w & mask, m >> w & mask, m & mask)
-
-
-def check_field_width(q: int) -> None:
-    """Refuse a field whose monomial arithmetic could overflow a field."""
-    if 2 * q * q >= _FIELD_LIMIT:
-        raise UnsupportedError(
-            f"q = {q} needs more than {FIELD_BITS} bits per packed exponent")
 
 
 class TowerElement:
@@ -221,9 +215,8 @@ class TowerPresentation:
 
     def __init__(self, params: Params):
         q0, q = params.q0, params.q
-        check_field_width(q)
         self.params = params
-        self.ctx = params.field()
+        self.ctx = params.field()  # refused above the table budget
         self._high = sum(_FIELD_LIMIT << shift for _, _, shift in _FIELDS)
         self._bias = sum((_FIELD_LIMIT - q) << shift for _, _, shift in _FIELDS)
         self._gp: Dict[Tuple[int, int], Terms] = {}

@@ -19,6 +19,7 @@ from hypothesis import given, strategies as st
 
 from astower import cli, ff, genus, local, tower
 from astower.cli import main
+from astower.errors import ParameterError, UnsupportedError
 from astower.ff import make_field
 from astower.laurent import LaurentPoly
 
@@ -73,6 +74,18 @@ def test_absurd_parameters_exit_2_at_once(p, s, capsys):
     assert time.perf_counter() - started < 1.0
     assert code == 2
     assert out == "" and "parameter error" in err
+
+
+@pytest.mark.parametrize("p, s", [(13, 3), (1000000000000000003, 1),
+                                  (3, 100000000), (9, 1)])
+def test_cli_refuses_a_field_with_make_fields_own_words(p, s, capsys):
+    """The field budget and the p check are one rule, in `ff`: the CLI's
+    parameter error is the error make_field(p, 2s + 1) raises."""
+    with pytest.raises((ParameterError, UnsupportedError)) as exc:
+        make_field(p, 2 * s + 1)
+    code, out, err = run(["verify", "--p", str(p), "--s", str(s)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"parameter error: {exc.value}\n"
 
 
 @pytest.mark.parametrize("command", ["verify", "prolong"])
@@ -288,6 +301,35 @@ def test_out_writes_into_a_fifo_without_replacing_it(tmp_path, capsys):
     assert received == [direct.encode("utf-8")]
 
 
+@pytest.mark.parametrize("target", ["existing", "dangling"])
+def test_out_and_cache_writes_follow_a_symlink(target, tmp_path, capsys):
+    """--out and a cache entry write where open() would: through a
+    symlink, which stays a link, into its target, which a dangling link
+    creates."""
+    _, want, _ = run(["verify", "--p", "3", "--s", "1"], capsys)
+    real, link = tmp_path / "target.json", tmp_path / "link.json"
+    if target == "existing":
+        real.write_text("stale")
+    link.symlink_to(real)
+    assert run(["verify", "--p", "3", "--s", "1", "--out", str(link)],
+               capsys)[:2] == (0, "")
+    cache, real_cache = tmp_path / "cache", tmp_path / "real_cache"
+    run(["verify", "--p", "3", "--s", "1", "--cache-dir", str(real_cache)],
+        capsys)
+    (entry,) = real_cache.iterdir()
+    cache.mkdir()
+    real_entry = tmp_path / entry.name
+    if target == "existing":
+        entry.rename(real_entry)
+        real_entry.write_text("stale")
+    (cache / entry.name).symlink_to(real_entry)
+    assert run(["verify", "--p", "3", "--s", "1", "--cache-dir", str(cache)],
+               capsys)[:2] == (0, want)
+    for path, dest in ((link, real), (cache / entry.name, real_entry)):
+        assert path.is_symlink() and os.readlink(path) == str(dest)
+        assert dest.read_text() == want
+
+
 def test_written_files_get_the_mode_open_would_give(tmp_path, capsys):
     """A new --out file and a new cache entry get 0o666 less the umask,
     as open(path, "w") gives them, and a replaced --out file keeps its
@@ -425,10 +467,14 @@ def _bad_entry(kind, good, tmp_path, capsys):
             capsys)
         (entry,) = other.glob("*.json")
         return entry.read_bytes()
-    if kind == "float":
-        # canonical JSON of the right report, but with a float in it
+    if kind in ("float", "null", "escaped"):
+        # canonical JSON of the right report, but with a value in it that
+        # no report prints: a float, a null or a string json escapes
         payload = json.loads(good)
-        payload["genus"] = 1.5
+        if kind == "escaped":
+            payload["is_big"] = "yes \u00e9"
+        else:
+            payload["genus"] = 1.5 if kind == "float" else None
         return (json.dumps(payload, sort_keys=True, indent=2)
                 + "\n").encode("utf-8")
     # the right report, but not in its canonical form
@@ -436,7 +482,8 @@ def _bad_entry(kind, good, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kind", ["truncated", "not_json", "hand_edited",
-                                  "other_command", "float", "reformatted"])
+                                  "other_command", "float", "null",
+                                  "escaped", "reformatted"])
 def test_cache_recomputes_an_entry_it_cannot_trust(kind, tmp_path, capsys):
     args = ["verify", "--p", "3", "--s", "1"]
     want = run(args, capsys)[:2]
@@ -458,15 +505,18 @@ def test_cache_key_tracks_seed(tmp_path, capsys):
 
 
 # Strings json must escape: quote, backslash, control, DEL, non-ASCII.
-_ESCAPED = st.sampled_from(['"', "\\", "\n", "\x00", "\x7f", "\u00e9",
-                            "\u2603", "\U0001d11e", 'a"b\\c'])
-_LEAVES = (st.none() | st.booleans() | st.integers()
-           | st.integers(min_value=2 ** 64) | st.integers(max_value=-2 ** 64)
-           | st.text() | _ESCAPED)
-_KEYS = st.text(max_size=6) | _ESCAPED
+_ESCAPED = ['"', "\\", "\n", "\x00", "\x7f", "\u00e9", "\u2603",
+            "\U0001d11e", 'a"b\\c']
+# What reports print: bools, ints, strings that need no escape (printable
+# ASCII but quote and backslash), lists, and dicts with such keys.
+_PLAIN = st.characters(min_codepoint=0x20, max_codepoint=0x7e,
+                       exclude_characters='"\\')
+_LEAVES = (st.booleans() | st.integers() | st.integers(min_value=2 ** 64)
+           | st.integers(max_value=-2 ** 64) | st.text(_PLAIN))
 _VALUES = st.recursive(_LEAVES, lambda kids: (
-    st.lists(kids, max_size=4) | st.lists(kids, max_size=3).map(tuple)
-    | st.dictionaries(_KEYS, kids, max_size=4)), max_leaves=24)
+    st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(_PLAIN, max_size=6), kids, max_size=4)),
+    max_leaves=24)
 
 
 @given(_VALUES)
@@ -477,9 +527,12 @@ def test_canonical_writer_matches_json(value):
 
 @pytest.mark.parametrize("value", [
     1.5, [0.0], {"a": {"b": float("nan")}}, {1: 2}, {"a": {None: 1}},
-    {True: 0}, {1.5: 0}, {"a"}, b"bytes"], ids=[
+    {True: 0}, {1.5: 0}, {"a"}, b"bytes", None, {"a": [None]}, (1, 2),
+    {"a": ()}, *_ESCAPED, *({c: 0} for c in _ESCAPED)], ids=[
     "float", "nested_float", "nan", "int_key", "none_key", "bool_key",
-    "float_key", "set", "bytes"])
+    "float_key", "set", "bytes", "none", "nested_none", "tuple",
+    "nested_tuple", *(f"escaped_{i}" for i in range(len(_ESCAPED))),
+    *(f"escaped_key_{i}" for i in range(len(_ESCAPED)))])
 def test_canonical_writer_refuses_floats_and_other_keys(value):
     with pytest.raises(TypeError):
         cli._canonical(value)

@@ -6,12 +6,16 @@ values were derived twice independently with the composition convention
 (a o b)(e) = a(b(e)).
 """
 
+import time
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from astower import tower
 from astower.errors import IntegrityError, ParameterError, UnsupportedError
-from astower.ff import Params, basis_and_reps, make_field, prime_basis
+from astower.ff import (MAX_FIELD_Q, Params, basis_and_reps, make_field,
+                        prime_basis)
 from astower.tower import (
     GENS,
     certify_group,
@@ -650,15 +654,21 @@ def test_pow_pk_far_beyond_n_stays_inside_the_packed_fields(mixed):
 
 
 def test_packed_fields_cannot_overflow_at_the_table_budget():
-    from astower import tower
-    from astower.ff import MAX_FIELD_Q
-
     # normal monomials times normal monomials stay below 2q, their
     # p^k-th powers (k <= n) below q^2: both must fit below the top bit
     assert 2 * MAX_FIELD_Q ** 2 < 1 << (tower.FIELD_BITS - 1)
-    tower.check_field_width(MAX_FIELD_Q)
-    with pytest.raises(UnsupportedError):
-        tower.check_field_width(1 << (tower.FIELD_BITS // 2))
+    # so a presentation needs no check of its own: its field passes the
+    # table budget before any table is built, and q = 13^7 is refused
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        with pytest.raises(UnsupportedError):
+            presentation(Params(13, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - started < 1.0
+    assert peak < 1 << 20
 
 
 def test_element_rejects_exponents_outside_the_packed_fields(mixed):
