@@ -21,7 +21,7 @@ from types import SimpleNamespace
 
 from . import __version__
 from .errors import IntegrityError, ParameterError, UnsupportedError
-from .ff import Params, _check_field, prime_basis
+from .ff import Params, prime_basis
 
 # Each command imports the layers it uses when it runs: conductor, genus
 # and audit never load `tower`, which verify loads to certify |G|, and
@@ -303,13 +303,12 @@ def _read_cached(path: str, args) -> tuple:
     return text, payload
 
 
-def _obtain(args) -> tuple:
+def _obtain(args, params: Params) -> tuple:
     cache_file = _cache_path(args) if args.cache_dir else None
     if cache_file:
         cached = _read_cached(cache_file, args)
         if cached is not None:
             return cached
-    params = Params(args.p, args.s)
     payload = _COMMANDS[args.command][0](params, args)
     text = _canonical(payload)
     if cache_file:
@@ -352,15 +351,28 @@ def _report_format(value: str) -> str:
     return value
 
 
+def _count(value: str) -> int:
+    count = int(value)
+    if count < 0:
+        raise ValueError(value)
+    return count
+
+
+def _path(value: str) -> str:
+    if not value:  # "" would read as not given
+        raise ValueError(value)
+    return value
+
+
 _REQUIRED = object()
 # The flags every command takes: converter, default and help line.
 _FLAGS = {
     "--p": (int, _REQUIRED, "odd prime characteristic"),
     "--s": (int, _REQUIRED, "tower parameter: q0 = p^s, q = p^(2s+1)"),
-    "--samples": (int, 2, "translations prolong lists when q > 128"),
+    "--samples": (_count, 2, "translations prolong lists when q > 128"),
     "--seed": (int, 0, "seed choosing those translations"),
-    "--cache-dir": (str, None, "directory for keyed report caching"),
-    "--out": (str, None, "write the report here instead of stdout"),
+    "--cache-dir": (_path, None, "directory for keyed report caching"),
+    "--out": (_path, None, "write the report here instead of stdout"),
     "--format": (_report_format, "json", "json (the default) or md"),
 }
 _USAGE = "usage: astower COMMAND --p P --s S [FLAGS]"
@@ -425,17 +437,6 @@ def _parse(argv: list) -> SimpleNamespace:
         flag[2:].replace("-", "_"): value for flag, value in values.items()})
 
 
-def _check_args(args) -> None:
-    """Exit 2 before Params, whose primality test and powers hang on an
-    absurd --p or --s: the CLI's own checks on --samples and --s, then
-    `ff`'s check of p and of the field budget for F_q, q = p^(2s+1)."""
-    if args.samples < 0:
-        raise ParameterError("--samples must be nonnegative")
-    if args.s < 1:
-        raise ParameterError(f"s must be a positive integer, got {args.s}")
-    _check_field(args.p, 2 * args.s + 1)
-
-
 def _flushed() -> bool:
     """Flush stdout and stderr; False when either refuses, such as a
     pipe whose reader has gone."""
@@ -488,8 +489,7 @@ def _run(argv: list) -> int:
     args = _parse(argv)
     started = time.perf_counter()
     try:
-        _check_args(args)
-        text, payload = _obtain(args)
+        text, payload = _obtain(args, Params(args.p, args.s))
         code = _exit_code(args.command, payload)
     except IntegrityError as exc:
         print(f"integrity failure: {exc}", file=sys.stderr)

@@ -9,7 +9,8 @@ Z(k) = log(1 + g^k) for addition (Huber, "Some comments on Zech's
 logarithms", IEEE Trans. IT 36, 1990; Lidl-Niederreiter, Finite Fields,
 ch. 9).  Negation, Frobenius powers, p-th roots and the trace act on the
 log, so the hot loops in `laurent` and `tower` touch nothing but list
-indexing.  Fields above the table budget MAX_FIELD_Q are refused.
+indexing.  Fields above the table budget MAX_FIELD_Q are refused, and
+`Params` refuses (p, s) by the same rule, applied to F_{p^(2s+1)}.
 
 The modulus for each (p, n) is the first monic irreducible polynomial of
 degree n in ascending code order of its non-leading coefficient vector,
@@ -48,20 +49,19 @@ class Params:
     """Tower parameters (p, s) with the derived constants q0 = p^s,
     q = p^(2s+1) and n = 2s + 1.
 
-    Every s >= 1 is accepted: the pipeline is well defined at s = 1,
-    where the big-action verdict fails, and that failing verdict is
-    itself a check.
+    Every s >= 1 within the field table budget is accepted: the pipeline
+    is well defined at s = 1, where the big-action verdict fails, and
+    that failing verdict is itself a check.  It is the one gate for
+    (p, s): after s, it refuses what make_field(p, 2s + 1) refuses, with
+    the same message, and never hangs on a huge p or s.
     """
 
     __slots__ = ("p", "s", "q0", "q", "n")
 
     def __init__(self, p: int, s: int):
-        if not isinstance(p, int) or not isinstance(s, int):
-            raise ParameterError("p and s must be integers")
-        if p == 2 or not _is_prime(p):
-            raise ParameterError(f"p must be an odd prime, got {p}")
-        if s < 1:
+        if not isinstance(s, int) or s < 1:
             raise ParameterError(f"s must be a positive integer, got {s}")
+        _check_field(p, 2 * s + 1)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "q0", p ** s)

@@ -91,7 +91,7 @@ class UniformizerData:
     the uniformizer z, their exponents, and the head's residual."""
 
     __slots__ = ("params", "ctx", "x_poly", "y_head", "a1", "a2", "b1", "b2",
-                 "residual", "_xpow_cache")
+                 "residual")
 
     def __init__(self, params: Params, ctx: FieldCtx, x_poly: LaurentPoly,
                  y_head: LaurentPoly, a1: int, a2: int, b1: int, b2: int,
@@ -100,14 +100,9 @@ class UniformizerData:
         self.x_poly, self.y_head = x_poly, y_head
         self.a1, self.a2, self.b1, self.b2 = a1, a2, b1, b2
         self.residual = residual
-        self._xpow_cache: Dict[int, LaurentPoly] = {}
 
     def xpow(self, e: int) -> LaurentPoly:
-        out = self._xpow_cache.get(e)
-        if out is None:
-            out = self.x_poly ** e
-            self._xpow_cache[e] = out
-        return out
+        return self.x_poly ** e
 
 
 def build_uniformizer(params: Params) -> UniformizerData:

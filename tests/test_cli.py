@@ -76,24 +76,48 @@ def test_absurd_parameters_exit_2_at_once(p, s, capsys):
     assert out == "" and "parameter error" in err
 
 
+# Params(p, s) in a fresh interpreter: the error it raises and its time.
+_PARAMS = """import sys, time
+from astower.ff import Params
+started = time.perf_counter()
+try:
+    Params(int(sys.argv[1]), int(sys.argv[2]))
+except Exception as exc:
+    print(f"{type(exc).__name__}: {exc}")
+print(time.perf_counter() - started)
+"""
+
+
 @pytest.mark.parametrize("p, s", [(13, 3), (1000000000000000003, 1),
-                                  (3, 100000000), (9, 1)])
+                                  (3, 100000000), (1, 100000000), (9, 1),
+                                  (3, 0)])
 def test_cli_refuses_a_field_with_make_fields_own_words(p, s, capsys):
-    """The field budget and the p check are one rule, in `ff`: the CLI's
-    parameter error is the error make_field(p, 2s + 1) raises."""
-    with pytest.raises((ParameterError, UnsupportedError)) as exc:
-        make_field(p, 2 * s + 1)
+    """Params is the one gate for (p, s): in process it raises within
+    1 s, after s with the error make_field(p, 2s + 1) raises, and the
+    CLI's parameter error is that message.  The call runs in a child
+    with a timeout, so a Params that hangs fails here."""
+    if s < 1:
+        want = ParameterError(f"s must be a positive integer, got {s}")
+    else:
+        with pytest.raises((ParameterError, UnsupportedError)) as exc:
+            make_field(p, 2 * s + 1)
+        want = exc.value
+    raised, elapsed = _python(_PARAMS, str(p), str(s), check=True,
+                              timeout=30).stdout.splitlines()
+    assert raised == f"{type(want).__name__}: {want}"
+    assert float(elapsed) < 1.0
     code, out, err = run(["verify", "--p", str(p), "--s", str(s)], capsys)
     assert (code, out) == (2, "")
-    assert err == f"parameter error: {exc.value}\n"
+    assert err == f"parameter error: {want}\n"
 
 
 @pytest.mark.parametrize("command", ["verify", "prolong"])
 def test_negative_samples_is_usage_error(command, capsys):
-    code, out, err = run([command, "--p", "3", "--s", "1", "--samples", "-1"],
-                         capsys)
+    code, out, err = _exits([command, "--p", "3", "--s", "1", "--samples",
+                             "-1"], capsys)
     assert code == 2
     assert out == "" and "samples" in err
+    assert err.startswith("usage: astower ")
 
 
 def test_bad_format_is_usage_error():
@@ -151,9 +175,14 @@ def test_help_lists_every_command_and_flag(argv, capsys):
     (["verify", "--p", "3"], "missing --s"),
     (["verify"], "missing --p, --s"),
     (["genus", "--p", "3", "--s", "1", "--format", "yaml"], "--format"),
+    (["verify", "--p", "3", "--s", "1", "--out", ""],
+     "--out: invalid value ''"),
+    (["verify", "--p", "3", "--s", "1", "--cache-dir="],
+     "--cache-dir: invalid value ''"),
 ], ids=["none", "unknown", "flag-first", "unknown-flag", "positional",
         "abbreviation", "no-value", "no-out", "bad-p", "bad-s", "bad-samples",
-        "empty-seed", "no-p", "no-s", "no-p-or-s", "bad-format"])
+        "empty-seed", "no-p", "no-s", "no-p-or-s", "bad-format", "empty-out",
+        "empty-cache-dir"])
 def test_usage_errors_exit_2_with_usage_on_stderr(argv, message, capsys):
     code, out, err = _exits(argv, capsys)
     assert code == 2 and out == ""
@@ -449,6 +478,28 @@ def test_cache_round_trip(tmp_path, capsys):
     assert code2 == 0
     assert out1 == out2
     assert list(cache.glob("*.json")) == entries
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_each_report_builds_params_once(command, tmp_path, monkeypatch,
+                                        capsys):
+    """The CLI checks (p, s) only through Params, built once per report:
+    computed, written to the cache, and served from it."""
+    built = []
+    real = ff.Params.__init__
+
+    def counted(self, p, s):
+        built.append((p, s))
+        real(self, p, s)
+
+    monkeypatch.setattr(ff.Params, "__init__", counted)
+    argv = [command, "--p", "3", "--s", "1"]
+    cached = argv + ["--cache-dir", str(tmp_path / "cache")]
+    for args in (argv, cached, cached):
+        built.clear()
+        # audit exits 3: the w-class closed form mismatches at (3, 1)
+        assert run(args, capsys)[0] == (3 if command == "audit" else 0)
+        assert built == [(3, 1)]
 
 
 def _bad_entry(kind, good, tmp_path, capsys):

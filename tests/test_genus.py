@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from astower import genus
-from astower.errors import IntegrityError, ParameterError
-from astower.ff import Params, make_field
+from astower.errors import IntegrityError, ParameterError, UnsupportedError
+from astower.ff import MAX_FIELD_Q, Params, make_field
 from astower.genus import (
     _line_histogram,
     audit_closed_forms,
@@ -114,6 +114,10 @@ def test_class_line_counts_p5s1():
 
 @given(p=st.sampled_from([3, 5, 7, 11]), s=st.integers(1, 3))
 def test_class_line_counts_cover_the_dual_space(p, s):
+    if p ** (2 * s + 1) > MAX_FIELD_Q:  # (11, 3): Params refuses F_q
+        with pytest.raises(UnsupportedError):
+            Params(p, s)
+        return
     params = Params(p, s)
     counts = class_line_counts(params)
     q = params.q

@@ -657,7 +657,7 @@ def test_packed_fields_cannot_overflow_at_the_table_budget():
     # normal monomials times normal monomials stay below 2q, their
     # p^k-th powers (k <= n) below q^2: both must fit below the top bit
     assert 2 * MAX_FIELD_Q ** 2 < 1 << (tower.FIELD_BITS - 1)
-    # so a presentation needs no check of its own: its field passes the
+    # so a presentation needs no check of its own: its Params passes the
     # table budget before any table is built, and q = 13^7 is refused
     tracemalloc.start()
     started = time.perf_counter()
