@@ -153,12 +153,7 @@ def cmd_prolong(params: Params, args) -> dict:
         from .rng import SplitMix64
 
         gen = SplitMix64(args.seed)
-        drawn = {0, 1}
-        for _ in range(max(args.samples, 2)):
-            if len(drawn) == q:  # later draws cannot change a full set
-                break
-            drawn.add(gen.randbelow(q))
-        avals = sorted(drawn)
+        avals = sorted({0, 1, gen.randbelow(q), gen.randbelow(q)})
     basis = prime_basis(ctx)
 
     total_order = certify_group(presentation(params))
@@ -237,8 +232,8 @@ def _atomic_write(path: str, text: str) -> None:
 def _cache_path(args) -> str:
     # tagged ints and fixed strings: injective without a digest (hashlib)
     return os.path.join(args.cache_dir, (
-        f"{args.command}-p{args.p}-s{args.s}-n{args.samples}"
-        f"-seed{args.seed}-v{__version__}.json"))
+        f"{args.command}-p{args.p}-s{args.s}-seed{args.seed}"
+        f"-v{__version__}.json"))
 
 
 def _write(value, pad: str) -> str:
@@ -351,13 +346,6 @@ def _report_format(value: str) -> str:
     return value
 
 
-def _count(value: str) -> int:
-    count = int(value)
-    if count < 0:
-        raise ValueError(value)
-    return count
-
-
 def _path(value: str) -> str:
     if not value:  # "" would read as not given
         raise ValueError(value)
@@ -369,8 +357,8 @@ _REQUIRED = object()
 _FLAGS = {
     "--p": (int, _REQUIRED, "odd prime characteristic"),
     "--s": (int, _REQUIRED, "tower parameter: q0 = p^s, q = p^(2s+1)"),
-    "--samples": (_count, 2, "translations prolong lists when q > 128"),
-    "--seed": (int, 0, "seed choosing those translations"),
+    "--seed": (int, 0, "seed choosing the two translations prolong "
+                       "draws when q > 128"),
     "--cache-dir": (_path, None, "directory for keyed report caching"),
     "--out": (_path, None, "write the report here instead of stdout"),
     "--format": (_report_format, "json", "json (the default) or md"),

@@ -34,17 +34,6 @@ from .errors import ParameterError, UnsupportedError
 MAX_FIELD_Q = 1 << 20
 
 
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
-
-
 class Params:
     """Tower parameters (p, s) with the derived constants q0 = p^s,
     q = p^(2s+1) and n = 2s + 1.
@@ -392,7 +381,7 @@ def _check_field(p: int, n: int) -> None:
             raise UnsupportedError(
                 f"F_{p}^{n} has more than {MAX_FIELD_Q} elements, above the "
                 "field table budget")
-    if not _is_prime(p):
+    if _prime_factors(p) != [p]:
         raise ParameterError(f"p must be an odd prime, got {p}")
 
 

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, report shapes, determinism."""
 
 import atexit
+import contextlib
 import gc
 import hashlib
 import io
@@ -15,13 +16,14 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from astower import cli, ff, genus, local, tower
 from astower.cli import main
 from astower.errors import ParameterError, UnsupportedError
 from astower.ff import make_field
 from astower.laurent import LaurentPoly
+from astower.rng import SplitMix64
 
 
 def run(argv, capsys):
@@ -112,11 +114,11 @@ def test_cli_refuses_a_field_with_make_fields_own_words(p, s, capsys):
 
 
 @pytest.mark.parametrize("command", ["verify", "prolong"])
-def test_negative_samples_is_usage_error(command, capsys):
+def test_samples_is_an_unrecognized_argument(command, capsys):
     code, out, err = _exits([command, "--p", "3", "--s", "1", "--samples",
-                             "-1"], capsys)
+                             "2"], capsys)
     assert code == 2
-    assert out == "" and "samples" in err
+    assert out == "" and "unrecognized argument '--samples'" in err
     assert err.startswith("usage: astower ")
 
 
@@ -143,8 +145,7 @@ def test_version_through_the_console_script():
         (0, "astower 0.1.0\n", "")
 
 
-_FLAG_NAMES = ["--p", "--s", "--samples", "--seed", "--cache-dir", "--out",
-               "--format"]
+_FLAG_NAMES = ["--p", "--s", "--seed", "--cache-dir", "--out", "--format"]
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["-h"], ["verify", "--help"],
@@ -156,6 +157,7 @@ def test_help_lists_every_command_and_flag(argv, capsys):
     assert out.startswith("usage: astower ")
     for word in [*cli._COMMANDS, *_FLAG_NAMES, "--help", "--version"]:
         assert word in out
+    assert "--samples" not in out
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -169,7 +171,8 @@ def test_help_lists_every_command_and_flag(argv, capsys):
     (["verify", "--p", "3", "--s", "1", "--out"], "--out: expected a value"),
     (["verify", "--p", "x", "--s", "1"], "--p: invalid value 'x'"),
     (["verify", "--p", "3", "--s", "1.5"], "--s: invalid value '1.5'"),
-    (["prolong", "--p", "3", "--s", "1", "--samples=two"], "--samples"),
+    (["prolong", "--p", "3", "--s", "1", "--samples=two"],
+     "unrecognized argument '--samples=two'"),
     (["prolong", "--p", "3", "--s", "1", "--seed", ""], "--seed"),
     (["verify", "--s", "1"], "missing --p"),
     (["verify", "--p", "3"], "missing --s"),
@@ -692,14 +695,21 @@ def test_commutators_certify_each_shift_once(p, s, monkeypatch, capsys):
                       "compose_endo": 3 * n * n + 2 * n * (n - 1)}
 
 
-def test_prolong_stops_drawing_once_every_translation_is_listed():
-    """More draws cannot change a full set of translations, so a huge
-    --samples returns at once with the bytes of a smaller one."""
-    argv = ("prolong", "--p", "3", "--s", "2", "--samples")
-    want = _python(_ENTRY, *argv, "100000", check=True, timeout=60).stdout
-    assert json.loads(want)["translations_certified"] == 243
-    got = _python(_ENTRY, *argv, "1000000000", check=True, timeout=20)
-    assert got.stdout == want
+@example(seed=0)
+@example(seed=2 ** 64)
+@given(seed=st.integers() | st.integers(min_value=2 ** 64))
+def test_prolong_lists_0_1_and_two_seeded_draws_above_q_128(seed):
+    """Above q = 128 prolong lists 0, 1 and two draws of SplitMix64(seed)
+    below q, whatever the seed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["prolong", "--p", "3", "--s", "2",
+                     "--seed", str(seed)]) == 0
+    report = json.loads(out.getvalue())
+    g = SplitMix64(seed)
+    assert report["exhaustive"] is False
+    assert report["translations_certified"] == len(
+        {0, 1, g.randbelow(243), g.randbelow(243)})
 
 
 # Mutants prolong must refuse: each breaks one link of the certificate
