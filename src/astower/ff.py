@@ -11,6 +11,7 @@ ch. 9).  Negation, Frobenius powers, p-th roots and the trace act on the
 log, so the hot loops in `laurent` and `tower` touch nothing but list
 indexing.  Fields above the table budget MAX_FIELD_Q are refused, and
 `Params` refuses (p, s) by the same rule, applied to F_{p^(2s+1)}.
+`tower_rhs` holds the tower's equations, the one copy every layer reads.
 
 The modulus for each (p, n) is the first monic irreducible polynomial of
 degree n in ascending code order of its non-leading coefficient vector,
@@ -24,7 +25,6 @@ exactly one such element on each F_p* orbit).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Tuple
 
 from .errors import ParameterError, UnsupportedError
 
@@ -42,13 +42,14 @@ class Params:
     is well defined at s = 1, where the big-action verdict fails, and
     that failing verdict is itself a check.  It is the one gate for
     (p, s): after s, it refuses what make_field(p, 2s + 1) refuses, with
-    the same message, and never hangs on a huge p or s.
+    the same message, and never hangs on a huge p or s.  Like p, s must be
+    of type int: a bool is refused, not printed as `true`.
     """
 
     __slots__ = ("p", "s", "q0", "q", "n")
 
     def __init__(self, p: int, s: int):
-        if not isinstance(s, int) or s < 1:
+        if type(s) is not int or s < 1:
             raise ParameterError(f"s must be a positive integer, got {s}")
         _check_field(p, 2 * s + 1)
         object.__setattr__(self, "p", p)
@@ -71,6 +72,32 @@ class Params:
 
     def __repr__(self):
         return f"Params(p={self.p}, s={self.s})"
+
+
+def tower_rhs(params: Params) -> dict[str, dict[tuple[int, int, int], int]]:
+    """The right-hand sides of the tower's equations g^q - g = rhs, the
+    one place they are written, as {(x, y1, y2) exponents: code}.
+
+    y_i = x^(i q0) (x^q - x) and v_i = x^(i q0) (x^(2q) - x^2) lie in
+    F_q[x].  "w" is the w that `tower` presents, over x, y1 and y2, and
+    "w'" the paper's primed w, 2 x^(2q0) y1 (x^q - x) + x^(3q0) (x^q - x)^2,
+    over x and y1: the w cover that `local` expands.  Every coefficient
+    is a small integer c, and its code is the prime-field element c % p.
+    """
+    p, q0, q = params.p, params.q0, params.q
+    table = {
+        "y1": {(q0 + q, 0, 0): 1, (q0 + 1, 0, 0): -1},
+        "y2": {(2 * q0 + q, 0, 0): 1, (2 * q0 + 1, 0, 0): -1},
+        "v1": {(q0 + 2 * q, 0, 0): 1, (q0 + 2, 0, 0): -1},
+        "v2": {(2 * q0 + 2 * q, 0, 0): 1, (2 * q0 + 2, 0, 0): -1},
+        "w": {(2 * q0 + q, 1, 0): 1, (2 * q0 + 1, 1, 0): -1,
+              (q0 + q, 0, 1): -1, (q0 + 1, 0, 1): 1},
+        "w'": {(2 * q0 + q, 1, 0): 2, (2 * q0 + 1, 1, 0): -2,
+               (3 * q0 + 2 * q, 0, 0): 1, (3 * q0 + q + 1, 0, 0): -2,
+               (3 * q0 + 2, 0, 0): 1},
+    }
+    return {name: {m: c % p for m, c in terms.items()}
+            for name, terms in table.items()}
 
 
 # ------------------------------------------------------------------
@@ -133,7 +160,7 @@ def _pgcd(a, b, p):
     return a
 
 
-def _prime_factors(m: int) -> List[int]:
+def _prime_factors(m: int) -> list[int]:
     out = []
     d = 2
     while d * d <= m:
@@ -161,7 +188,7 @@ def _is_irreducible(f, p):
     return True
 
 
-def _digits(code: int, p: int, n: int) -> List[int]:
+def _digits(code: int, p: int, n: int) -> list[int]:
     out = []
     for _ in range(n):
         out.append(code % p)
@@ -169,7 +196,7 @@ def _digits(code: int, p: int, n: int) -> List[int]:
     return out
 
 
-def _find_modulus(p: int, n: int) -> Tuple[int, ...]:
+def _find_modulus(p: int, n: int) -> tuple[int, ...]:
     if n == 1:
         return (0, 1)
     for code in range(p ** n):
@@ -179,8 +206,8 @@ def _find_modulus(p: int, n: int) -> Tuple[int, ...]:
     raise ParameterError(f"no irreducible polynomial of degree {n} over F_{p}")
 
 
-def _antilog(p: int, n: int, modulus: Tuple[int, ...], gen: int,
-             ints: List[int]) -> List[int]:
+def _antilog(p: int, n: int, modulus: tuple[int, ...], gen: int,
+             ints: list[int]) -> list[int]:
     """Codes of gen^0, ..., gen^(q-2), by the recurrence x -> x * gen.
 
     Multiplication by gen is F_p-linear on coordinate vectors, so for a
@@ -214,7 +241,7 @@ def _antilog(p: int, n: int, modulus: Tuple[int, ...], gen: int,
             out |= c << (bits * j)
         return out
 
-    def reader(width: int) -> List[int]:
+    def reader(width: int) -> list[int]:
         # spread with `width` fields in [0, 2p-2] -> code of the fields mod p
         keys, vals = [0], [0]
         sums = range(2 * p - 1)
@@ -346,16 +373,18 @@ class FieldCtx:
 
     # ---------------------------------------------------------- conversions
 
-    def to_coeffs(self, a: int) -> List[int]:
+    def to_coeffs(self, a: int) -> list[int]:
         return _digits(a, self.p, self.n)
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, n={self.n})"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def make_field(p: int, n: int) -> FieldCtx:
     """The cached context for F_{p^n}, once `_check_field` admits it.
+    The cache is typed: True == 1, and an untyped cache would hand
+    make_field(3, True) the F_3 entry without that check.
 
     Near the table budget, at q = 101^3 = 1,030,301 on 64-bit CPython
     3.11, the tables hold about 66 MiB and building them peaks about
@@ -369,10 +398,11 @@ def _check_field(p: int, n: int) -> None:
     """Refuse F_{p^n} unless p is an odd prime, n >= 1 and p^n is at most
     MAX_FIELD_Q.  The budget is decided before the primality test and
     without computing a huge power, so a huge p or n is refused at once.
+    p and n must be of type int, so a bool is refused.
     """
-    if not isinstance(p, int) or p < 3:
+    if type(p) is not int or p < 3:
         raise ParameterError(f"p must be an odd prime, got {p}")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ParameterError(f"n must be a positive integer, got {n}")
     q = 1
     for _ in range(n):
@@ -385,12 +415,12 @@ def _check_field(p: int, n: int) -> None:
         raise ParameterError(f"p must be an odd prime, got {p}")
 
 
-def prime_basis(ctx: FieldCtx) -> List[int]:
+def prime_basis(ctx: FieldCtx) -> list[int]:
     """F_p-basis of F_q: the power basis 1, t, ..., t^(n-1), as codes."""
     return [ctx.p ** i for i in range(ctx.n)]
 
 
-def basis_and_reps(ctx: FieldCtx) -> Tuple[List[int], List[int]]:
+def basis_and_reps(ctx: FieldCtx) -> tuple[list[int], list[int]]:
     """F_p-basis (`prime_basis`) and F_q*/F_p* reps.
 
     Representatives follow the leading-coordinate-1 rule: a nonzero code

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import gcd
-from typing import Dict, List, Optional, Tuple, Union
 
 from ._kernel_py import lp_add_scaled
 from .errors import IntegrityError, ParameterError
@@ -34,7 +33,7 @@ _CLASS_ORDER = ("y2", "v1", "v2", "w")
 
 # An exact rational as a report prints it: an int, or "num/den" in
 # lowest terms with den > 1.
-Exact = Union[int, str]
+Exact = int | str
 
 
 def _exact_ratio(num: int, den: int) -> Exact:
@@ -68,7 +67,7 @@ def rh_genus(p: int, base_genus: int, m: int) -> int:
 # ------------------------------------------------------------ counting
 
 
-def class_line_counts(params: Params) -> Dict[str, int]:
+def class_line_counts(params: Params) -> dict[str, int]:
     """Lines of the rank-4 dual space, grouped by their top floor.
 
     A line is a nonzero coefficient vector (c_y2, c_v1, c_v2, c_w) up to
@@ -84,7 +83,7 @@ def class_line_counts(params: Params) -> Dict[str, int]:
     return counts
 
 
-def conductor_ladder(params: Params) -> Dict[str, int]:
+def conductor_ladder(params: Params) -> dict[str, int]:
     """Closed-form conductor of each cover class at the infinite place."""
     p, q0, q = params.p, params.q0, params.q
     return {
@@ -95,8 +94,8 @@ def conductor_ladder(params: Params) -> Dict[str, int]:
     }
 
 
-def _line_histogram(ctx: FieldCtx, reduced_basis: List[Dict[int, int]],
-                    pivots: Optional[dict] = None) -> Dict[int, int]:
+def _line_histogram(ctx: FieldCtx, reduced_basis: list[dict[int, int]],
+                    pivots: dict | None = None) -> dict[int, int]:
     """Conductor histogram {m: lines} over every line of a coefficient space.
 
     reduced_basis holds the `reduce_mod_wp(...).reduced` principal parts
@@ -144,10 +143,10 @@ def _line_histogram(ctx: FieldCtx, reduced_basis: List[Dict[int, int]],
                                              *kargs)
                 break
             row = lp_add_scaled(row, piv, ctx.neg(row[lead]), *kargs)
-    rank_at: Dict[int, int] = {}
+    rank_at: dict[int, int] = {}
     for e, _ in pivots:
         rank_at[-e] = rank_at.get(-e, 0) + 1
-    hist: Dict[int, int] = {}
+    hist: dict[int, int] = {}
     kernel = dim
     for pole in sorted(rank_at, reverse=True):
         m = pole + 1
@@ -164,7 +163,7 @@ def _line_histogram(ctx: FieldCtx, reduced_basis: List[Dict[int, int]],
     return hist
 
 
-def class_conductors(params: Params) -> Dict[str, int]:
+def class_conductors(params: Params) -> dict[str, int]:
     """Conductor of every cover class, certified over all of its lines.
 
     The coefficient space V_{<=i} is spanned by b * part_j for j <= i and
@@ -183,7 +182,7 @@ def class_conductors(params: Params) -> Dict[str, int]:
     ladder = conductor_ladder(params)
     counts = class_line_counts(params)
     pivots: dict = {}
-    below: Dict[int, int] = {}
+    below: dict[int, int] = {}
     for label in _CLASS_ORDER:
         expansion = expand_at_infinity(data, parts[label])
         upto = _line_histogram(
@@ -219,7 +218,7 @@ def base_floor(params: Params) -> BaseFloor:
     """
     p, q = params.p, params.q
     lines = (q - 1) // (p - 1)
-    m = conductor_of_cover(params, "y1", base="rational").m
+    m = conductor_of_cover(params, "y1")
     line_genus = rh_genus(p, 0, m)
     return BaseFloor(m, line_genus, lines, lines * line_genus)
 
@@ -227,7 +226,7 @@ def base_floor(params: Params) -> BaseFloor:
 # --------------------------------------------------------- aggregation
 
 
-def gs_aggregate(p: int, pieces: List[Tuple[int, int]], base_genus: int) -> int:
+def gs_aggregate(p: int, pieces: list[tuple[int, int]], base_genus: int) -> int:
     """Genus of a compositum from the genera of its degree-p pieces.
 
     pieces is a list of (line_count, line_genus).  The counts must fill
@@ -253,7 +252,7 @@ def gs_aggregate(p: int, pieces: List[Tuple[int, int]], base_genus: int) -> int:
 CoverClass = namedtuple("CoverClass", "label count conductor genus base")
 
 
-def cover_classes(params: Params) -> List[CoverClass]:
+def cover_classes(params: Params) -> list[CoverClass]:
     """Count, conductor, and line genus for each of the four classes.
 
     Line genera are taken over the first floor, whose `BaseFloor` every
@@ -312,7 +311,7 @@ AuditRow.__doc__ = """One class genus against its closed form; closed and
 difference (closed minus pipeline) are `Exact`."""
 
 
-def audit_closed_forms(params: Params) -> List[AuditRow]:
+def audit_closed_forms(params: Params) -> list[AuditRow]:
     """Compare pipeline class genera against their closed forms.
 
     The y2, v1, v2 forms reproduce the pipeline exactly; the w form
@@ -347,7 +346,7 @@ def audit_closed_forms(params: Params) -> List[AuditRow]:
 # ----------------------------------------------- two-floor compositum
 
 
-def ree_line_groups(params: Params) -> Dict[int, int]:
+def ree_line_groups(params: Params) -> dict[int, int]:
     """Conductor histogram over the lines of the two-floor compositum.
 
     Specific to p = 3, where the second-floor pole folds down far
@@ -361,7 +360,7 @@ def ree_line_groups(params: Params) -> Dict[int, int]:
         raise ParameterError("the two-floor filtration break needs p = 3")
     ctx = params.field()
     parts = cover_rhs_polys(params)
-    reduced: List[Dict[int, int]] = []
+    reduced: list[dict[int, int]] = []
     for label in ("y1", "y2"):
         expansion = expand_rational(ctx, parts[label])
         reduced += [reduce_mod_wp(ctx, expansion.scale(b)).reduced
@@ -369,7 +368,7 @@ def ree_line_groups(params: Params) -> Dict[int, int]:
     return _line_histogram(ctx, reduced)
 
 
-def ree_aggregate(params: Params, groups: Dict[int, int]) -> int:
+def ree_aggregate(params: Params, groups: dict[int, int]) -> int:
     """Genus of the two-floor compositum whose conductor histogram is
     groups (`ree_line_groups`), checked against its closed form."""
     pieces = [(count, rh_genus(params.p, 0, m))

@@ -18,7 +18,6 @@ stays sparse" an enforced claim instead of a hope.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Union
 
 from ._kernel_py import lp_add_scaled, lp_map_pow, lp_mul
 from .errors import ParameterError
@@ -36,7 +35,7 @@ def reset_support_watermark() -> None:
     _watermark = 0
 
 
-def _note(d: Dict[int, int]) -> Dict[int, int]:
+def _note(d: dict[int, int]) -> dict[int, int]:
     global _watermark
     if len(d) > _watermark:
         _watermark = len(d)
@@ -48,7 +47,7 @@ class LaurentPoly:
 
     __slots__ = ("ctx", "d")
 
-    def __init__(self, ctx: FieldCtx, data: Optional[Dict[int, int]] = None,
+    def __init__(self, ctx: FieldCtx, data: dict[int, int] | None = None,
                  _trusted: bool = False):
         self.ctx = ctx
         if data is None:
@@ -66,7 +65,7 @@ class LaurentPoly:
     def one(cls, ctx: FieldCtx) -> "LaurentPoly":
         return cls(ctx, {0: 1}, _trusted=True)
 
-    def valuation(self) -> Optional[int]:
+    def valuation(self) -> int | None:
         if not self.d:
             return None
         return min(self.d)
@@ -124,7 +123,7 @@ class LaurentPoly:
         return "LaurentPoly(" + " + ".join(parts) + ")"
 
 
-Prec = Union[int, float]
+Prec = int | float
 
 
 class TruncatedSeries:
@@ -132,7 +131,7 @@ class TruncatedSeries:
 
     __slots__ = ("ctx", "d", "prec")
 
-    def __init__(self, ctx: FieldCtx, data: Dict[int, int], prec: Prec):
+    def __init__(self, ctx: FieldCtx, data: dict[int, int], prec: Prec):
         self.ctx = ctx
         self.prec = prec
         self.d = {e: c for e, c in data.items() if c and e < prec}
@@ -142,7 +141,7 @@ class TruncatedSeries:
                   ) -> "TruncatedSeries":
         return cls(poly.ctx, poly.d, prec)
 
-    def valuation(self) -> Optional[int]:
+    def valuation(self) -> int | None:
         if not self.d:
             return None
         return min(self.d)

@@ -9,81 +9,37 @@ the hinge of everything downstream, so it is rechecked on every build
 and a failure raises IntegrityError rather than warning.
 
 Every function of interest here is a polynomial in x and the first
-generator.  `expand_at_infinity` pushes such a polynomial through the
-parametrization, tracking certified precision, and `reduce_mod_wp`
-normalizes the resulting principal part modulo the image of u -> u^p - u
-to read off the conductor of the corresponding degree-p cover.
+generator, held as a plain {(x, y) exponents: code} dict.  The covers'
+right-hand sides come from `ff.tower_rhs`, the one table of the tower's
+equations, through `cover_rhs_polys`.  `expand_at_infinity` pushes such
+a polynomial through the parametrization, tracking certified precision,
+and `reduce_mod_wp` normalizes the resulting principal part modulo the
+image of u -> u^p - u to read off the conductor of the corresponding
+degree-p cover.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import IntegrityError, ParameterError, UnsupportedError
-from ._kernel_py import lp_add_scaled
-from .ff import FieldCtx, Params
+from .ff import FieldCtx, Params, tower_rhs
 from .laurent import LaurentPoly, TruncatedSeries
 
 
-class XYPoly:
-    """Sparse polynomial in (x, y) with F_q coefficients.
+def cover_rhs_polys(params: Params) -> dict[str, dict[tuple[int, int], int]]:
+    """Right-hand sides of the five Artin-Schreier covers, read from
+    `ff.tower_rhs` as {(x, y) exponents: code}, y the first generator.
 
-    Keys are (x_exponent, y_exponent) pairs; y stands for the first
-    tower generator.  Sums and scalings run through `_kernel_py`, whose
-    loops only index keys, so pair keys serve as well as ints.
+    y1, y2, v1 and v2 lie in F_q[x].  The w cover takes the paper's
+    primed w, 2*y*f2 + f1*f2, which lies in the degree-q subfield cut
+    out by y.  All five therefore live in F_q[x, y].
     """
-
-    __slots__ = ("ctx", "d")
-
-    def __init__(self, ctx: FieldCtx, data: Optional[Dict[Tuple[int, int], int]] = None):
-        self.ctx = ctx
-        self.d = {m: c for m, c in (data or {}).items() if c}
-        if any(ex < 0 or ey < 0 for ex, ey in self.d):
-            raise ParameterError("XYPoly exponents must be nonnegative")
-
-    def scale(self, c: int) -> "XYPoly":
-        return XYPoly(self.ctx, lp_add_scaled({}, self.d, c,
-                                              *self.ctx.kernel_args))
-
-    def __add__(self, other: "XYPoly") -> "XYPoly":
-        return XYPoly(self.ctx, lp_add_scaled(self.d, other.d, 1,
-                                              *self.ctx.kernel_args))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, XYPoly) and self.d == other.d
-
-    def __repr__(self):
-        return f"XYPoly({self.d!r})"
-
-
-def cover_rhs_polys(params: Params) -> Dict[str, XYPoly]:
-    """Defining right-hand sides of the five Artin-Schreier covers.
-
-    y1 and y2 carry x^(i*q0) * (x^q - x); v1 and v2 carry the analogous
-    combination with x^q - x replaced by x^(2q) - x^2; the w cover is
-    presented relative to the first generator, with right-hand side
-    2*y*f2 + f1*f2, which lies in the degree-q subfield cut out by y.
-    All five therefore live in F_q[x, y].
-    """
-    ctx = params.field()
-    q0, q = params.q0, params.q
-    n1 = ctx.neg(1)
-    n2 = ctx.neg(2)
-    return {
-        "y1": XYPoly(ctx, {(q0 + q, 0): 1, (q0 + 1, 0): n1}),
-        "y2": XYPoly(ctx, {(2 * q0 + q, 0): 1, (2 * q0 + 1, 0): n1}),
-        "v1": XYPoly(ctx, {(q0 + 2 * q, 0): 1, (q0 + 2, 0): n1}),
-        "v2": XYPoly(ctx, {(2 * q0 + 2 * q, 0): 1, (2 * q0 + 2, 0): n1}),
-        "w": XYPoly(ctx, {
-            (2 * q0 + q, 1): 2,
-            (2 * q0 + 1, 1): n2,
-            (3 * q0 + 2 * q, 0): 1,
-            (3 * q0 + q + 1, 0): n2,
-            (3 * q0 + 2, 0): 1,
-        }),
-    }
+    rhs = tower_rhs(params)
+    rhs["w"] = rhs.pop("w'")
+    return {label: {m[:2]: c for m, c in terms.items()}
+            for label, terms in rhs.items()}
 
 
 class UniformizerData:
@@ -129,8 +85,10 @@ def build_uniformizer(params: Params) -> UniformizerData:
 
     data = UniformizerData(params, ctx, x_poly, y_head, a1, a2, b1, b2,
                            LaurentPoly.zero(ctx))
-    f1 = data.xpow(q0 + q) - data.xpow(q0 + 1)
-    residual = y_head.pow_pk(params.n) - y_head - f1
+    # the head's defect y^q - y - f1 against the first relation
+    residual = y_head.pow_pk(params.n) - y_head
+    for (ex, _, _), c in tower_rhs(params)["y1"].items():
+        residual = residual - data.xpow(ex).scale(c)
 
     v = residual.valuation()
     if v != q * b1 or residual.d[v] != 1:
@@ -140,8 +98,10 @@ def build_uniformizer(params: Params) -> UniformizerData:
     return data
 
 
-def expand_at_infinity(data: UniformizerData, rhs: XYPoly) -> TruncatedSeries:
-    """Evaluate rhs at the parametrization, with certified precision.
+def expand_at_infinity(data: UniformizerData, rhs: dict[tuple[int, int], int]
+                       ) -> TruncatedSeries:
+    """Evaluate rhs, {(x, y) exponents: code}, at the parametrization,
+    with certified precision.
 
     The first generator enters as its head at the fixed precision q*b1,
     the valuation of the head's residual, and each product carries that
@@ -152,7 +112,7 @@ def expand_at_infinity(data: UniformizerData, rhs: XYPoly) -> TruncatedSeries:
     y_series = TruncatedSeries.from_poly(data.y_head,
                                          prec=data.params.q * data.b1)
     total = TruncatedSeries(data.ctx, {}, math.inf)
-    for (ex, ey), c in sorted(rhs.d.items()):
+    for (ex, ey), c in sorted(rhs.items()):
         term = TruncatedSeries.from_poly(data.xpow(ex))
         for _ in range(ey):
             term = term * y_series
@@ -164,14 +124,15 @@ def expand_at_infinity(data: UniformizerData, rhs: XYPoly) -> TruncatedSeries:
     return total
 
 
-def expand_rational(ctx: FieldCtx, rhs: XYPoly) -> LaurentPoly:
+def expand_rational(ctx: FieldCtx, rhs: dict[tuple[int, int], int]
+                    ) -> LaurentPoly:
     """Evaluate rhs at x = 1/z, the uniformizer at infinity of F_q(x).
 
     Its keys (e, 0) are distinct, so x^e -> z^-e needs no sum.
     """
-    if any(ey for _, ey in rhs.d):
+    if any(ey for _, ey in rhs):
         raise ParameterError("rational-base expansion is x-only")
-    return LaurentPoly(ctx, {-ex: c for (ex, _), c in rhs.d.items()},
+    return LaurentPoly(ctx, {-ex: c for (ex, _), c in rhs.items()},
                        _trusted=True)
 
 
@@ -187,7 +148,7 @@ itself of the form u^p - u and the cover stays geometric.
 """
 
 
-def reduce_mod_wp(ctx: FieldCtx, f: Union[TruncatedSeries, LaurentPoly]
+def reduce_mod_wp(ctx: FieldCtx, f: TruncatedSeries | LaurentPoly
                   ) -> ReducedPart:
     """Normalize the principal part of f modulo the image of u -> u^p - u.
 
@@ -215,7 +176,7 @@ def reduce_mod_wp(ctx: FieldCtx, f: Union[TruncatedSeries, LaurentPoly]
         while e % p == 0:
             folds.add(e)
             e //= p
-    witnesses: List[Tuple[int, int]] = []
+    witnesses: list[tuple[int, int]] = []
     for e in sorted(folds):
         c = work.pop(e, 0)
         if c:
@@ -233,52 +194,23 @@ def reduce_mod_wp(ctx: FieldCtx, f: Union[TruncatedSeries, LaurentPoly]
                        const=const, geometric=ctx.trace_to_prime(const) == 0)
 
 
-# principal and reduced are {pole order: code}, witnesses [(m, r)] as in
-# ReducedPart, and m the conductor exponent
-ConductorResult = namedtuple("ConductorResult", "label base valuation "
-                             "principal reduced witnesses m geometric")
+def conductor_of_cover(params: Params, label: str) -> int:
+    """Conductor exponent m at infinity of the degree-p cover
+    u^p - u = rhs over F_q(x), rhs the x-only `cover_rhs_polys` entry
+    label.
 
-
-def conductor_of_cover(params: Params, rhs: Union[str, XYPoly], *,
-                       base: str = "tower",
-                       data: Optional[UniformizerData] = None
-                       ) -> ConductorResult:
-    """Conductor at the infinite place of the degree-p cover u^p - u = rhs.
-
-    base selects the function field the cover sits over: "tower" works
-    over the degree-q step (expansion through the uniformizer data),
-    "rational" directly over F_q(x).  The conductor exponent is
-    m = 1 + (largest reduced pole order); a reduced pole order divisible
-    by p would contradict the normalization, so m - 1 is checked to be
-    prime to p.
+    One path: expand at x = 1/z, reduce modulo the image of u -> u^p - u
+    and return m = 1 + (largest reduced pole order) (Stichtenoth,
+    Prop. 3.7.8).  A reduced pole order divisible by p would contradict
+    the normalization, so m - 1 is checked to be prime to p.
     """
+    try:
+        rhs = cover_rhs_polys(params)[label]
+    except KeyError:
+        raise ParameterError(f"unknown cover label {label!r}") from None
     ctx = params.field()
-    label = rhs if isinstance(rhs, str) else "custom"
-    if isinstance(rhs, str):
-        try:
-            rhs = cover_rhs_polys(params)[rhs]
-        except KeyError:
-            raise ParameterError(f"unknown cover label {rhs!r}") from None
-
-    if base == "tower":
-        if data is None:
-            data = build_uniformizer(params)
-        vsrc: Union[TruncatedSeries, LaurentPoly] = expand_at_infinity(
-            data, rhs)
-    elif base == "rational":
-        vsrc = expand_rational(ctx, rhs)
-    else:
-        raise ParameterError(f"unknown base {base!r}")
-
-    red = reduce_mod_wp(ctx, vsrc)
-    val = vsrc.valuation()
-    if val is None or val >= 0:
-        raise ParameterError("cover right-hand side has no pole at infinity")
-    m = 1 + max(-e for e in red.reduced) if red.reduced else 0
-    if m and (m < 2 or (m - 1) % params.p == 0):
+    reduced = reduce_mod_wp(ctx, expand_rational(ctx, rhs)).reduced
+    m = 1 + max(-e for e in reduced)  # every x-only entry has a pole
+    if (m - 1) % params.p == 0:
         raise IntegrityError(f"reduced conductor jump {m - 1} divisible by {params.p}")
-    principal = {e: c for e, c in vsrc.d.items() if e < 0}
-    return ConductorResult(label=label, base=base, valuation=val,
-                           principal=principal, reduced=red.reduced,
-                           witnesses=red.witnesses, m=m,
-                           geometric=red.geometric)
+    return m

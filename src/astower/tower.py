@@ -4,8 +4,10 @@ Elements live in F_q[x, y1, y2, v1, v2, w] modulo the defining relations
 g^q - g = rhs_g, one per generator, with each right-hand side involving
 only x and earlier generators.  That triangularity gives a normal form:
 monomials whose generator exponents all sit below q, reached by the
-memoized rewriting in `TowerPresentation._gen_pow`.  Everything else in
-the module (certifying endomorphisms, inverting them, commutators, the
+memoized rewriting in `TowerPresentation._gen_pow`.  The right-hand
+sides are read from `ff.tower_rhs`, the one table of the tower's
+equations, which `local` reads too.  Everything else in the module
+(certifying endomorphisms, inverting them, commutators, the
 additive-equation solver, prolongations of x-translations) reduces to
 exact computations on these normal forms.
 
@@ -46,18 +48,18 @@ additive witness.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Callable, Sequence
 from functools import lru_cache
 from itertools import product
 from math import prod
 from types import MappingProxyType
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ._kernel_py import lp_add_scaled, lp_map_pow, lp_mul
 from .errors import IntegrityError, ParameterError, UnsupportedError
-from .ff import Params, prime_basis
+from .ff import Params, prime_basis, tower_rhs
 
-Monomial = Tuple[int, int, int, int, int, int]
-Terms = Dict[int, int]
+Monomial = tuple[int, int, int, int, int, int]
+Terms = dict[int, int]
 
 GENS = ("y1", "y2", "v1", "v2", "w")
 FIELD_BITS = 48
@@ -104,10 +106,10 @@ class TowerElement:
     def __init__(self, pres: "TowerPresentation", terms: Terms):
         self.pres = pres
         self.terms = terms
-        self._pc: Optional[Dict[int, Terms]] = None
+        self._pc: dict[int, Terms] | None = None
 
     @property
-    def d(self) -> Dict[Monomial, int]:
+    def d(self) -> dict[Monomial, int]:
         """The terms as {(x, y1, y2, v1, v2, w) exponents: code}."""
         return {_unpack(m): c for m, c in self.terms.items()}
 
@@ -214,42 +216,26 @@ class TowerPresentation:
     gens = GENS
 
     def __init__(self, params: Params):
-        q0, q = params.q0, params.q
+        q = params.q
         self.params = params
         self.ctx = params.field()  # refused above the table budget
         self._high = sum(_FIELD_LIMIT << shift for _, _, shift in _FIELDS)
         self._bias = sum((_FIELD_LIMIT - q) << shift for _, _, shift in _FIELDS)
-        self._gp: Dict[Tuple[int, int], Terms] = {}
-        self._qpow: Dict[int, Terms] = {}
-        self.relations: Dict[str, TowerElement] = {}
+        self._gp: dict[tuple[int, int], Terms] = {}
+        self._qpow: dict[int, Terms] = {}
+        self.relations: dict[str, TowerElement] = {}
         # one shared element per variable, handed out by x(), gen() and
         # identity_endo: an endomorphism that fixes a variable holds it
         self._vars = {name: TowerElement(self, {1 << shift: 1})
                       for name, shift, _ in _VARS}
 
-        ctx = self.ctx
-        n1 = ctx.neg(1)
-
-        def xm(e: int) -> Monomial:
-            return (e, 0, 0, 0, 0, 0)
-
-        def reg(slot: int, raw: Dict[Monomial, int]) -> None:
-            name = self.gens[slot - 1]
-            rel = self.element(raw)
+        rhs = tower_rhs(params)
+        for slot, name in enumerate(GENS, 1):
+            rel = self.element({(*m, 0, 0, 0): c
+                                for m, c in rhs[name].items()})
             self.relations[name] = rel
             # g^q = g + rhs, the step `_gen_pow` climbs by
             self._qpow[slot] = (self.gen(name) + rel).terms
-
-        reg(1, {xm(q0 + q): 1, xm(q0 + 1): n1})
-        reg(2, {xm(2 * q0 + q): 1, xm(2 * q0 + 1): n1})
-        reg(3, {xm(q0 + 2 * q): 1, xm(q0 + 2): n1})
-        reg(4, {xm(2 * q0 + 2 * q): 1, xm(2 * q0 + 2): n1})
-        reg(5, {
-            (2 * q0 + q, 1, 0, 0, 0, 0): 1,
-            (2 * q0 + 1, 1, 0, 0, 0, 0): n1,
-            (q0 + q, 0, 1, 0, 0, 0): n1,
-            (q0 + 1, 0, 1, 0, 0, 0): 1,
-        })
 
     # ------------------------------------------------------------- algebra
 
@@ -309,7 +295,7 @@ class TowerPresentation:
 
     # -------------------------------------------------------- constructors
 
-    def element(self, raw: Dict[Monomial, int]) -> TowerElement:
+    def element(self, raw: dict[Monomial, int]) -> TowerElement:
         """Normal form of {(x, y1, y2, v1, v2, w) exponents: code}."""
         packed: Terms = {}
         for m, c in raw.items():
@@ -357,7 +343,7 @@ class Endo:
 
     __slots__ = ("pres", "images", "moved")
 
-    def __init__(self, pres: TowerPresentation, images: Dict[str, TowerElement]):
+    def __init__(self, pres: TowerPresentation, images: dict[str, TowerElement]):
         missing = _NAMES - images.keys()
         if missing:
             raise ParameterError(f"endomorphism lacks images for {sorted(missing)}")
@@ -524,7 +510,7 @@ def tau_shift(pres: TowerPresentation, g: int) -> Endo:
 
 
 def vertical_shift_families(pres: TowerPresentation
-                            ) -> Dict[str, Callable[[int], Endo]]:
+                            ) -> dict[str, Callable[[int], Endo]]:
     """Five one-parameter families of endomorphisms fixing x."""
 
     def simple(name: str) -> Callable[[int], Endo]:
@@ -560,15 +546,15 @@ def certify_group(pres: TowerPresentation) -> int:
 # --------------------------------------------------------------- solver
 
 
-def _solve_affine(ctx, forms: List[Dict[int, int]], nvars: int
-                  ) -> Optional[List[int]]:
+def _solve_affine(ctx, forms: list[dict[int, int]], nvars: int
+                  ) -> list[int] | None:
     """Solve const + sum c_k * alpha_k = 0 rows over F_q; free vars -> 0.
 
     A row is {_CONST: const, k: c_k}; the kernel's in-place lp_mul by a
     scalar {0: c} adds c times one row into another.
     """
     kargs = ctx.kernel_args
-    pivots: Dict[int, Dict[int, int]] = {}
+    pivots: dict[int, dict[int, int]] = {}
     for row in forms:
         row = dict(row)
         while True:
@@ -594,8 +580,8 @@ def _solve_affine(ctx, forms: List[Dict[int, int]], nvars: int
 
 
 def wp_solve(pres: TowerPresentation, target: TowerElement,
-             bound: Optional[Sequence[int]] = None
-             ) -> Optional[TowerElement]:
+             bound: Sequence[int] | None = None
+             ) -> TowerElement | None:
     """Solve u^q - u = target in the tower.
 
     The map is F_q-linear, so the solver peels monomial blocks greedily
@@ -635,10 +621,10 @@ def wp_solve(pres: TowerPresentation, target: TowerElement,
     combos = [c for c in product(*(range(b + 1) for b in bounds)) if any(c)]
 
     # residual coefficients as affine forms {_CONST: const, k: alpha_k coeff}
-    r: Dict[Monomial, Dict[int, int]] = {}
-    heap: List[Tuple[int, ...]] = []
+    r: dict[Monomial, dict[int, int]] = {}
+    heap: list[tuple[int, ...]] = []
 
-    def form_at(m: Monomial) -> Dict[int, int]:
+    def form_at(m: Monomial) -> dict[int, int]:
         form = r.get(m)
         if form is None:
             # descending block order: witness leakage lands strictly
@@ -656,8 +642,8 @@ def wp_solve(pres: TowerPresentation, target: TowerElement,
         for m, c in (el - el.pow_pk(n)).d.items():
             form_at(m)[k] = c
 
-    greedy: List[Tuple[Monomial, Dict[int, int]]] = []
-    constraints: List[Dict[int, int]] = []
+    greedy: list[tuple[Monomial, dict[int, int]]] = []
+    constraints: list[dict[int, int]] = []
     while heap:
         m = heapq.heappop(heap)[6:]
         if m not in r:
@@ -679,7 +665,7 @@ def wp_solve(pres: TowerPresentation, target: TowerElement,
     if sol is None:
         return None
 
-    def evaluate(form: Dict[int, int]) -> int:
+    def evaluate(form: dict[int, int]) -> int:
         acc = form.get(_CONST, 0)
         for key, c in form.items():
             if key != _CONST:
@@ -694,31 +680,26 @@ def wp_solve(pres: TowerPresentation, target: TowerElement,
     return u
 
 
-def presentation_equiv(params: Params) -> Dict[str, TowerElement]:
+def presentation_equiv(params: Params) -> dict[str, TowerElement]:
     """Witnesses linking this presentation to the paper's two others.
 
     The unprimed presentation defines each v_i by x*y_i^q - x^q*y_i and
     keeps this w; the primed one keeps these v_i and defines w by
-    2 x^(2q0) y1 (x^q - x) + x^(3q0) (x^q - x)^2.  Both are written as
+    2 x^(2q0) y1 (x^q - x) + x^(3q0) (x^q - x)^2, read from `tower_rhs`
+    as its "w'".  Both are written as
     elements of this presentation, `element` normalizing y_i^q.  For v_i
     the returned u satisfies u^q - u = (this rhs) - (unprimed rhs), and
     for w, u^q - u = (primed rhs) - (this rhs); `wp_solve` finds each u
     and replays it.
     """
     pres = presentation(params)
-    q0, q = params.q0, params.q
-    n1, n2 = pres.ctx.neg(1), pres.ctx.neg(2)
+    q, n1 = params.q, pres.ctx.neg(1)
     unprimed = {
         "v1": pres.element({(1, q, 0, 0, 0, 0): 1, (q, 1, 0, 0, 0, 0): n1}),
         "v2": pres.element({(1, 0, q, 0, 0, 0): 1, (q, 0, 1, 0, 0, 0): n1}),
     }
-    primed_w = pres.element({
-        (2 * q0 + q, 1, 0, 0, 0, 0): 2,
-        (2 * q0 + 1, 1, 0, 0, 0, 0): n2,
-        (3 * q0 + 2 * q, 0, 0, 0, 0, 0): 1,
-        (3 * q0 + q + 1, 0, 0, 0, 0, 0): n2,
-        (3 * q0 + 2, 0, 0, 0, 0, 0): 1,
-    })
+    primed_w = pres.element({(*m, 0, 0, 0): c
+                             for m, c in tower_rhs(params)["w'"].items()})
     out = {name: wp_solve(pres, pres.relations[name] - rhs)
            for name, rhs in unprimed.items()}
     out["w"] = wp_solve(pres, primed_w - pres.relations["w"])

@@ -77,7 +77,7 @@ def test_criterion_02_conductors():
     for params in (P31, P51, P32):
         assert class_conductors(params) == \
             conductor_ladder(params)
-    assert conductor_of_cover(P31, "y1", base="rational").m == 11
+    assert conductor_of_cover(P31, "y1") == 11
     groups = ree_line_groups(P31)
     assert groups == {11: 13, 12: 351}
     low, high = sorted(groups)

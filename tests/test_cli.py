@@ -459,6 +459,23 @@ def test_each_command_loads_only_its_layers(command, used, unused):
                                    "json", "heapq"} | _PARSER_MODULES)
 
 
+@pytest.mark.parametrize("argv", [
+    ["--version"],
+    *([command, "--p", "3", "--s", "1"] for command in (
+        "verify", "conductor", "genus", "audit", "commutators", "prolong")),
+])
+def test_no_report_loads_typing_or_re(argv):
+    """Under `python -S`, whose start-up imports neither, no layer loads
+    `typing`: annotations use builtin generics and `X | None`.  `re`,
+    which `typing` imports, stays out too."""
+    done = subprocess.run([sys.executable, "-S", "-c", _LOADS, *argv],
+                          capture_output=True, text=True, check=True,
+                          env=_env())
+    loaded = set(done.stdout.split())
+    assert "astower.cli" in loaded
+    assert not loaded & {"typing", "re"}
+
+
 def test_package_exports_resolve_on_first_access():
     import astower
 

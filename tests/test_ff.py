@@ -204,6 +204,17 @@ def test_params_validation_and_derived_quantities():
         Params(3, 0)
 
 
+def test_a_bool_is_refused_where_an_int_is_asked():
+    # True == 1 and hashes alike, so make_field(3, True) would become the
+    # cached F_3 that make_field(3, 1) returns, and Params(3, True)
+    # would print "s": true
+    for build in (lambda: Params(3, True), lambda: Params(True, 1),
+                  lambda: make_field(3, True), lambda: make_field(True, 1)):
+        with pytest.raises(ParameterError):
+            build()
+    assert make_field(3, 1).n == 1 and type(make_field(3, 1).n) is int
+
+
 # ---------------------------------------------------------------- oracle cross-check
 
 def _oracle_codes(ctx):

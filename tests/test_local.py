@@ -22,7 +22,6 @@ from astower.laurent import (
 )
 from astower.local import (
     ReducedPart,
-    XYPoly,
     build_uniformizer,
     conductor_of_cover,
     cover_rhs_polys,
@@ -34,6 +33,22 @@ from astower.local import (
 P31 = Params(3, 1)
 P51 = Params(5, 1)
 P32 = Params(3, 2)
+
+
+def _reduce_over_first_floor(params, rhs):
+    """The expansion of rhs at the place over infinity of the first floor,
+    and its reduction modulo the image of u -> u^p - u."""
+    series = expand_at_infinity(build_uniformizer(params), rhs)
+    return series, reduce_mod_wp(params.field(), series)
+
+
+def _principal(series):
+    return {e: c for e, c in series.d.items() if e < 0}
+
+
+def _conductor(reduced):
+    """m = 1 + the top reduced pole order (Stichtenoth, Prop. 3.7.8)."""
+    return 1 + max(-e for e in reduced)
 
 
 # ------------------------------------------------------------ uniformizer
@@ -80,11 +95,11 @@ def test_rhs_poly_shapes():
     rhs = cover_rhs_polys(P31)
     assert set(rhs) == {"y1", "y2", "v1", "v2", "w"}
     q, q0 = 27, 3
-    assert rhs["y1"].d == {(q0 + q, 0): 1, (q0 + 1, 0): 2}
-    assert rhs["y2"].d == {(2 * q0 + q, 0): 1, (2 * q0 + 1, 0): 2}
-    assert rhs["v1"].d == {(q0 + 2 * q, 0): 1, (q0 + 2, 0): 2}
-    assert rhs["v2"].d == {(2 * q0 + 2 * q, 0): 1, (2 * q0 + 2, 0): 2}
-    assert rhs["w"].d == {
+    assert rhs["y1"] == {(q0 + q, 0): 1, (q0 + 1, 0): 2}
+    assert rhs["y2"] == {(2 * q0 + q, 0): 1, (2 * q0 + 1, 0): 2}
+    assert rhs["v1"] == {(q0 + 2 * q, 0): 1, (q0 + 2, 0): 2}
+    assert rhs["v2"] == {(2 * q0 + 2 * q, 0): 1, (2 * q0 + 2, 0): 2}
+    assert rhs["w"] == {
         (2 * q0 + q, 1): 2,
         (2 * q0 + 1, 1): 1,
         (3 * q0 + 2 * q, 0): 1,
@@ -103,11 +118,9 @@ def test_expansion_precision_certificates():
 
 def test_expansion_certificate_failure():
     data = build_uniformizer(P31)
-    ok = XYPoly(data.ctx, {(125, 1): 1})
-    assert expand_at_infinity(data, ok).prec == 3402 - 27 * 125
-    too_deep = XYPoly(data.ctx, {(126, 1): 1})
+    assert expand_at_infinity(data, {(125, 1): 1}).prec == 3402 - 27 * 125
     with pytest.raises(UnsupportedError):
-        expand_at_infinity(data, too_deep)
+        expand_at_infinity(data, {(126, 1): 1})
 
 
 # frozen oracle data at (3, 1): valuation, principal part, reduced part, m
@@ -137,42 +150,43 @@ ORACLE_31 = {
 @pytest.mark.parametrize("label", ["y2", "v1", "v2", "w"])
 def test_class_conductors_31(label):
     v, principal, reduced, m = ORACLE_31[label]
-    r = conductor_of_cover(P31, label)
-    assert r.valuation == v
-    assert r.principal == principal
+    series, r = _reduce_over_first_floor(P31, cover_rhs_polys(P31)[label])
+    assert series.valuation() == v
+    assert _principal(series) == principal
     assert r.reduced == reduced
-    assert r.m == m
+    assert _conductor(r.reduced) == m
     assert r.geometric
 
 
 def test_w_class_51():
-    r = conductor_of_cover(P51, "w")
-    assert r.valuation == -33125
-    assert r.principal == {-33125: 1, -17625: 1, -17005: 4, -885: 4}
+    series, r = _reduce_over_first_floor(P51, cover_rhs_polys(P51)["w"])
+    assert series.valuation() == -33125
+    assert _principal(series) == {-33125: 1, -17625: 1, -17005: 4, -885: 4}
     assert r.reduced == {-3401: 4, -177: 4, -141: 1, -53: 1}
-    assert r.m == 3402
+    assert _conductor(r.reduced) == 3402
 
 
 def test_y2_class_51():
-    r = conductor_of_cover(P51, "y2")
-    assert r.principal == {-16875: 1, -1375: 1, -755: 3}
+    series, r = _reduce_over_first_floor(P51, cover_rhs_polys(P51)["y2"])
+    assert _principal(series) == {-16875: 1, -1375: 1, -755: 3}
     assert r.reduced == {-151: 3, -27: 1, -11: 1}
-    assert r.m == 152
+    assert _conductor(r.reduced) == 152
 
 
 def test_w_class_32_stays_sparse():
     reset_support_watermark()
-    r = conductor_of_cover(P32, "w")
-    assert r.principal == {-124659: 1, -65853: 1, -63675: 2, -2691: 2}
+    series, r = _reduce_over_first_floor(P32, cover_rhs_polys(P32)["w"])
+    assert _principal(series) == {-124659: 1, -65853: 1, -63675: 2, -2691: 2}
     assert r.reduced == {-7075: 2, -299: 2, -271: 1, -19: 1}
-    assert r.m == 7076
+    assert _conductor(r.reduced) == 7076
     assert support_watermark() < 10_000
 
 
 def test_conductor_with_nontrivial_coefficient():
     ctx = make_field(3, 3)
     g = 3  # the basis element t
-    r = conductor_of_cover(P31, cover_rhs_polys(P31)["w"].scale(g))
+    scaled = {m: ctx.mul(c, g) for m, c in cover_rhs_polys(P31)["w"].items()}
+    _, r = _reduce_over_first_floor(P31, scaled)
     g3 = ctx.pow_int(g, 3)
     g9 = ctx.pow_int(g, 9)
     assert r.reduced == {
@@ -181,48 +195,30 @@ def test_conductor_with_nontrivial_coefficient():
         -47: ctx.mul(2, g9),
         -307: ctx.mul(2, g9),
     }
-    assert r.m == 308
+    assert _conductor(r.reduced) == 308
 
 
 def test_conductor_over_rational_base():
-    r = conductor_of_cover(P31, "y1", base="rational")
-    assert r.principal == {-30: 1, -4: 2}
+    ctx = P31.field()
+    rhs = cover_rhs_polys(P31)
+    f = expand_rational(ctx, rhs["y1"])
+    r = reduce_mod_wp(ctx, f)
+    assert _principal(f) == {-30: 1, -4: 2}
     assert r.reduced == {-10: 1, -4: 2}
-    assert r.m == 11
-    r2 = conductor_of_cover(P31, "y2", base="rational")
+    assert conductor_of_cover(P31, "y1") == _conductor(r.reduced) == 11
+    r2 = reduce_mod_wp(ctx, expand_rational(ctx, rhs["y2"]))
     assert r2.reduced == {-11: 1, -7: 2}
-    assert r2.m == 12
-
-
-def _xy_oracle_add(ctx, a, b):
-    out = dict(a)
-    for m, c in b.items():
-        out[m] = ctx.add(out.get(m, 0), c)
-    return {m: c for m, c in out.items() if c}
-
-
-@settings(max_examples=50)
-@given(data=st.data())
-def test_xypoly_add_and_scale_match_a_dict_oracle(data):
-    ctx = make_field(*data.draw(st.sampled_from([(3, 3), (5, 3)])))
-    monomials = st.tuples(st.integers(0, 6), st.integers(0, 2))
-    coeffs = st.integers(1, ctx.q - 1)
-    a = data.draw(st.dictionaries(monomials, coeffs, max_size=6))
-    b = data.draw(st.dictionaries(monomials, coeffs, max_size=6))
-    c = data.draw(st.integers(0, ctx.q - 1))
-    assert (XYPoly(ctx, a) + XYPoly(ctx, b)).d == _xy_oracle_add(ctx, a, b)
-    assert XYPoly(ctx, a).scale(c).d == {
-        m: ctx.mul(v, c) for m, v in a.items() if ctx.mul(v, c)}
-    # a sum that cancels to zero leaves no zero coefficient behind
-    minus = XYPoly(ctx, a).scale(ctx.neg(1))
-    assert (XYPoly(ctx, a) + minus).d == {}
-    assert (XYPoly(ctx, a) + XYPoly(ctx, b) + minus).d == b
+    assert conductor_of_cover(P31, "y2") == _conductor(r2.reduced) == 12
 
 
 def test_rational_base_rejects_y_terms():
     ctx = make_field(3, 3)
     with pytest.raises(ParameterError):
-        expand_rational(ctx, XYPoly(ctx, {(2, 1): 1}))
+        expand_rational(ctx, {(2, 1): 1})
+    with pytest.raises(ParameterError):  # the w cover lies over y1
+        conductor_of_cover(P31, "w")
+    with pytest.raises(ParameterError):
+        conductor_of_cover(P31, "z")
 
 
 # -------------------------------------------------------------- reduction
@@ -256,7 +252,7 @@ def test_reduce_drops_nonnegative_and_flags_trace():
 
 
 def test_reduce_witness_trail_dominant_chain():
-    r = conductor_of_cover(P31, "w")
+    _, r = _reduce_over_first_floor(P31, cover_rhs_polys(P31)["w"])
     ms = [m for m, _ in r.witnesses]
     chain = [567, 189, 63, 21, 7]
     positions = [ms.index(m) for m in chain]
@@ -407,5 +403,7 @@ def test_reduce_rejects_uncertified_series():
 def test_conductor_jump_values_prime_to_p():
     for params, labels in [(P31, ["y2", "v1", "v2", "w"]), (P51, ["y2"])]:
         for label in labels:
-            m = conductor_of_cover(params, label).m
+            _, r = _reduce_over_first_floor(params,
+                                            cover_rhs_polys(params)[label])
+            m = _conductor(r.reduced)
             assert m >= 2 and (m - 1) % params.p != 0

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 from astower import tower
 from astower.errors import IntegrityError, ParameterError, UnsupportedError
 from astower.ff import (MAX_FIELD_Q, Params, basis_and_reps, make_field,
-                        prime_basis)
+                        prime_basis, tower_rhs)
+from astower.local import cover_rhs_polys
 from astower.tower import (
     GENS,
     certify_group,
@@ -78,6 +79,58 @@ def test_relation_shapes(mixed):
         (q0 + q, 0, 1, 0, 0, 0): 2,
         (q0 + 1, 0, 1, 0, 0, 0): 1,
     }
+
+
+# The six right-hand sides written out, {(x, y1, y2) exponents: code}, as
+# a second transcription of the paper's equations: y_i = x^(i q0)(x^q - x),
+# v_i = x^(i q0)(x^(2q) - x^2), the presented w = x^(2q0) y1 (x^q - x)
+# - x^q0 y2 (x^q - x), and the primed w' = 2 x^(2q0) y1 (x^q - x)
+# + x^(3q0) (x^q - x)^2.
+RHS_ORACLE = {
+    Params(3, 1): {  # q0 = 3, q = 27; -1 -> 2, -2 -> 1
+        "y1": {(30, 0, 0): 1, (4, 0, 0): 2},
+        "y2": {(33, 0, 0): 1, (7, 0, 0): 2},
+        "v1": {(57, 0, 0): 1, (5, 0, 0): 2},
+        "v2": {(60, 0, 0): 1, (8, 0, 0): 2},
+        "w": {(33, 1, 0): 1, (7, 1, 0): 2, (30, 0, 1): 2, (4, 0, 1): 1},
+        "w'": {(33, 1, 0): 2, (7, 1, 0): 1, (63, 0, 0): 1, (37, 0, 0): 1,
+               (11, 0, 0): 1},
+    },
+    Params(5, 1): {  # q0 = 5, q = 125; -1 -> 4, -2 -> 3
+        "y1": {(130, 0, 0): 1, (6, 0, 0): 4},
+        "y2": {(135, 0, 0): 1, (11, 0, 0): 4},
+        "v1": {(255, 0, 0): 1, (7, 0, 0): 4},
+        "v2": {(260, 0, 0): 1, (12, 0, 0): 4},
+        "w": {(135, 1, 0): 1, (11, 1, 0): 4, (130, 0, 1): 4, (6, 0, 1): 1},
+        "w'": {(135, 1, 0): 2, (11, 1, 0): 3, (265, 0, 0): 1,
+               (141, 0, 0): 3, (17, 0, 0): 1},
+    },
+    Params(3, 2): {  # q0 = 9, q = 243
+        "y1": {(252, 0, 0): 1, (10, 0, 0): 2},
+        "y2": {(261, 0, 0): 1, (19, 0, 0): 2},
+        "v1": {(495, 0, 0): 1, (11, 0, 0): 2},
+        "v2": {(504, 0, 0): 1, (20, 0, 0): 2},
+        "w": {(261, 1, 0): 1, (19, 1, 0): 2, (252, 0, 1): 2, (10, 0, 1): 1},
+        "w'": {(261, 1, 0): 2, (19, 1, 0): 1, (513, 0, 0): 1,
+               (271, 0, 0): 1, (29, 0, 0): 1},
+    },
+}
+
+
+@pytest.mark.parametrize("params", list(RHS_ORACLE))
+def test_every_layer_reads_the_one_equation_table(params):
+    oracle = RHS_ORACLE[params]
+    assert tower_rhs(params) == oracle
+    # the covers take the primed w, which lies over x and y1 alone
+    covers = dict(oracle, w=oracle["w'"])
+    del covers["w'"]
+    assert cover_rhs_polys(params) == {
+        label: {(ex, ey1): c for (ex, ey1, _), c in terms.items()}
+        for label, terms in covers.items()}
+    assert {name: rel.d for name, rel in
+            presentation(params).relations.items()} == {
+        name: {(*m, 0, 0, 0): c for m, c in oracle[name].items()}
+        for name in GENS}
 
 
 def unprimed_v1(pres):
