@@ -47,23 +47,17 @@ class LaurentPoly:
 
     __slots__ = ("ctx", "d")
 
-    def __init__(self, ctx: FieldCtx, data: dict[int, int] | None = None,
-                 _trusted: bool = False):
+    def __init__(self, ctx: FieldCtx, data: dict[int, int] | None = None):
         self.ctx = ctx
-        if data is None:
-            self.d = {}
-        elif _trusted:
-            self.d = data
-        else:
-            self.d = {e: c for e, c in data.items() if c}
+        self.d = {e: c for e, c in (data or {}).items() if c}
 
     @classmethod
     def zero(cls, ctx: FieldCtx) -> "LaurentPoly":
-        return cls(ctx, {}, _trusted=True)
+        return cls(ctx)
 
     @classmethod
     def one(cls, ctx: FieldCtx) -> "LaurentPoly":
-        return cls(ctx, {0: 1}, _trusted=True)
+        return cls(ctx, {0: 1})
 
     def valuation(self) -> int | None:
         if not self.d:
@@ -78,27 +72,29 @@ class LaurentPoly:
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = lp_add_scaled(self.d, other.d, 1, *self.ctx.kernel_args)
-        return LaurentPoly(self.ctx, _note(out), _trusted=True)
+        return LaurentPoly(self.ctx, _note(out))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = lp_add_scaled(self.d, other.d, self.ctx.neg(1),
                             *self.ctx.kernel_args)
-        return LaurentPoly(self.ctx, _note(out), _trusted=True)
+        return LaurentPoly(self.ctx, _note(out))
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = lp_mul(self.d, other.d, *self.ctx.kernel_args)
-        return LaurentPoly(self.ctx, _note(out), _trusted=True)
+        return LaurentPoly(self.ctx, _note(out))
 
     def scale(self, c: int) -> "LaurentPoly":
         out = lp_add_scaled({}, self.d, c, *self.ctx.kernel_args)
-        return LaurentPoly(self.ctx, out, _trusted=True)
+        return LaurentPoly(self.ctx, out)
 
     def pow_pk(self, k: int) -> "LaurentPoly":
         """self ** (p**k): exponents scale, coefficients Frobenius."""
+        if k < 0:
+            raise ParameterError(f"p^{k}-th power: k must be nonnegative")
         if k == 0:
             return self
         out = lp_map_pow(self.d, self.ctx.p ** k, *self.ctx.kernel_args)
-        return LaurentPoly(self.ctx, _note(out), _trusted=True)
+        return LaurentPoly(self.ctx, _note(out))
 
     def __pow__(self, e: int) -> "LaurentPoly":
         if e < 0:

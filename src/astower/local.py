@@ -132,8 +132,7 @@ def expand_rational(ctx: FieldCtx, rhs: dict[tuple[int, int], int]
     """
     if any(ey for _, ey in rhs):
         raise ParameterError("rational-base expansion is x-only")
-    return LaurentPoly(ctx, {-ex: c for (ex, _), c in rhs.items()},
-                       _trusted=True)
+    return LaurentPoly(ctx, {-ex: c for (ex, _), c in rhs.items()})
 
 
 ReducedPart = namedtuple(

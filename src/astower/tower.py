@@ -30,19 +30,15 @@ An `Endo` is fixed when it is built: `images` is a read-only mapping and
 `moved` the frozenset of variables whose image is not the variable
 itself.  `apply` substitutes only the moved variables and hands an
 element back unchanged when it holds none, and `check_endo` skips a
-fixed generator whose relation is fixed too.  Powers of an image are
-memoized on the image element, whose terms never change; `identity_endo`,
-`x()` and `gen()` share one element per variable, and `compose_endo`
-keeps a's image object wherever b fixes the variable, so endomorphisms
-holding the same image share its powers.
+fixed generator whose relation is fixed too.
 
 The paper writes the tower in three equivalent ways.  This module builds
 the one in which the shift tables and prolongations have their smallest
 images: v_i^q - v_i = x^(i q0) (x^(2q) - x^2) over x alone, and w over
 x, y1 and y2.  The other two differ from it only in the right-hand sides
 of v1, v2 or w; `presentation_equiv` writes those right-hand sides as
-elements of this presentation and links each to this one's by an
-additive witness.
+elements of this presentation and replays the additive witness that
+links each to this one's.
 """
 
 from __future__ import annotations
@@ -95,18 +91,14 @@ def _unpack(m: int) -> Monomial:
 class TowerElement:
     """A normal-form element; construct through TowerPresentation.
 
-    `terms` maps packed monomials to nonzero codes and is never mutated,
-    so the element memoizes its own powers for `Endo.apply`: `_pc` maps
-    e to the terms of its e-th power.  It holds terms only, never an
-    element, so no element is part of a reference cycle.
+    `terms` maps packed monomials to nonzero codes and is never mutated.
     """
 
-    __slots__ = ("pres", "terms", "_pc")
+    __slots__ = ("pres", "terms")
 
     def __init__(self, pres: "TowerPresentation", terms: Terms):
         self.pres = pres
         self.terms = terms
-        self._pc: dict[int, Terms] | None = None
 
     @property
     def d(self) -> dict[Monomial, int]:
@@ -147,6 +139,8 @@ class TowerElement:
 
     def pow_pk(self, k: int) -> "TowerElement":
         """The p^k-th power, taken n steps at a time so fields stay < q^2."""
+        if k < 0:
+            raise ParameterError(f"p^{k}-th power: k must be nonnegative")
         pres = self.pres
         n = pres.params.n
         out = self
@@ -158,8 +152,7 @@ class TowerElement:
         return out
 
     def __pow__(self, e: int) -> "TowerElement":
-        """The e-th power from scratch, one product per unit of each
-        base-p digit of e; the reference `_pow_terms` is tested against."""
+        """The e-th power, one product per unit of each base-p digit of e."""
         if e < 0:
             raise ParameterError("negative powers are not defined here")
         out, k = self.pres.const(1), 0
@@ -168,37 +161,6 @@ class TowerElement:
             for _ in range(digit):
                 out = out * self.pow_pk(k)
             k += 1
-        return out
-
-    def _pow_terms(self, e: int) -> Terms:
-        """The terms of the e-th power, memoized with every power on the
-        way: the power of e is that of e - p^k, for p^k the place of e's
-        lowest nonzero base-p digit, times the p^k-th power, so exponents
-        that agree above that digit share their products."""
-        if not e:
-            return _ONE
-        pc = self._pc
-        if pc is None:
-            pc = self._pc = {1: self.terms}
-        out = pc.get(e)
-        if out is None:
-            p = self.pres.ctx.p
-            todo = []  # (exponent, place k), from e down to a memoized one
-            while e and e not in pc:
-                k, pk = 0, 1
-                while not e // pk % p:
-                    k, pk = k + 1, pk * p
-                todo.append((e, k))
-                e -= pk
-            out = pc.get(e)  # None at e = 0: start from the first block
-            kargs = self.pres.ctx.kernel_args
-            for e, k in reversed(todo):
-                pk = p ** k
-                block = pc.get(pk)
-                if block is None:
-                    block = pc[pk] = self.pow_pk(k).terms
-                out = pc[e] = block if out is None else self.pres.normalize(
-                    lp_mul(out, block, *kargs))
         return out
 
     def __eq__(self, other) -> bool:
@@ -224,8 +186,7 @@ class TowerPresentation:
         self._gp: dict[tuple[int, int], Terms] = {}
         self._qpow: dict[int, Terms] = {}
         self.relations: dict[str, TowerElement] = {}
-        # one shared element per variable, handed out by x(), gen() and
-        # identity_endo: an endomorphism that fixes a variable holds it
+        # one element per variable, handed out by x(), gen() and identity_endo
         self._vars = {name: TowerElement(self, {1 << shift: 1})
                       for name, shift, _ in _VARS}
 
@@ -375,7 +336,7 @@ class Endo:
                 e = m >> shift & mask
                 if e:
                     m -= e << shift
-                    f = img.terms if e == 1 else img._pow_terms(e)
+                    f = img.terms if e == 1 else (img ** e).terms
                     term = f if term is None else pres.normalize(
                         lp_mul(term, f, *kargs))
             if term is not None and m:
@@ -407,8 +368,7 @@ def identity_endo(pres: TowerPresentation) -> Endo:
 
 
 def compose_endo(a: Endo, b: Endo) -> Endo:
-    """(a o b): apply b first, then a; where b fixes a variable the
-    composite holds a's image of it, the same object."""
+    """(a o b): apply b first, then a."""
     if a.pres is not b.pres:
         raise ParameterError("endomorphisms from different presentations")
     return Endo(a.pres, {k: a.apply(v) if k in b.moved else a.images[k]
@@ -680,17 +640,21 @@ def wp_solve(pres: TowerPresentation, target: TowerElement,
     return u
 
 
+# the additive witness of each presentation link, as criterion 08 states it
+_LINK_WITNESSES = {"v1": (1, 1, 0, 0, 0, 0), "v2": (1, 0, 1, 0, 0, 0),
+                   "w": (0, 1, 1, 0, 0, 0)}
+
+
 def presentation_equiv(params: Params) -> dict[str, TowerElement]:
     """Witnesses linking this presentation to the paper's two others.
 
     The unprimed presentation defines each v_i by x*y_i^q - x^q*y_i and
     keeps this w; the primed one keeps these v_i and defines w by
     2 x^(2q0) y1 (x^q - x) + x^(3q0) (x^q - x)^2, read from `tower_rhs`
-    as its "w'".  Both are written as
-    elements of this presentation, `element` normalizing y_i^q.  For v_i
-    the returned u satisfies u^q - u = (this rhs) - (unprimed rhs), and
-    for w, u^q - u = (primed rhs) - (this rhs); `wp_solve` finds each u
-    and replays it.
+    as its "w'".  Both are written as elements of this presentation,
+    `element` normalizing y_i^q.  The returned u is x*y_i for v_i, with
+    u^q - u = (this rhs) - (unprimed rhs), and y1*y2 for w, with
+    u^q - u = (primed rhs) - (this rhs); each is replayed exactly.
     """
     pres = presentation(params)
     q, n1 = params.q, pres.ctx.neg(1)
@@ -700,11 +664,16 @@ def presentation_equiv(params: Params) -> dict[str, TowerElement]:
     }
     primed_w = pres.element({(*m, 0, 0, 0): c
                              for m, c in tower_rhs(params)["w'"].items()})
-    out = {name: wp_solve(pres, pres.relations[name] - rhs)
-           for name, rhs in unprimed.items()}
-    out["w"] = wp_solve(pres, primed_w - pres.relations["w"])
-    if any(v is None for v in out.values()):
-        raise IntegrityError("presentations failed to link additively")
+    targets = {name: pres.relations[name] - rhs
+               for name, rhs in unprimed.items()}
+    targets["w"] = primed_w - pres.relations["w"]
+    out = {}
+    for name, m in _LINK_WITNESSES.items():
+        u = pres.element({m: 1})
+        if u.pow_pk(params.n) - u != targets[name]:
+            raise IntegrityError(
+                f"witness {m} fails to link the presentations at {name}")
+        out[name] = u
     return out
 
 

@@ -145,6 +145,11 @@ def test_pow_rejects_negative(F27):
         LaurentPoly(F27, {0: 1}) ** -1
 
 
+def test_pow_pk_rejects_negative_k(F27):
+    with pytest.raises(ParameterError):
+        LaurentPoly(F27, {1: 1}).pow_pk(-1)
+
+
 # ---------------------------------------------------------------- series
 
 
