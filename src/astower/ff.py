@@ -7,8 +7,10 @@ runs on three tables of O(q) entries, the same for every q: log and
 antilog to a primitive element g, and Zech's logarithm
 Z(k) = log(1 + g^k) for addition (Huber, "Some comments on Zech's
 logarithms", IEEE Trans. IT 36, 1990; Lidl-Niederreiter, Finite Fields,
-ch. 9).  Negation, Frobenius powers, p-th roots and the trace act on the
-log, so the hot loops in `laurent` and `tower` touch nothing but list
+ch. 9).  Negation, Frobenius powers and p-th roots act on the log.  The
+tables stay behind the context: `_kernel_py`, whose loops `laurent`,
+`tower` and `genus` call with the context as the field, is the only
+other module that reads them, and its loops touch nothing but list
 indexing.  Fields above the table budget MAX_FIELD_Q are refused, and
 `Params` refuses (p, s) by the same rule, applied to F_{p^(2s+1)}.
 `tower_rhs` holds the tower's equations, the one copy every layer reads.
@@ -287,7 +289,7 @@ class FieldCtx:
     """
 
     __slots__ = ("p", "n", "q", "modulus", "gen", "LOG", "ALOG", "ZECH",
-                 "kernel_args", "_half")
+                 "_half")
 
     def __init__(self, p: int, n: int):
         q = p ** n
@@ -318,7 +320,6 @@ class FieldCtx:
         object.__setattr__(self, "LOG", log)
         object.__setattr__(self, "ALOG", exp + exp)
         object.__setattr__(self, "ZECH", zech)
-        object.__setattr__(self, "kernel_args", (log, self.ALOG, zech))
         object.__setattr__(self, "_half", (q - 1) // 2)
 
     def __setattr__(self, name, value):
@@ -364,12 +365,6 @@ class FieldCtx:
     def p_root(self, a: int) -> int:
         """Unique p-th root, computed as a^(p^(n-1))."""
         return self.frobenius_iter(a, -1)
-
-    def trace_to_prime(self, a: int) -> int:
-        t = 0
-        for k in range(self.n):
-            t = self.add(t, self.frobenius_iter(a, k))
-        return t
 
     # ---------------------------------------------------------- conversions
 

@@ -98,7 +98,7 @@ def _line_histogram(ctx: FieldCtx, reduced_basis: list[dict[int, int]],
                     pivots: dict | None = None) -> dict[int, int]:
     """Conductor histogram {m: lines} over every line of a coefficient space.
 
-    reduced_basis holds the `reduce_mod_wp(...).reduced` principal parts
+    reduced_basis holds the `reduce_mod_wp` reduced principal parts
     of an F_p-basis f_1, ..., f_dim of the space of right-hand sides.  A
     line is a nonzero vector a in F_p^dim up to F_p* scaling.
 
@@ -126,7 +126,7 @@ def _line_histogram(ctx: FieldCtx, reduced_basis: list[dict[int, int]],
     the bars must cover all (p^dim - 1)/(p - 1) lines (no line without a
     pole); either failure raises IntegrityError.
     """
-    p, kargs = ctx.p, ctx.kernel_args
+    p = ctx.p
     # echelon rows keyed by their leading column (exponent, digit); the
     # most negative exponent is the highest pole order and sorts first.
     # Entries are F_p digits, codes below p, which F_q's tables keep there.
@@ -139,10 +139,9 @@ def _line_histogram(ctx: FieldCtx, reduced_basis: list[dict[int, int]],
             lead = min(row)
             piv = pivots.get(lead)
             if piv is None:
-                pivots[lead] = lp_add_scaled({}, row, ctx.inv(row[lead]),
-                                             *kargs)
+                pivots[lead] = lp_add_scaled({}, row, ctx.inv(row[lead]), ctx)
                 break
-            row = lp_add_scaled(row, piv, ctx.neg(row[lead]), *kargs)
+            row = lp_add_scaled(row, piv, ctx.neg(row[lead]), ctx)
     rank_at: dict[int, int] = {}
     for e, _ in pivots:
         rank_at[-e] = rank_at.get(-e, 0) + 1
@@ -186,8 +185,8 @@ def class_conductors(params: Params) -> dict[str, int]:
     for label in _CLASS_ORDER:
         expansion = expand_at_infinity(data, parts[label])
         upto = _line_histogram(
-            ctx, [reduce_mod_wp(ctx, expansion.scale(b)).reduced
-                  for b in basis], pivots)
+            ctx, [reduce_mod_wp(ctx, expansion.scale(b)) for b in basis],
+            pivots)
         want = dict(below)
         m = ladder[label]
         want[m] = want.get(m, 0) + counts[label]
@@ -363,7 +362,7 @@ def ree_line_groups(params: Params) -> dict[int, int]:
     reduced: list[dict[int, int]] = []
     for label in ("y1", "y2"):
         expansion = expand_rational(ctx, parts[label])
-        reduced += [reduce_mod_wp(ctx, expansion.scale(b)).reduced
+        reduced += [reduce_mod_wp(ctx, expansion.scale(b))
                     for b in prime_basis(ctx)]
     return _line_histogram(ctx, reduced)
 

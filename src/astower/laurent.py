@@ -71,20 +71,19 @@ class LaurentPoly:
         return isinstance(other, LaurentPoly) and self.d == other.d
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = lp_add_scaled(self.d, other.d, 1, *self.ctx.kernel_args)
+        out = lp_add_scaled(self.d, other.d, 1, self.ctx)
         return LaurentPoly(self.ctx, _note(out))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = lp_add_scaled(self.d, other.d, self.ctx.neg(1),
-                            *self.ctx.kernel_args)
+        out = lp_add_scaled(self.d, other.d, self.ctx.neg(1), self.ctx)
         return LaurentPoly(self.ctx, _note(out))
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = lp_mul(self.d, other.d, *self.ctx.kernel_args)
+        out = lp_mul(self.d, other.d, self.ctx)
         return LaurentPoly(self.ctx, _note(out))
 
     def scale(self, c: int) -> "LaurentPoly":
-        out = lp_add_scaled({}, self.d, c, *self.ctx.kernel_args)
+        out = lp_add_scaled({}, self.d, c, self.ctx)
         return LaurentPoly(self.ctx, out)
 
     def pow_pk(self, k: int) -> "LaurentPoly":
@@ -93,7 +92,7 @@ class LaurentPoly:
             raise ParameterError(f"p^{k}-th power: k must be nonnegative")
         if k == 0:
             return self
-        out = lp_map_pow(self.d, self.ctx.p ** k, *self.ctx.kernel_args)
+        out = lp_map_pow(self.d, self.ctx.p ** k, self.ctx)
         return LaurentPoly(self.ctx, _note(out))
 
     def __pow__(self, e: int) -> "LaurentPoly":
@@ -143,12 +142,12 @@ class TruncatedSeries:
         return min(self.d)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        out = lp_add_scaled(self.d, other.d, 1, *self.ctx.kernel_args)
+        out = lp_add_scaled(self.d, other.d, 1, self.ctx)
         return TruncatedSeries(self.ctx, _note(out),
                                min(self.prec, other.prec))
 
     def scale(self, c: int) -> "TruncatedSeries":
-        out = lp_add_scaled({}, self.d, c, *self.ctx.kernel_args)
+        out = lp_add_scaled({}, self.d, c, self.ctx)
         return TruncatedSeries(self.ctx, out, self.prec)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
@@ -159,7 +158,7 @@ class TruncatedSeries:
         sv = math.inf if sv is None else sv
         ov = math.inf if ov is None else ov
         prec = min(self.prec + ov, other.prec + sv)
-        out = lp_mul(self.d, other.d, *self.ctx.kernel_args)
+        out = lp_mul(self.d, other.d, self.ctx)
         return TruncatedSeries(self.ctx, _note(out), prec)
 
     def __repr__(self):

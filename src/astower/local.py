@@ -21,7 +21,6 @@ degree-p cover.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 from .errors import IntegrityError, ParameterError, UnsupportedError
 from .ff import FieldCtx, Params, tower_rhs
@@ -44,21 +43,15 @@ def cover_rhs_polys(params: Params) -> dict[str, dict[tuple[int, int], int]]:
 
 class UniformizerData:
     """x and the head of the first generator as Laurent polynomials in
-    the uniformizer z, their exponents, and the head's residual."""
+    the uniformizer z, and b1, the exponent that fixes the head's
+    precision: its residual has valuation q*b1."""
 
-    __slots__ = ("params", "ctx", "x_poly", "y_head", "a1", "a2", "b1", "b2",
-                 "residual")
+    __slots__ = ("params", "ctx", "x_poly", "y_head", "b1")
 
     def __init__(self, params: Params, ctx: FieldCtx, x_poly: LaurentPoly,
-                 y_head: LaurentPoly, a1: int, a2: int, b1: int, b2: int,
-                 residual: LaurentPoly):
+                 y_head: LaurentPoly, b1: int):
         self.params, self.ctx = params, ctx
-        self.x_poly, self.y_head = x_poly, y_head
-        self.a1, self.a2, self.b1, self.b2 = a1, a2, b1, b2
-        self.residual = residual
-
-    def xpow(self, e: int) -> LaurentPoly:
-        return self.x_poly ** e
+        self.x_poly, self.y_head, self.b1 = x_poly, y_head, b1
 
 
 def build_uniformizer(params: Params) -> UniformizerData:
@@ -83,19 +76,16 @@ def build_uniformizer(params: Params) -> UniformizerData:
         a1 * q0 + a2: n1,
     })
 
-    data = UniformizerData(params, ctx, x_poly, y_head, a1, a2, b1, b2,
-                           LaurentPoly.zero(ctx))
     # the head's defect y^q - y - f1 against the first relation
     residual = y_head.pow_pk(params.n) - y_head
     for (ex, _, _), c in tower_rhs(params)["y1"].items():
-        residual = residual - data.xpow(ex).scale(c)
+        residual = residual - (x_poly ** ex).scale(c)
 
     v = residual.valuation()
     if v != q * b1 or residual.d[v] != 1:
         raise IntegrityError(
             f"uniformizer residual must start 1*z^{q * b1}, got valuation {v}")
-    data.residual = residual
-    return data
+    return UniformizerData(params, ctx, x_poly, y_head, b1)
 
 
 def expand_at_infinity(data: UniformizerData, rhs: dict[tuple[int, int], int]
@@ -113,7 +103,7 @@ def expand_at_infinity(data: UniformizerData, rhs: dict[tuple[int, int], int]
                                          prec=data.params.q * data.b1)
     total = TruncatedSeries(data.ctx, {}, math.inf)
     for (ex, ey), c in sorted(rhs.items()):
-        term = TruncatedSeries.from_poly(data.xpow(ex))
+        term = TruncatedSeries.from_poly(data.x_poly ** ex)
         for _ in range(ey):
             term = term * y_series
         total = total + term.scale(c)
@@ -135,30 +125,21 @@ def expand_rational(ctx: FieldCtx, rhs: dict[tuple[int, int], int]
     return LaurentPoly(ctx, {-ex: c for (ex, _), c in rhs.items()})
 
 
-ReducedPart = namedtuple(
-    "ReducedPart", "reduced witnesses dropped const geometric")
-ReducedPart.__doc__ = """Principal part reduced mod the image of u -> u^p - u.
-
-witnesses is the list of (m, r) with u = r * z^-m applied as
-f -> f - (u^p - u), in application order; `reduced` has no pole
-order divisible by p; `const` is the original z^0 coefficient and
-`geometric` says its absolute trace vanishes, i.e. the constant is
-itself of the form u^p - u and the cover stays geometric.
-"""
-
-
 def reduce_mod_wp(ctx: FieldCtx, f: TruncatedSeries | LaurentPoly
-                  ) -> ReducedPart:
-    """Normalize the principal part of f modulo the image of u -> u^p - u.
+                  ) -> dict[int, int]:
+    """The principal part of f normalized modulo the image of
+    u -> u^p - u, as {pole order: code}: no order in it is divisible
+    by p.
 
     A fold moves c*z^e (p | e) to p_root(c)*z^(e/p), a higher order, so
     only p*e folds into e.  One ascending sweep over the orders a fold
     can reach therefore visits each once, after all that lands on it,
     in the min-first order of repeatedly folding the top divisible pole.
-    The certificate is then replayed once, exactly: with u = sum r*z^-m,
-    f == reduced + (u^p - u) + dropped + const.  Each order folds once,
-    so the m are distinct; were two equal, u would merge them and the
-    identity would fail closed.
+    The certificate is then replayed once, exactly: with u = sum r*z^-m
+    over the folds' witnesses, f == reduced + (u^p - u) + (the terms of
+    f without a pole).  Each order folds once, so the m are distinct;
+    were two equal, u would keep only one of them and the identity
+    would fail closed.
     """
     if isinstance(f, TruncatedSeries) and f.prec <= 0:
         raise ParameterError(
@@ -167,30 +148,27 @@ def reduce_mod_wp(ctx: FieldCtx, f: TruncatedSeries | LaurentPoly
 
     p = ctx.p
     work = {e: c for e, c in original.items() if e < 0}
-    dropped = {e: c for e, c in original.items() if e > 0}
-    const = original.get(0, 0)
 
     folds = set()
     for e in work:
         while e % p == 0:
             folds.add(e)
             e //= p
-    witnesses: list[tuple[int, int]] = []
+    witnesses: dict[int, int] = {}
     for e in sorted(folds):
         c = work.pop(e, 0)
         if c:
             r = ctx.p_root(c)
             work[e // p] = ctx.add(work.get(e // p, 0), r)
-            witnesses.append((-(e // p), r))
+            witnesses[e // p] = r
     work = {e: c for e, c in work.items() if c}
 
-    u = LaurentPoly(ctx, {-m: r for m, r in witnesses})
-    acc = LaurentPoly(ctx, {**work, **dropped, 0: const}) + u.pow_pk(1) - u
+    u = LaurentPoly(ctx, witnesses)
+    tail = {e: c for e, c in original.items() if e >= 0}
+    acc = LaurentPoly(ctx, {**work, **tail}) + u.pow_pk(1) - u
     if acc.d != original:
         raise IntegrityError("additive reduction failed its replay check")
-
-    return ReducedPart(reduced=work, witnesses=witnesses, dropped=dropped,
-                       const=const, geometric=ctx.trace_to_prime(const) == 0)
+    return work
 
 
 def conductor_of_cover(params: Params, label: str) -> int:
@@ -208,7 +186,7 @@ def conductor_of_cover(params: Params, label: str) -> int:
     except KeyError:
         raise ParameterError(f"unknown cover label {label!r}") from None
     ctx = params.field()
-    reduced = reduce_mod_wp(ctx, expand_rational(ctx, rhs)).reduced
+    reduced = reduce_mod_wp(ctx, expand_rational(ctx, rhs))
     m = 1 + max(-e for e in reduced)  # every x-only entry has a pole
     if (m - 1) % params.p == 0:
         raise IntegrityError(f"reduced conductor jump {m - 1} divisible by {params.p}")

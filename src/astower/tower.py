@@ -114,9 +114,8 @@ class TowerElement:
 
     def _plus(self, other: "TowerElement", c: int) -> "TowerElement":
         self._check(other)
-        kargs = self.pres.ctx.kernel_args
-        return TowerElement(
-            self.pres, lp_add_scaled(self.terms, other.terms, c, *kargs))
+        return TowerElement(self.pres, lp_add_scaled(
+            self.terms, other.terms, c, self.pres.ctx))
 
     def __add__(self, other: "TowerElement") -> "TowerElement":
         return self._plus(other, 1)
@@ -131,11 +130,11 @@ class TowerElement:
         self._check(other)
         pres = self.pres
         return TowerElement(pres, pres.normalize(
-            lp_mul(self.terms, other.terms, *pres.ctx.kernel_args)))
+            lp_mul(self.terms, other.terms, pres.ctx)))
 
     def scale(self, c: int) -> "TowerElement":
         return TowerElement(self.pres, lp_add_scaled(
-            {}, self.terms, c, *self.pres.ctx.kernel_args))
+            {}, self.terms, c, self.pres.ctx))
 
     def pow_pk(self, k: int) -> "TowerElement":
         """The p^k-th power, taken n steps at a time so fields stay < q^2."""
@@ -147,19 +146,22 @@ class TowerElement:
         while k > 0:
             step = min(k, n)
             out = TowerElement(pres, pres.normalize(lp_map_pow(
-                out.terms, pres.ctx.p ** step, *pres.ctx.kernel_args)))
+                out.terms, pres.ctx.p ** step, pres.ctx)))
             k -= step
         return out
 
     def __pow__(self, e: int) -> "TowerElement":
-        """The e-th power, one product per unit of each base-p digit of e."""
+        """The e-th power, one product per unit of each base-p digit of e
+        and one p^k-th power per nonzero digit."""
         if e < 0:
             raise ParameterError("negative powers are not defined here")
         out, k = self.pres.const(1), 0
         while e:
             e, digit = divmod(e, self.pres.ctx.p)
-            for _ in range(digit):
-                out = out * self.pow_pk(k)
+            if digit:
+                block = self.pow_pk(k)
+                for _ in range(digit):
+                    out = out * block
             k += 1
         return out
 
@@ -214,10 +216,9 @@ class TowerPresentation:
                 k -= q
             out = self._gen_pow(slot, k)
             step = self._qpow[slot]
-            kargs = self.ctx.kernel_args
             while k < e:
                 k += q
-                out = self.normalize(lp_mul(out, step, *kargs))
+                out = self.normalize(lp_mul(out, step, self.ctx))
                 gp[(slot, k)] = out
         return out
 
@@ -233,7 +234,6 @@ class TowerPresentation:
         bad = [m for m in raw if (m + bias) & high]
         if not bad:
             return raw
-        kargs = self.ctx.kernel_args
         out = dict(raw)
         while bad:
             rewritten: Terms = {}
@@ -246,12 +246,12 @@ class TowerPresentation:
                         e = m >> shift & _FIELD_MASK
                         m -= e << shift
                         g = self._gen_pow(slot, e)
-                        factor = g if factor is None else lp_mul(factor, g,
-                                                                 *kargs)
-                lp_mul({m: c}, factor, *kargs, out=rewritten)
+                        factor = g if factor is None else lp_mul(
+                            factor, g, self.ctx)
+                lp_mul({m: c}, factor, self.ctx, out=rewritten)
             # out holds only normal monomials now, so no bad one merges
             bad = [m for m in rewritten if (m + bias) & high]
-            lp_mul(rewritten, _ONE, *kargs, out=out)
+            lp_mul(rewritten, _ONE, self.ctx, out=out)
         return out
 
     # -------------------------------------------------------- constructors
@@ -328,7 +328,6 @@ class Endo:
         if not moved:
             return elem
         pres = self.pres
-        kargs = pres.ctx.kernel_args
         acc: Terms = {}
         for m, c in elem.terms.items():
             term = None
@@ -338,11 +337,12 @@ class Endo:
                     m -= e << shift
                     f = img.terms if e == 1 else (img ** e).terms
                     term = f if term is None else pres.normalize(
-                        lp_mul(term, f, *kargs))
+                        lp_mul(term, f, pres.ctx))
             if term is not None and m:
-                term = pres.normalize(lp_mul(term, {m: 1}, *kargs))
+                term = pres.normalize(lp_mul(term, {m: 1}, pres.ctx))
                 m = 0
-            lp_mul(_ONE if term is None else term, {m: c}, *kargs, out=acc)
+            lp_mul(_ONE if term is None else term, {m: c}, pres.ctx,
+                   out=acc)
         return TowerElement(pres, acc)
 
     def replace(self, **kwargs: TowerElement) -> "Endo":
@@ -513,7 +513,6 @@ def _solve_affine(ctx, forms: list[dict[int, int]], nvars: int
     A row is {_CONST: const, k: c_k}; the kernel's in-place lp_mul by a
     scalar {0: c} adds c times one row into another.
     """
-    kargs = ctx.kernel_args
     pivots: dict[int, dict[int, int]] = {}
     for row in forms:
         row = dict(row)
@@ -521,17 +520,17 @@ def _solve_affine(ctx, forms: list[dict[int, int]], nvars: int
             hit = next((k for k in row if k in pivots), None)
             if hit is None:
                 break
-            lp_mul(pivots[hit], {0: ctx.neg(row[hit])}, *kargs, out=row)
+            lp_mul(pivots[hit], {0: ctx.neg(row[hit])}, ctx, out=row)
         free = [k for k in row if k != _CONST]
         if not free:
             if row.get(_CONST, 0):
                 return None
             continue
         k0 = free[0]
-        prow = lp_mul(row, {0: ctx.inv(row[k0])}, *kargs)
+        prow = lp_mul(row, {0: ctx.inv(row[k0])}, ctx)
         for pr in pivots.values():
             if k0 in pr:
-                lp_mul(prow, {0: ctx.neg(pr[k0])}, *kargs, out=pr)
+                lp_mul(prow, {0: ctx.neg(pr[k0])}, ctx, out=pr)
         pivots[k0] = prow
     sol = [0] * nvars
     for k, pr in pivots.items():
@@ -562,7 +561,6 @@ def wp_solve(pres: TowerPresentation, target: TowerElement,
     import heapq  # no report solves, so only the solver loads heapq
 
     ctx = pres.ctx
-    kargs = ctx.kernel_args
     q, n = pres.params.q, pres.params.n
     td = dict(target.d)
     if not td:
@@ -615,7 +613,7 @@ def wp_solve(pres: TowerPresentation, target: TowerElement,
             greedy.append((wit, form))
             el = pres.element({wit: 1})
             for m2, c2 in (el - el.pow_pk(n)).d.items():
-                if not lp_mul(form, {0: c2}, *kargs, out=form_at(m2)):
+                if not lp_mul(form, {0: c2}, ctx, out=form_at(m2)):
                     del r[m2]
         else:
             constraints.append(form)

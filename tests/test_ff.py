@@ -107,13 +107,6 @@ class NaiveField:
             out = self.mul(out, a)
         return out
 
-    def trace(self, a):
-        t, x = 0, a
-        for _ in range(self.n):
-            t = self.add(t, x)
-            x = self.frob(x)
-        return t
-
 
 # ---------------------------------------------------------------- frozen values
 
@@ -141,14 +134,6 @@ def test_frobenius_of_t_in_f27():
     t_plus_2 = 5  # coordinates (2, 1, 0)
     assert ctx.frobenius_iter(t, 1) == t_plus_2
     assert ctx.frobenius_iter(t_plus_2, -1) == t
-
-
-def test_trace_values_in_f27():
-    ctx = make_field(3, 3)
-    t = 3  # coordinates (0, 1, 0)
-    assert ctx.trace_to_prime(0) == 0
-    assert ctx.trace_to_prime(t) == 0
-    assert ctx.trace_to_prime(ctx.mul(t, t)) == 2
 
 
 def test_basis_is_power_basis():
@@ -249,7 +234,6 @@ def test_arithmetic_matches_naive_oracle(p, n):
             assert ctx.frobenius_iter(a, k) == iterates[k]
         assert ctx.frobenius_iter(a, -1) == iterates[n - 1]
         assert naive.frob(ctx.p_root(a)) == a
-        assert ctx.trace_to_prime(a) == naive.trace(a) < p
 
 
 def _naive_order(naive, a):
@@ -356,12 +340,6 @@ def test_pth_root_inverts_frobenius():
     for a in range(ctx.q):
         r = ctx.p_root(a)
         assert ctx.pow_int(r, 3) == a
-
-
-def test_trace_is_surjective():
-    for p, n in [(3, 3), (5, 3)]:
-        ctx = make_field(p, n)
-        assert {ctx.trace_to_prime(e) for e in range(ctx.q)} == set(range(p))
 
 
 def test_pow_int_and_inverse_edge_cases():

@@ -4,9 +4,10 @@ Every certificate refusal (`raise IntegrityError`) has a test that makes
 it fire, and every function and class is reached from inside the
 package unless it is listed here with a reason.  Both lists are read
 from the source with `ast`, so a new refusal without a test, or a new
-name only the tests call, fails here.  The benchmark's per-layer
-metrics are keyed on names its tracer wraps, so deleting or renaming
-one of those names fails here too.
+name only the tests call, fails here.  Only `ff` and the kernel may
+name the field's tables.  The benchmark's per-layer metrics are keyed on
+names its tracer wraps, so deleting or renaming one of those names fails
+here too.
 """
 
 import ast
@@ -154,6 +155,28 @@ def test_only_the_cli_exit_helper_calls_os_exit():
                              for node in _exit_references(func))
         sites += [(name, owner.get(node)) for node in _exit_references(tree)]
     assert sites == [("cli.py", "_fast_exit")]
+
+
+_FIELD_TABLES = {"LOG", "ALOG", "ZECH", "kernel_args"}
+
+
+def test_only_ff_and_the_kernel_see_the_field_tables():
+    """The field's log, antilog and Zech tables are its representation:
+    every other module passes the `FieldCtx` itself, so that only `ff`
+    and `_kernel_py` change when the representation does."""
+    sites = []
+    for name, tree in _trees().items():
+        if name in ("ff.py", "_kernel_py.py"):
+            continue
+        for node in ast.walk(tree):
+            word = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias)
+                    else node.value if isinstance(node, ast.Constant)
+                    else None)
+            if word in _FIELD_TABLES:
+                sites.append((name, node.lineno, word))
+    assert sites == []
 
 
 def test_every_per_layer_metric_is_keyed_on_a_traced_name(tmp_path):

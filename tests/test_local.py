@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from astower.errors import IntegrityError, ParameterError, UnsupportedError
-from astower.ff import Params, make_field
+from astower.ff import Params, make_field, tower_rhs
 from astower.laurent import (
     LaurentPoly,
     TruncatedSeries,
@@ -21,7 +21,6 @@ from astower.laurent import (
     support_watermark,
 )
 from astower.local import (
-    ReducedPart,
     build_uniformizer,
     conductor_of_cover,
     cover_rhs_polys,
@@ -37,7 +36,7 @@ P32 = Params(3, 2)
 
 def _reduce_over_first_floor(params, rhs):
     """The expansion of rhs at the place over infinity of the first floor,
-    and its reduction modulo the image of u -> u^p - u."""
+    and its reduced principal part modulo the image of u -> u^p - u."""
     series = expand_at_infinity(build_uniformizer(params), rhs)
     return series, reduce_mod_wp(params.field(), series)
 
@@ -49,6 +48,16 @@ def _principal(series):
 def _conductor(reduced):
     """m = 1 + the top reduced pole order (Stichtenoth, Prop. 3.7.8)."""
     return 1 + max(-e for e in reduced)
+
+
+def _residual(data):
+    """The head's defect y^q - y - f1 against the first relation, from
+    x_poly, y_head and the tower's equation for y1."""
+    yh = data.y_head
+    residual = yh.pow_pk(data.params.n) - yh
+    for (ex, _, _), c in tower_rhs(data.params)["y1"].items():
+        residual = residual - (data.x_poly ** ex).scale(c)
+    return residual
 
 
 # ------------------------------------------------------------ uniformizer
@@ -64,19 +73,22 @@ def _conductor(reduced):
 )
 def test_uniformizer_constants(params, a1, a2, b1, b2):
     data = build_uniformizer(params)
-    assert (data.a1, data.a2, data.b1, data.b2) == (a1, a2, b1, b2)
+    assert data.b1 == b1
     q, q0 = params.q, params.q0
-    assert data.x_poly.d == {-q: 1, a1: 1, a2: data.ctx.neg(1)}
+    n1 = data.ctx.neg(1)
+    assert data.x_poly.d == {-q: 1, a1: 1, a2: n1}
     assert data.y_head.valuation() == -(q + q0)
+    assert (data.y_head.d[b1], data.y_head.d[b2]) == (1, n1)
     assert len(data.y_head.d) == 9
 
 
 @pytest.mark.parametrize("params,vres", [(P31, 3402), (P51, 293750), (P32, 997272)])
 def test_residual_valuation_and_lead(params, vres):
     data = build_uniformizer(params)
-    assert data.residual.valuation() == vres == params.q * data.b1
-    assert data.residual.d[vres] == 1
-    assert len(data.residual.d) == 12
+    residual = _residual(data)
+    assert residual.valuation() == vres == params.q * data.b1
+    assert residual.d[vres] == 1
+    assert len(residual.d) == 12
 
 
 def test_head_solves_relation_up_to_residual():
@@ -85,7 +97,7 @@ def test_head_solves_relation_up_to_residual():
     lhs = yh.pow_pk(P31.n) - yh
     f1 = expand_at_infinity(data, cover_rhs_polys(P31)["y1"])
     assert math.isinf(f1.prec)
-    assert (lhs - LaurentPoly(data.ctx, f1.d)).d == data.residual.d
+    assert (lhs - LaurentPoly(data.ctx, f1.d)).d == _residual(data).d
 
 
 # ------------------------------------------------------------- expansions
@@ -153,32 +165,31 @@ def test_class_conductors_31(label):
     series, r = _reduce_over_first_floor(P31, cover_rhs_polys(P31)[label])
     assert series.valuation() == v
     assert _principal(series) == principal
-    assert r.reduced == reduced
-    assert _conductor(r.reduced) == m
-    assert r.geometric
+    assert r == reduced
+    assert _conductor(r) == m
 
 
 def test_w_class_51():
     series, r = _reduce_over_first_floor(P51, cover_rhs_polys(P51)["w"])
     assert series.valuation() == -33125
     assert _principal(series) == {-33125: 1, -17625: 1, -17005: 4, -885: 4}
-    assert r.reduced == {-3401: 4, -177: 4, -141: 1, -53: 1}
-    assert _conductor(r.reduced) == 3402
+    assert r == {-3401: 4, -177: 4, -141: 1, -53: 1}
+    assert _conductor(r) == 3402
 
 
 def test_y2_class_51():
     series, r = _reduce_over_first_floor(P51, cover_rhs_polys(P51)["y2"])
     assert _principal(series) == {-16875: 1, -1375: 1, -755: 3}
-    assert r.reduced == {-151: 3, -27: 1, -11: 1}
-    assert _conductor(r.reduced) == 152
+    assert r == {-151: 3, -27: 1, -11: 1}
+    assert _conductor(r) == 152
 
 
 def test_w_class_32_stays_sparse():
     reset_support_watermark()
     series, r = _reduce_over_first_floor(P32, cover_rhs_polys(P32)["w"])
     assert _principal(series) == {-124659: 1, -65853: 1, -63675: 2, -2691: 2}
-    assert r.reduced == {-7075: 2, -299: 2, -271: 1, -19: 1}
-    assert _conductor(r.reduced) == 7076
+    assert r == {-7075: 2, -299: 2, -271: 1, -19: 1}
+    assert _conductor(r) == 7076
     assert support_watermark() < 10_000
 
 
@@ -189,13 +200,13 @@ def test_conductor_with_nontrivial_coefficient():
     _, r = _reduce_over_first_floor(P31, scaled)
     g3 = ctx.pow_int(g, 3)
     g9 = ctx.pow_int(g, 9)
-    assert r.reduced == {
+    assert r == {
         -7: g3,
         -37: g,
         -47: ctx.mul(2, g9),
         -307: ctx.mul(2, g9),
     }
-    assert _conductor(r.reduced) == 308
+    assert _conductor(r) == 308
 
 
 def test_conductor_over_rational_base():
@@ -204,11 +215,11 @@ def test_conductor_over_rational_base():
     f = expand_rational(ctx, rhs["y1"])
     r = reduce_mod_wp(ctx, f)
     assert _principal(f) == {-30: 1, -4: 2}
-    assert r.reduced == {-10: 1, -4: 2}
-    assert conductor_of_cover(P31, "y1") == _conductor(r.reduced) == 11
+    assert r == {-10: 1, -4: 2}
+    assert conductor_of_cover(P31, "y1") == _conductor(r) == 11
     r2 = reduce_mod_wp(ctx, expand_rational(ctx, rhs["y2"]))
-    assert r2.reduced == {-11: 1, -7: 2}
-    assert conductor_of_cover(P31, "y2") == _conductor(r2.reduced) == 12
+    assert r2 == {-11: 1, -7: 2}
+    assert conductor_of_cover(P31, "y2") == _conductor(r2) == 12
 
 
 def test_rational_base_rejects_y_terms():
@@ -227,36 +238,35 @@ def test_rational_base_rejects_y_terms():
 def test_reduce_single_step():
     ctx = make_field(3, 3)
     g = 3
-    out = reduce_mod_wp(ctx, LaurentPoly(ctx, {-3: g}))
-    assert out.reduced == {-1: ctx.p_root(g)}
-    assert out.witnesses == [(1, ctx.p_root(g))]
+    f = LaurentPoly(ctx, {-3: g})
+    out = reduce_mod_wp(ctx, f)
+    assert out == {-1: ctx.p_root(g)}
+    u = LaurentPoly(ctx, {-1: ctx.p_root(g)})  # the fold's witness
+    assert f == LaurentPoly(ctx, out) + u.pow_pk(1) - u
 
 
 def test_reduce_fold_collision():
     ctx = make_field(3, 3)
     out = reduce_mod_wp(ctx, LaurentPoly(ctx, {-6: 1, -2: 1}))
-    assert out.reduced == {-2: 2}
+    assert out == {-2: 2}
 
 
-def test_reduce_drops_nonnegative_and_flags_trace():
+def test_reduce_drops_the_terms_without_a_pole():
     ctx = make_field(3, 3)
     out = reduce_mod_wp(ctx, LaurentPoly(ctx, {-4: 1, 0: 1, 5: 2}))
-    assert out.reduced == {-4: 1}
-    assert out.dropped == {5: 2}
-    assert out.const == 1
-    # 1 lies in F_3, so its trace is 3 * 1 = 0
-    assert out.geometric
-    assert ctx.trace_to_prime(9) == 2  # t^2 has nonzero trace
-    bad = reduce_mod_wp(ctx, LaurentPoly(ctx, {-4: 1, 0: 9}))
-    assert not bad.geometric
+    assert out == {-4: 1}
+    # a constant outside the image of u -> u^p - u drops all the same
+    assert reduce_mod_wp(ctx, LaurentPoly(ctx, {-4: 1, 0: 9})) == {-4: 1}
 
 
 def test_reduce_witness_trail_dominant_chain():
-    _, r = _reduce_over_first_floor(P31, cover_rhs_polys(P31)["w"])
-    ms = [m for m, _ in r.witnesses]
-    chain = [567, 189, 63, 21, 7]
-    positions = [ms.index(m) for m in chain]
-    assert positions == sorted(positions)
+    # w at (3, 1) reduces as the min-first oracle does, whose witness
+    # trail folds the dominant chain from the top pole down
+    series, r = _reduce_over_first_floor(P31, cover_rhs_polys(P31)["w"])
+    reduced, witnesses = _reduce_oracle(P31.field(), series)
+    assert r == reduced
+    assert [m for m, _ in witnesses if m in (567, 189, 63, 21, 7)] == \
+        [567, 189, 63, 21, 7]
 
 
 def small_principal(ctx):
@@ -272,9 +282,11 @@ def test_reduce_exactness_identity(data):
     ctx = make_field(3, 3)
     f = data.draw(small_principal(ctx))
     out = reduce_mod_wp(ctx, LaurentPoly(ctx, f))
-    # rebuild f from the certificate with naive dict arithmetic
-    acc = dict(out.reduced)
-    for m, r in out.witnesses:
+    # rebuild f from the reduced part and the oracle's witnesses with
+    # naive dict arithmetic
+    _, witnesses = _reduce_oracle(ctx, LaurentPoly(ctx, f))
+    acc = dict(out)
+    for m, r in witnesses:
         for e, c in [(-3 * m, ctx.frobenius_iter(r, 1)), (-m, ctx.neg(r))]:
             v = ctx.add(acc.get(e, 0), c)
             if v:
@@ -289,7 +301,7 @@ def test_reduce_canonical_no_divisible_poles(data):
     ctx = make_field(5, 3)
     f = data.draw(small_principal(ctx))
     out = reduce_mod_wp(ctx, LaurentPoly(ctx, f))
-    assert all(e % 5 != 0 for e in out.reduced)
+    assert all(e % 5 != 0 for e in out)
 
 
 @given(data=st.data())
@@ -312,14 +324,15 @@ def test_reduce_invariant_under_wp_shifts(data):
             fd[e] = val
         else:
             fd.pop(e, None)
-    assert reduce_mod_wp(ctx, LaurentPoly(ctx, fd)).reduced == \
-        reduce_mod_wp(ctx, LaurentPoly(ctx, f)).reduced
+    assert reduce_mod_wp(ctx, LaurentPoly(ctx, fd)) == \
+        reduce_mod_wp(ctx, LaurentPoly(ctx, f))
 
 
 def _reduce_oracle(ctx, f):
     """The min-first reduction: fold the most negative pole order
     divisible by p until none is left, then replay each witness on its
-    own against the input."""
+    own against the input.  Returns the reduced part and the witnesses
+    (m, r), u = r * z^-m, in fold order."""
     original = f.d
     p = ctx.p
     work = {e: c for e, c in original.items() if e < 0}
@@ -345,8 +358,7 @@ def _reduce_oracle(ctx, f):
                                       -m: ctx.neg(r)})
     acc = acc + LaurentPoly(ctx, dropped) + LaurentPoly(ctx, {0: const})
     assert acc.d == original
-    return ReducedPart(reduced=work, witnesses=witnesses, dropped=dropped,
-                       const=const, geometric=ctx.trace_to_prime(const) == 0)
+    return work, witnesses
 
 
 def _orders_with_chains(p):
@@ -365,7 +377,7 @@ def test_reduce_matches_the_min_first_oracle(data):
     f = data.draw(st.dictionaries(_orders_with_chains(ctx.p),
                                   st.integers(1, ctx.q - 1), max_size=8))
     out = reduce_mod_wp(ctx, LaurentPoly(ctx, f))
-    assert out == _reduce_oracle(ctx, LaurentPoly(ctx, f))
+    assert out == _reduce_oracle(ctx, LaurentPoly(ctx, f))[0]
 
 
 class _CountedOrder(int):
@@ -380,17 +392,15 @@ class _CountedOrder(int):
 
 def test_reduce_examines_each_pole_order_once():
     """One ascending sweep: each input order is tested for divisibility
-    once, not once per fold, and the folds run from the top pole down."""
+    once, not once per fold."""
     ctx = make_field(3, 3)
     f = {-243: 1, -162: 2, -54: 5, -20: 1, -9: 3, -7: 4, 2: 1, 0: 9}
     _CountedOrder.tests.clear()
     out = reduce_mod_wp(ctx, LaurentPoly(
         ctx, {_CountedOrder(e): c for e, c in f.items()}))
-    assert out == _reduce_oracle(ctx, LaurentPoly(ctx, f))
+    assert out == _reduce_oracle(ctx, LaurentPoly(ctx, f))[0]
     assert {e: _CountedOrder.tests[e] for e in f if e < 0} == {
         e: 1 for e in f if e < 0}
-    folded = [-3 * m for m, _ in out.witnesses]
-    assert folded == sorted(set(folded))
 
 
 def test_reduce_rejects_uncertified_series():
@@ -405,5 +415,5 @@ def test_conductor_jump_values_prime_to_p():
         for label in labels:
             _, r = _reduce_over_first_floor(params,
                                             cover_rhs_polys(params)[label])
-            m = _conductor(r.reduced)
+            m = _conductor(r)
             assert m >= 2 and (m - 1) % params.p != 0

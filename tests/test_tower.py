@@ -215,6 +215,21 @@ def test_element_pow_pk_rejects_negative_k(mixed):
         mixed.gen("y1").pow_pk(-1)
 
 
+def test_pow_builds_each_pk_power_once(mixed, monkeypatch):
+    """e = 2 at p = 3 is one digit 2: one p^0-th power, used twice."""
+    real = tower.TowerElement.pow_pk
+    calls = []
+
+    def counted(self, k):
+        calls.append(k)
+        return real(self, k)
+
+    monkeypatch.setattr(tower.TowerElement, "pow_pk", counted)
+    y1 = mixed.gen("y1")
+    assert y1 ** 2 == y1 * y1
+    assert calls == [0]
+
+
 # ----------------------------------------------------------- shift tables
 
 
