@@ -8,11 +8,13 @@ antilog to a primitive element g, and Zech's logarithm
 Z(k) = log(1 + g^k) for addition (Huber, "Some comments on Zech's
 logarithms", IEEE Trans. IT 36, 1990; Lidl-Niederreiter, Finite Fields,
 ch. 9).  Negation, Frobenius powers and p-th roots act on the log.  The
-tables stay behind the context: `_kernel_py`, whose loops `laurent`,
-`tower` and `genus` call with the context as the field, is the only
-other module that reads them, and its loops touch nothing but list
-indexing.  Fields above the table budget MAX_FIELD_Q are refused, and
-`Params` refuses (p, s) by the same rule, applied to F_{p^(2s+1)}.
+tables stay in this module: `laurent`, `tower` and `genus` pass the
+context to its sparse kernel, `lp_mul` and `lp_map_pow`, whose loops
+touch nothing but list indexing, and no other module reads them.  Every
+sum, difference, scaling and echelon row update is one `lp_mul` by a
+one-term scalar.  Fields above the table budget MAX_FIELD_Q are
+refused, and `Params` refuses (p, s) by the same rule, applied to
+F_{p^(2s+1)}.
 `tower_rhs` holds the tower's equations, the one copy every layer reads.
 
 The modulus for each (p, n) is the first monic irreducible polynomial of
@@ -373,6 +375,52 @@ class FieldCtx:
 
     def __repr__(self):
         return f"FieldCtx(p={self.p}, n={self.n})"
+
+
+# ------------------------------------------------------------------
+# the sparse kernel: polynomials are dicts {exponent: nonzero code}
+
+
+def lp_mul(a, b, ctx, out=None):
+    """Product of two sparse polynomials (dict cross product).
+
+    Exponents only need `+`, so packed monomials work as well as ints.
+    With `out` given, the product is added into that dict in place and
+    the dict is returned, so a + c*b is lp_mul({0: c}, b, ctx, dict(a))
+    for a nonzero code c (0 has no log).
+    """
+    log, alog, zech = ctx.LOG, ctx.ALOG, ctx.ZECH
+    if out is None:
+        out = {}
+    if len(a) > len(b):
+        a, b = b, a
+    for ea, ca in a.items():
+        la = log[ca]
+        for eb, cb in b.items():
+            e = ea + eb
+            c = alog[la + log[cb]]
+            prev = out.get(e)
+            if prev is None:
+                out[e] = c
+            else:
+                lp = log[prev]
+                z = zech[log[c] - lp]
+                if z is None:
+                    del out[e]
+                else:
+                    out[e] = alog[lp + z]
+    return out
+
+
+def lp_map_pow(a, scale, ctx):
+    """Monomial-wise power x -> x^scale for scale = p^k.
+
+    Exponents are multiplied by scale and each coefficient c becomes
+    c^scale = ALOG[LOG[c] * scale mod (q-1)].  Valid because x -> x^(p^k)
+    is additive in characteristic p and never sends a nonzero code to 0.
+    """
+    log, alog, m = ctx.LOG, ctx.ALOG, ctx.q - 1
+    return {e * scale: alog[log[c] * scale % m] for e, c in a.items()}
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -23,9 +23,8 @@ from __future__ import annotations
 from collections import namedtuple
 from math import gcd
 
-from ._kernel_py import lp_add_scaled
 from .errors import IntegrityError, ParameterError
-from .ff import FieldCtx, Params, prime_basis
+from .ff import FieldCtx, Params, lp_mul, prime_basis
 from .local import (build_uniformizer, conductor_of_cover, cover_rhs_polys,
                     expand_at_infinity, expand_rational, reduce_mod_wp)
 
@@ -126,24 +125,24 @@ def _line_histogram(ctx: FieldCtx, reduced_basis: list[dict[int, int]],
     the bars must cover all (p^dim - 1)/(p - 1) lines (no line without a
     pole); either failure raises IntegrityError.
     """
-    p = ctx.p
-    # echelon rows keyed by their leading column (exponent, digit); the
-    # most negative exponent is the highest pole order and sorts first.
-    # Entries are F_p digits, codes below p, which F_q's tables keep there.
+    p, n = ctx.p, ctx.n
+    # echelon rows keyed by column e*n + j (exponent e, digit j < n), an
+    # int the kernel can add; the highest pole order sorts first.  Entries
+    # are F_p digits, codes below p, which F_q's tables keep there.
     pivots = {} if pivots is None else pivots
     dim = len(pivots) + len(reduced_basis)
     for red in reduced_basis:
-        row = {(e, j): d for e, c in red.items()
+        row = {e * n + j: d for e, c in red.items()
                for j, d in enumerate(ctx.to_coeffs(c)) if d}
         while row:
             lead = min(row)
             piv = pivots.get(lead)
             if piv is None:
-                pivots[lead] = lp_add_scaled({}, row, ctx.inv(row[lead]), ctx)
+                pivots[lead] = lp_mul({0: ctx.inv(row[lead])}, row, ctx)
                 break
-            row = lp_add_scaled(row, piv, ctx.neg(row[lead]), ctx)
+            lp_mul({0: ctx.neg(row[lead])}, piv, ctx, row)
     rank_at: dict[int, int] = {}
-    for e, _ in pivots:
+    for e in (key // n for key in pivots):
         rank_at[-e] = rank_at.get(-e, 0) + 1
     hist: dict[int, int] = {}
     kernel = dim

@@ -1,7 +1,7 @@
 """Sparse Laurent polynomials and truncated Laurent series over F_q.
 
 Both classes store a dict mapping exponent to nonzero field code and
-delegate the inner loops to `_kernel_py`.  `LaurentPoly` is exact;
+delegate the inner loops to `ff`'s kernel.  `LaurentPoly` is exact;
 `TruncatedSeries` carries an exclusive precision `prec`, meaning every
 coefficient at an exponent strictly below `prec` is exact and anything
 at or above it is unknown, so `d` holds no term at or above `prec`.
@@ -10,18 +10,17 @@ refuses a series unless z^0 lies below `prec`, because a conductor read
 from an uncertified principal part would be a guess.
 
 The module also keeps a support watermark: the largest dict size that
-has passed through any ring operation since the last reset.  The heavy
-verification runs assert a ceiling on it, which is what makes "this
-stays sparse" an enforced claim instead of a hope.
+has passed through any ring operation since the last reset.  No check
+bounds it; only the benchmark's tracer reads it, as the per-layer
+metric `laurent.support_max`.
 """
 
 from __future__ import annotations
 
 import math
 
-from ._kernel_py import lp_add_scaled, lp_map_pow, lp_mul
 from .errors import ParameterError
-from .ff import FieldCtx
+from .ff import FieldCtx, lp_map_pow, lp_mul
 
 _watermark = 0
 
@@ -71,11 +70,11 @@ class LaurentPoly:
         return isinstance(other, LaurentPoly) and self.d == other.d
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = lp_add_scaled(self.d, other.d, 1, self.ctx)
+        out = lp_mul({0: 1}, other.d, self.ctx, dict(self.d))
         return LaurentPoly(self.ctx, _note(out))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = lp_add_scaled(self.d, other.d, self.ctx.neg(1), self.ctx)
+        out = lp_mul({0: self.ctx.neg(1)}, other.d, self.ctx, dict(self.d))
         return LaurentPoly(self.ctx, _note(out))
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -83,7 +82,7 @@ class LaurentPoly:
         return LaurentPoly(self.ctx, _note(out))
 
     def scale(self, c: int) -> "LaurentPoly":
-        out = lp_add_scaled({}, self.d, c, self.ctx)
+        out = lp_mul({0: c}, self.d, self.ctx) if c else {}  # 0 has no log
         return LaurentPoly(self.ctx, out)
 
     def pow_pk(self, k: int) -> "LaurentPoly":
@@ -142,12 +141,12 @@ class TruncatedSeries:
         return min(self.d)
 
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        out = lp_add_scaled(self.d, other.d, 1, self.ctx)
+        out = lp_mul({0: 1}, other.d, self.ctx, dict(self.d))
         return TruncatedSeries(self.ctx, _note(out),
                                min(self.prec, other.prec))
 
     def scale(self, c: int) -> "TruncatedSeries":
-        out = lp_add_scaled({}, self.d, c, self.ctx)
+        out = lp_mul({0: c}, self.d, self.ctx) if c else {}  # 0 has no log
         return TruncatedSeries(self.ctx, out, self.prec)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":

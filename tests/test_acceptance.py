@@ -36,9 +36,8 @@ from astower import (
     verify_big_action,
 )
 from astower.cli import main as cli_main
-from astower.ff import basis_and_reps, tower_rhs
+from astower.ff import basis_and_reps, lp_mul, tower_rhs
 from astower.laurent import LaurentPoly
-from astower._kernel_py import lp_mul
 
 P31 = Params(3, 1)
 P51 = Params(5, 1)
@@ -150,7 +149,7 @@ def test_criterion_07_prolongations():
     ident = identity_endo(pres)
     for a in range(27):
         endo = prolong_translation(pres, a)
-        assert check_endo(endo).ok
+        assert not check_endo(endo)
         assert endo.images["x"] == pres.x() + pres.const(a)
         assert compose_endo(endo, invert_endo(endo)) == ident
     basis, _ = basis_and_reps(ctx)
@@ -161,7 +160,7 @@ def test_criterion_07_prolongations():
                              prolong_translation(pres, b)),
                 invert_endo(prolong_translation(pres, ctx.add(a, b))))
             assert delta.images["x"] == pres.x()
-            assert check_endo(delta).ok
+            assert not check_endo(delta)
     assert extension_multiplicity(pres) == 27 ** 5
 
 

@@ -990,6 +990,24 @@ def test_pinned_references_through_the_console_script(report):
         ref["sha256"]
 
 
+def test_frontier_reports_through_the_console_script():
+    """verify and conductor at (3, 5), q = 177,147: the line echelon
+    runs at n = 11, which no pinned report reaches."""
+    params = ff.Params(3, 5)
+    q0, q = params.q0, params.q
+    reports = {}
+    for command in ("verify", "conductor"):
+        done = _python(_ENTRY, command, "--p", "3", "--s", "5", timeout=60)
+        assert done.returncode == 0, done.stderr
+        reports[command] = json.loads(done.stdout)
+    assert reports["verify"]["group_order"] == q ** 6
+    classes = reports["conductor"]["classes"]
+    assert {c["label"]: c["conductor"] for c in classes} == \
+        genus.conductor_ladder(params)
+    assert reports["conductor"]["two_floor_genus"] == \
+        3 * q0 * (q - 1) * (q + q0 + 1) // 2
+
+
 # Exit code and stdout sha256 of `--format md` for the 18 benchmark
 # `paper` reports; the JSON pins above never reach `_render_md`.
 _MD_PINNED = {

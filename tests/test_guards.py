@@ -2,18 +2,20 @@
 
 Every certificate refusal (`raise IntegrityError`) has a test that makes
 it fire, and every function and class is reached from inside the
-package unless it is listed here with a reason.  Both lists are read
-from the source with `ast`, so a new refusal without a test, or a new
-name only the tests call, fails here.  Only `ff` and the kernel may
-name the field's tables.  The benchmark's per-layer metrics are keyed on
-names its tracer wraps, so deleting or renaming one of those names fails
-here too.
+package unless it is listed here with a reason, and so is every record
+field.  These lists are read from the source with `ast`, so a new
+refusal without a test, or a new name or field only the tests read,
+fails here.  Only `ff`, which holds the kernel, may name the field's
+tables, and README's Layout lists exactly the package's modules.  The
+benchmark's per-layer metrics are keyed on names its tracer wraps, so
+deleting or renaming one of those names fails here too.
 """
 
 import ast
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -85,6 +87,16 @@ UNCALLED = {
     "reset_support_watermark": "tests reset the watermark between runs",
 }
 
+# Records the CLI prints whole through `_asdict()`, so each field is read.
+PRINTED = {"BaseFloor", "CoverClass", "GenusReport", "AuditRow",
+           "BigActionReport"}
+
+# (record, field) pairs no code in the package reads, each kept for a
+# stated reason.
+UNREAD = {
+    ("FieldCtx", "modulus"): "test_ff builds its naive oracle from it",
+}
+
 
 def _trees():
     return {path.name: ast.parse(path.read_text(encoding="utf-8"))
@@ -135,6 +147,45 @@ def test_every_name_has_a_caller_in_the_package():
     assert defined - dunders - used == set(UNCALLED)
 
 
+def _record_fields(tree):
+    """(record, field) for each `__slots__` entry and namedtuple field."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for stmt in node.body:
+                if (isinstance(stmt, ast.Assign)
+                        and any(getattr(target, "id", None) == "__slots__"
+                                for target in stmt.targets)):
+                    yield from ((node.name, field)
+                                for field in ast.literal_eval(stmt.value))
+        elif (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "namedtuple"):
+            name, fields = (ast.literal_eval(arg) for arg in node.args[:2])
+            yield from ((name, field)
+                        for field in fields.replace(",", " ").split())
+
+
+def test_every_record_field_is_read_in_the_package():
+    """A field is read when some module loads an attribute of its name;
+    matched by name, as the caller test above matches functions."""
+    fields, read = set(), set()
+    for tree in _trees().values():
+        fields.update(_record_fields(tree))
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load))
+    assert PRINTED <= {record for record, _ in fields}
+    unread = {(record, field) for record, field in fields
+              if record not in PRINTED and field not in read}
+    assert unread == set(UNREAD)
+
+
+def test_readme_layout_lists_every_module():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Layout", 1)[1].split("```")[1]
+    listed = re.findall(r"^  (\S+\.py) ", block, re.M)
+    assert sorted(listed) == sorted(path.name for path in SRC.glob("*.py"))
+
+
 def _exit_references(tree):
     return [node for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr == "_exit"
@@ -162,11 +213,11 @@ _FIELD_TABLES = {"LOG", "ALOG", "ZECH", "kernel_args"}
 
 def test_only_ff_and_the_kernel_see_the_field_tables():
     """The field's log, antilog and Zech tables are its representation:
-    every other module passes the `FieldCtx` itself, so that only `ff`
-    and `_kernel_py` change when the representation does."""
+    every other module passes the `FieldCtx` itself to the kernel in
+    `ff`, so that only `ff` changes when the representation does."""
     sites = []
     for name, tree in _trees().items():
-        if name in ("ff.py", "_kernel_py.py"):
+        if name == "ff.py":
             continue
         for node in ast.walk(tree):
             word = (node.id if isinstance(node, ast.Name)

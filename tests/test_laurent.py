@@ -87,6 +87,15 @@ def test_zero_handling(F27):
     assert LaurentPoly(F27, {4: 0}).d == {}
 
 
+def test_scale_by_zero_is_zero(F27):
+    # the kernel multiplies on logs and 0 has none, so scale guards it
+    a = LaurentPoly(F27, {-3: 5, 2: 7})
+    assert a.scale(0) == LaurentPoly.zero(F27)
+    s = TruncatedSeries(F27, {-3: 5, 2: 7}, prec=4)
+    zero = s.scale(0)
+    assert (zero.d, zero.prec) == ({}, 4)
+
+
 # ---------------------------------------------------------------- oracle
 
 
