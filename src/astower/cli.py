@@ -15,6 +15,7 @@ with `os._exit`, skipping interpreter teardown; `main(argv)` returns.
 """
 
 import os
+import stat  # already loaded by os
 import sys
 import time
 from types import SimpleNamespace
@@ -202,7 +203,6 @@ def _atomic_write(path: str, text: str) -> None:
     or missing file is replaced by renaming a temp file; a FIFO or device
     is written in place, which a rename would replace.  The file keeps
     its mode, and a new one gets open()'s: 0o666 less the umask."""
-    import stat
     import tempfile
 
     path = os.path.realpath(path)
@@ -273,21 +273,29 @@ def _canonical(payload) -> str:
 
 
 def _read_cached(path: str, args) -> tuple:
-    """(text, payload) of the cache entry at path, or None for a miss.
+    """(text, payload) of the cache entry at path, None for a miss, or
+    False for an entry that is not a regular file.
 
     An entry that is missing, unreadable, not the canonical text of its
     own payload (a float has none), or a report of another command or
     (p, s) is a miss, so the report is recomputed and the entry
-    rewritten, never served.
+    rewritten, never served.  The entry is opened without blocking, so a
+    FIFO with no writer is not a hang; such an entry, like a directory or
+    a device, is neither read nor written.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, encoding="utf-8",
+                  opener=lambda p, f: os.open(p, f | os.O_NONBLOCK)) as handle:
+            if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                return False
             text = handle.read()
         import json  # reports are written by _canonical; only a read decodes
 
         payload = json.loads(text)
         if not isinstance(payload, dict) or _canonical(payload) != text:
             return None
+    except IsADirectoryError:
+        return False
     except (OSError, ValueError, RecursionError, TypeError):
         return None
     params = payload.get("params")
@@ -300,13 +308,15 @@ def _read_cached(path: str, args) -> tuple:
 
 def _obtain(args, params: Params) -> tuple:
     cache_file = _cache_path(args) if args.cache_dir else None
-    if cache_file:
-        cached = _read_cached(cache_file, args)
-        if cached is not None:
-            return cached
+    cached = _read_cached(cache_file, args) if cache_file else None
+    if cached:
+        return cached
     payload = _COMMANDS[args.command][0](params, args)
     text = _canonical(payload)
-    if cache_file:
+    if cached is False:
+        print(f"cache entry not written: {cache_file} is not a regular file",
+              file=sys.stderr)
+    elif cache_file:
         try:
             os.makedirs(args.cache_dir, exist_ok=True)
             _atomic_write(cache_file, text)

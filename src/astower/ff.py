@@ -12,9 +12,12 @@ tables stay in this module: `laurent`, `tower` and `genus` pass the
 context to its sparse kernel, `lp_mul` and `lp_map_pow`, whose loops
 touch nothing but list indexing, and no other module reads them.  Every
 sum, difference, scaling and echelon row update is one `lp_mul` by a
-one-term scalar.  Fields above the table budget MAX_FIELD_Q are
-refused, and `Params` refuses (p, s) by the same rule, applied to
-F_{p^(2s+1)}.
+one-term scalar {0: c}, passed first, and a zero code in that scalar
+adds nothing, so scaling by 0 needs no guard of its own.  `power` is
+the one e-th power of every element type: it climbs the base-p digits
+of e with the type's own p^k-th power and product.  Fields above the
+table budget MAX_FIELD_Q are refused, and `Params` refuses (p, s) by
+the same rule, applied to F_{p^(2s+1)}.
 `tower_rhs` holds the tower's equations, the one copy every layer reads.
 
 The modulus for each (p, n) is the first monic irreducible polynomial of
@@ -25,8 +28,6 @@ of the modulus root t, and the representatives of F_q*/F_p* are the
 elements whose highest-index nonzero coordinate equals 1 (there is
 exactly one such element on each F_p* orbit).
 """
-
-from __future__ import annotations
 
 from functools import lru_cache
 
@@ -386,8 +387,11 @@ def lp_mul(a, b, ctx, out=None):
 
     Exponents only need `+`, so packed monomials work as well as ints.
     With `out` given, the product is added into that dict in place and
-    the dict is returned, so a + c*b is lp_mul({0: c}, b, ctx, dict(a))
-    for a nonzero code c (0 has no log).
+    the dict is returned, so a + c*b is lp_mul({0: c}, b, ctx, dict(a)).
+    The outer loop runs over the shorter operand (over `a` on a tie) and
+    skips a zero code, which has no log.  A scalar {0: c} therefore goes
+    first: it is then always the outer operand, so c may be 0 and then
+    adds nothing.
     """
     log, alog, zech = ctx.LOG, ctx.ALOG, ctx.ZECH
     if out is None:
@@ -396,6 +400,8 @@ def lp_mul(a, b, ctx, out=None):
         a, b = b, a
     for ea, ca in a.items():
         la = log[ca]
+        if la is None:
+            continue
         for eb, cb in b.items():
             e = ea + eb
             c = alog[la + log[cb]]
@@ -421,6 +427,23 @@ def lp_map_pow(a, scale, ctx):
     """
     log, alog, m = ctx.LOG, ctx.ALOG, ctx.q - 1
     return {e * scale: alog[log[c] * scale % m] for e, c in a.items()}
+
+
+def power(x, e: int, one, p: int):
+    """x ** e for an element x of characteristic p, from `one`, the
+    element 1: one x.pow_pk(k) per nonzero base-p digit of e and one
+    product per unit of that digit."""
+    if e < 0:
+        raise ParameterError(f"x ** {e}: the exponent must be nonnegative")
+    out, k = one, 0
+    while e:
+        e, digit = divmod(e, p)
+        if digit:
+            block = x.pow_pk(k)
+            for _ in range(digit):
+                out = out * block
+        k += 1
+    return out
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -18,8 +18,6 @@ against an independent closed form where one exists, raising
 IntegrityError on disagreement.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 from math import gcd
 

@@ -15,12 +15,10 @@ bounds it; only the benchmark's tracer reads it, as the per-layer
 metric `laurent.support_max`.
 """
 
-from __future__ import annotations
-
 import math
 
 from .errors import ParameterError
-from .ff import FieldCtx, lp_map_pow, lp_mul
+from .ff import FieldCtx, lp_map_pow, lp_mul, power
 
 _watermark = 0
 
@@ -50,14 +48,6 @@ class LaurentPoly:
         self.ctx = ctx
         self.d = {e: c for e, c in (data or {}).items() if c}
 
-    @classmethod
-    def zero(cls, ctx: FieldCtx) -> "LaurentPoly":
-        return cls(ctx)
-
-    @classmethod
-    def one(cls, ctx: FieldCtx) -> "LaurentPoly":
-        return cls(ctx, {0: 1})
-
     def valuation(self) -> int | None:
         if not self.d:
             return None
@@ -82,8 +72,7 @@ class LaurentPoly:
         return LaurentPoly(self.ctx, _note(out))
 
     def scale(self, c: int) -> "LaurentPoly":
-        out = lp_mul({0: c}, self.d, self.ctx) if c else {}  # 0 has no log
-        return LaurentPoly(self.ctx, out)
+        return LaurentPoly(self.ctx, lp_mul({0: c}, self.d, self.ctx))
 
     def pow_pk(self, k: int) -> "LaurentPoly":
         """self ** (p**k): exponents scale, coefficients Frobenius."""
@@ -95,20 +84,7 @@ class LaurentPoly:
         return LaurentPoly(self.ctx, _note(out))
 
     def __pow__(self, e: int) -> "LaurentPoly":
-        if e < 0:
-            raise ParameterError("negative powers of a Laurent polynomial")
-        result = LaurentPoly.one(self.ctx)
-        k = 0
-        p = self.ctx.p
-        while e:
-            digit = e % p
-            if digit:
-                block = self.pow_pk(k)
-                for _ in range(digit):
-                    result = result * block
-            e //= p
-            k += 1
-        return result
+        return power(self, e, LaurentPoly(self.ctx, {0: 1}), self.ctx.p)
 
     def __repr__(self):
         if not self.d:
@@ -146,8 +122,8 @@ class TruncatedSeries:
                                min(self.prec, other.prec))
 
     def scale(self, c: int) -> "TruncatedSeries":
-        out = lp_mul({0: c}, self.d, self.ctx) if c else {}  # 0 has no log
-        return TruncatedSeries(self.ctx, out, self.prec)
+        return TruncatedSeries(self.ctx, lp_mul({0: c}, self.d, self.ctx),
+                               self.prec)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         # an error term O(z^P) times a factor of valuation v lands in

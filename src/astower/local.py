@@ -18,8 +18,6 @@ image of u -> u^p - u to read off the conductor of the corresponding
 degree-p cover.
 """
 
-from __future__ import annotations
-
 import math
 
 from .errors import IntegrityError, ParameterError, UnsupportedError

@@ -26,11 +26,13 @@ below 2^(W-1): products of normal monomials stay below 2q, p^k-th powers
 2q^2 < 2^(W-1).
 `TowerElement.d` and `TowerPresentation.element` keep a 6-tuple view.
 
-An `Endo` is fixed when it is built: `images` is a read-only mapping and
-`moved` the frozenset of variables whose image is not the variable
-itself.  `apply` substitutes only the moved variables and hands an
-element back unchanged when it holds none, and `check_endo` skips a
-fixed generator whose relation is fixed too.
+An `Endo` is given by the variables it moves: `Endo(pres, images)` fixes
+every variable that `images` leaves out.  It is fixed when it is built:
+`images` is a read-only mapping of all six variables and `moved` the
+frozenset of variables whose image is not the variable itself.  `apply`
+substitutes only the moved variables and hands an element back
+unchanged when it holds none, and `check_endo` skips a fixed generator
+whose relation is fixed too.
 
 The paper writes the tower in three equivalent ways.  This module builds
 the one in which the shift tables and prolongations have their smallest
@@ -41,8 +43,6 @@ elements of this presentation and replays the additive witness that
 links each to this one's.
 """
 
-from __future__ import annotations
-
 from collections.abc import Callable, Sequence
 from functools import lru_cache
 from itertools import product
@@ -50,7 +50,7 @@ from math import prod
 from types import MappingProxyType
 
 from .errors import IntegrityError, ParameterError, UnsupportedError
-from .ff import Params, lp_map_pow, lp_mul, prime_basis, tower_rhs
+from .ff import Params, lp_map_pow, lp_mul, power, prime_basis, tower_rhs
 
 Monomial = tuple[int, int, int, int, int, int]
 Terms = dict[int, int]
@@ -103,9 +103,6 @@ class TowerElement:
         """The terms as {(x, y1, y2, v1, v2, w) exponents: code}."""
         return {_unpack(m): c for m, c in self.terms.items()}
 
-    def constant_term(self) -> int:
-        return self.terms.get(0, 0)
-
     def _check(self, other: "TowerElement") -> None:
         if self.pres is not other.pres:
             raise ParameterError("elements from different presentations")
@@ -131,8 +128,8 @@ class TowerElement:
             lp_mul(self.terms, other.terms, pres.ctx)))
 
     def scale(self, c: int) -> "TowerElement":
-        terms = lp_mul({0: c}, self.terms, self.pres.ctx) if c else {}
-        return TowerElement(self.pres, terms)
+        return TowerElement(self.pres,
+                            lp_mul({0: c}, self.terms, self.pres.ctx))
 
     def pow_pk(self, k: int) -> "TowerElement":
         """The p^k-th power, taken n steps at a time so fields stay < q^2."""
@@ -149,19 +146,7 @@ class TowerElement:
         return out
 
     def __pow__(self, e: int) -> "TowerElement":
-        """The e-th power, one product per unit of each base-p digit of e
-        and one p^k-th power per nonzero digit."""
-        if e < 0:
-            raise ParameterError("negative powers are not defined here")
-        out, k = self.pres.const(1), 0
-        while e:
-            e, digit = divmod(e, self.pres.ctx.p)
-            if digit:
-                block = self.pow_pk(k)
-                for _ in range(digit):
-                    out = out * block
-            k += 1
-        return out
+        return power(self, e, self.pres.const(1), self.pres.ctx.p)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TowerElement) and self.pres is other.pres
@@ -186,7 +171,7 @@ class TowerPresentation:
         self._gp: dict[tuple[int, int], Terms] = {}
         self._qpow: dict[int, Terms] = {}
         self.relations: dict[str, TowerElement] = {}
-        # one element per variable, handed out by x(), gen() and identity_endo
+        # one element per variable, handed out by x(), gen() and Endo
         self._vars = {name: TowerElement(self, {1 << shift: 1})
                       for name, shift, _ in _VARS}
 
@@ -267,9 +252,6 @@ class TowerPresentation:
                 packed[_pack(m)] = c
         return TowerElement(self, self.normalize(packed))
 
-    def zero(self) -> TowerElement:
-        return TowerElement(self, {})
-
     def const(self, c: int) -> TowerElement:
         return TowerElement(self, {0: c} if c else {})
 
@@ -298,16 +280,17 @@ def presentation(params: Params) -> TowerPresentation:
 
 
 class Endo:
-    """Ring endomorphism fixing F_q, given by images of x and the generators."""
+    """Ring endomorphism fixing F_q, given by the images of the variables
+    it moves; every variable missing from `images` is fixed."""
 
     __slots__ = ("pres", "images", "moved")
 
     def __init__(self, pres: TowerPresentation, images: dict[str, TowerElement]):
-        missing = _NAMES - images.keys()
-        if missing:
-            raise ParameterError(f"endomorphism lacks images for {sorted(missing)}")
+        unknown = images.keys() - _NAMES
+        if unknown:
+            raise ParameterError(f"no generator named {min(unknown)!r}")
         self.pres = pres
-        self.images = MappingProxyType(dict(images))
+        self.images = MappingProxyType({**pres._vars, **images})
         self.moved = frozenset(name for name, img in images.items()
                                if img.terms != pres._vars[name].terms)
 
@@ -344,12 +327,7 @@ class Endo:
         return TowerElement(pres, acc)
 
     def replace(self, **kwargs: TowerElement) -> "Endo":
-        images = dict(self.images)
-        for name, elem in kwargs.items():
-            if name not in images:
-                raise ParameterError(f"no generator named {name!r}")
-            images[name] = elem
-        return Endo(self.pres, images)
+        return Endo(self.pres, {**self.images, **kwargs})
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Endo) and self.pres is other.pres
@@ -359,10 +337,6 @@ class Endo:
     def __repr__(self):
         moved = [k for k in ("x", *self.pres.gens) if k in self.moved]
         return f"Endo(moves {moved or 'nothing'})"
-
-
-def identity_endo(pres: TowerPresentation) -> Endo:
-    return Endo(pres, pres._vars)
 
 
 def compose_endo(a: Endo, b: Endo) -> Endo:
@@ -386,8 +360,7 @@ def invert_endo(a: Endo) -> Endo:
     xdiff = a.images["x"] - pres.x()
     if xdiff.terms.keys() - {0}:
         raise UnsupportedError("x-image is not a translation")
-    inv = identity_endo(pres).replace(
-        x=pres.x() - pres.const(xdiff.constant_term()))
+    inv = Endo(pres, {"x": pres.x() - pres.const(xdiff.terms.get(0, 0))})
     for _, name, shift in _FIELDS:
         t = a.images[name] - pres.gen(name)
         # this generator and everything after it sit below this bit
@@ -448,21 +421,15 @@ def certify_automorphism(endo: Endo, a: int, label: str) -> Endo:
 def sigma_shift(pres: TowerPresentation, g: int) -> Endo:
     """Shift the first generator by g; v1 and w move along."""
     c = pres.const(g)
-    return identity_endo(pres).replace(
-        y1=pres.gen("y1") + c,
-        v1=pres.gen("v1") + c,
-        w=pres.gen("w") + pres.gen("y2").scale(g),
-    )
+    return Endo(pres, {"y1": pres.gen("y1") + c, "v1": pres.gen("v1") + c,
+                       "w": pres.gen("w") + pres.gen("y2").scale(g)})
 
 
 def tau_shift(pres: TowerPresentation, g: int) -> Endo:
     """Shift the second generator by g; v1 and w move along."""
     c = pres.const(g)
-    return identity_endo(pres).replace(
-        y2=pres.gen("y2") + c,
-        v1=pres.gen("v1") + c,
-        w=pres.gen("w") - pres.gen("y1").scale(g),
-    )
+    return Endo(pres, {"y2": pres.gen("y2") + c, "v1": pres.gen("v1") + c,
+                       "w": pres.gen("w") - pres.gen("y1").scale(g)})
 
 
 def vertical_shift_families(pres: TowerPresentation
@@ -470,8 +437,7 @@ def vertical_shift_families(pres: TowerPresentation
     """Five one-parameter families of endomorphisms fixing x."""
 
     def simple(name: str) -> Callable[[int], Endo]:
-        return lambda g: identity_endo(pres).replace(
-            **{name: pres.gen(name) + pres.const(g)})
+        return lambda g: Endo(pres, {name: pres.gen(name) + pres.const(g)})
 
     return {"y1": lambda g: sigma_shift(pres, g),
             "y2": lambda g: tau_shift(pres, g),
@@ -516,17 +482,17 @@ def _solve_affine(ctx, forms: list[dict[int, int]], nvars: int
             hit = next((k for k in row if k in pivots), None)
             if hit is None:
                 break
-            lp_mul(pivots[hit], {0: ctx.neg(row[hit])}, ctx, out=row)
+            lp_mul({0: ctx.neg(row[hit])}, pivots[hit], ctx, out=row)
         free = [k for k in row if k != _CONST]
         if not free:
             if row.get(_CONST, 0):
                 return None
             continue
         k0 = free[0]
-        prow = lp_mul(row, {0: ctx.inv(row[k0])}, ctx)
+        prow = lp_mul({0: ctx.inv(row[k0])}, row, ctx)
         for pr in pivots.values():
             if k0 in pr:
-                lp_mul(prow, {0: ctx.neg(pr[k0])}, ctx, out=pr)
+                lp_mul({0: ctx.neg(pr[k0])}, prow, ctx, out=pr)
         pivots[k0] = prow
     sol = [0] * nvars
     for k, pr in pivots.items():
@@ -560,7 +526,7 @@ def wp_solve(pres: TowerPresentation, target: TowerElement,
     q, n = pres.params.q, pres.params.n
     td = dict(target.d)
     if not td:
-        return pres.zero()
+        return pres.const(0)
 
     bounds = [max(m[i] for m in td) + (i < 5) for i in range(1, 6)]
     if bound is not None:
@@ -609,7 +575,7 @@ def wp_solve(pres: TowerPresentation, target: TowerElement,
             greedy.append((wit, form))
             el = pres.element({wit: 1})
             for m2, c2 in (el - el.pow_pk(n)).d.items():
-                if not lp_mul(form, {0: c2}, ctx, out=form_at(m2)):
+                if not lp_mul({0: c2}, form, ctx, out=form_at(m2)):
                     del r[m2]
         else:
             constraints.append(form)
@@ -694,7 +660,7 @@ def prolong_translation(pres: TowerPresentation, a: int) -> Endo:
     y1, y2 = pres.gen("y1"), pres.gen("y2")
     v1, v2, w = pres.gen("v1"), pres.gen("v2"), pres.gen("w")
     mul = ctx.mul
-    return identity_endo(pres).replace(
+    return Endo(pres, dict(
         x=x + pres.const(a),
         y1=y1 + x.scale(A),
         y2=y2 + y1.scale(mul(two, A)) + x.scale(A2),
@@ -702,4 +668,4 @@ def prolong_translation(pres: TowerPresentation, a: int) -> Endo:
         v2=(v2 + v1.scale(mul(two, A)) + x2.scale(A2) + y2.scale(mul(two, a))
             + y1.scale(mul(four, aA)) + x.scale(mul(two, aA2))),
         w=w + (v2 - x * y2).scale(A) + (v1 - x * y1).scale(A2),
-    )
+    ))

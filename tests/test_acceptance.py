@@ -22,7 +22,6 @@ from astower import (
     conductor_ladder,
     conductor_of_cover,
     extension_multiplicity,
-    identity_endo,
     invert_endo,
     make_field,
     presentation,
@@ -38,6 +37,7 @@ from astower import (
 from astower.cli import main as cli_main
 from astower.ff import basis_and_reps, lp_mul, tower_rhs
 from astower.laurent import LaurentPoly
+from astower.tower import Endo
 
 P31 = Params(3, 1)
 P51 = Params(5, 1)
@@ -124,7 +124,7 @@ def test_criterion_06_commutators():
         pres = presentation(params)
         ctx = params.field()
         basis, _ = basis_and_reps(ctx)
-        ident = identity_endo(pres)
+        ident = Endo(pres, {})
         two = 2 % ctx.p
         for gi in basis:
             for gj in basis:
@@ -146,7 +146,7 @@ def test_criterion_06_commutators():
 def test_criterion_07_prolongations():
     pres = presentation(P31)
     ctx = P31.field()
-    ident = identity_endo(pres)
+    ident = Endo(pres, {})
     for a in range(27):
         endo = prolong_translation(pres, a)
         assert not check_endo(endo)

@@ -14,6 +14,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -438,7 +439,7 @@ def test_version_loads_no_argument_parser():
     loaded = _modules_loaded("--version")
     assert "astower.cli" in loaded
     assert not loaded & (_PARSER_MODULES | {"astower.genus", "astower.tower",
-                                            "json"})
+                                            "json", "__future__"})
 
 
 _CLASS_LAYERS = {"astower.genus", "astower.local", "astower.laurent"}
@@ -456,7 +457,8 @@ def test_each_command_loads_only_its_layers(command, used, unused):
     loaded = _modules_loaded(command, "--p", "3", "--s", "1")
     assert used <= loaded
     assert not loaded & (unused | {"dataclasses", "fractions", "decimal",
-                                   "json", "heapq"} | _PARSER_MODULES)
+                                   "json", "heapq", "__future__"}
+                         | _PARSER_MODULES)
 
 
 @pytest.mark.parametrize("argv", [
@@ -959,6 +961,48 @@ def test_cache_write_failure_still_prints_the_report(where, tmp_path,
     code, out, err = run(args + ["--cache-dir", str(cache)], capsys)
     assert (code, out) == want
     assert "cache entry not written" in err
+
+
+def _lowest_free_fd():
+    fd = os.open(os.devnull, os.O_RDONLY)
+    os.close(fd)
+    return fd
+
+
+@pytest.mark.parametrize("kind", ["fifo", "link_to_dev_null", "directory"])
+def test_cache_entry_that_is_not_a_regular_file_is_a_miss(kind, tmp_path,
+                                                          capsys):
+    """An entry that is not a regular file is neither read nor written:
+    a FIFO with no writer would block either, so the console script must
+    print the report under a timeout and leave the entry in place.  Run
+    in-process, the miss leaves no file descriptor open."""
+    args = ["verify", "--p", "3", "--s", "1"]
+    want = _python(_ENTRY, *args, timeout=60)
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    entry = cli._cache_path(SimpleNamespace(
+        cache_dir=str(cache), command="verify", p=3, s=1, seed=0))
+    if kind == "fifo":
+        os.mkfifo(entry)
+    elif kind == "directory":
+        os.mkdir(entry)
+    else:
+        os.symlink(os.devnull, entry)
+    done = _python(_ENTRY, *args, "--cache-dir", str(cache), timeout=30)
+    assert (done.returncode, done.stdout) == (0, want.stdout)
+    assert f"cache entry not written: {entry} is not a regular file" \
+        in done.stderr
+    assert os.listdir(cache) == [os.path.basename(entry)]
+    if kind == "fifo":
+        assert stat.S_ISFIFO(os.stat(entry).st_mode)
+    elif kind == "directory":
+        assert os.listdir(entry) == []
+    else:
+        assert os.readlink(entry) == os.devnull
+    free = _lowest_free_fd()
+    code, out, _ = run(args + ["--cache-dir", str(cache)], capsys)
+    assert (code, out) == (0, want.stdout)
+    assert _lowest_free_fd() == free
 
 
 _REFERENCES = os.path.join(os.path.dirname(os.path.dirname(

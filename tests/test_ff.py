@@ -13,6 +13,8 @@ from hypothesis import given, strategies as st
 
 from astower.errors import ParameterError, UnsupportedError
 from astower.ff import FieldCtx, Params, basis_and_reps, make_field
+from astower.laurent import LaurentPoly
+from astower.tower import presentation
 
 
 # ---------------------------------------------------------------- oracle
@@ -368,3 +370,34 @@ def test_make_field_is_cached_and_context_immutable():
     assert a is b
     with pytest.raises(AttributeError):
         a.q = 1  # type: ignore[misc]
+
+
+def _power_bases():
+    """One element of each type that takes `ff.power`: a Laurent
+    polynomial over F_27 and tower elements at (3,1) and (5,1) whose
+    powers reach the generators' relations."""
+    F27 = make_field(3, 3)
+    yield LaurentPoly(F27, {-2: 5, 0: 1, 3: 26}), LaurentPoly(F27, {0: 1}), 3
+    for p in (3, 5):
+        pres = presentation(Params(p, 1))
+        base = (pres.element({(0, pres.params.q // p, 0, 0, 0, 0): 1})
+                + pres.x().scale(2) + pres.gen("w"))
+        yield base, pres.const(1), p
+
+
+@pytest.mark.parametrize("base, one, p", list(_power_bases()),
+                         ids=["laurent-F27", "tower-3-1", "tower-5-1"])
+def test_power_is_the_repeated_product(base, one, p):
+    product = one
+    for e in range(p * p + 2):
+        assert base ** e == product, e
+        product = product * base
+
+
+def test_negative_power_is_refused_alike_by_both_element_types():
+    messages = set()
+    for base, _, _ in _power_bases():
+        with pytest.raises(ParameterError) as exc:
+            base ** -1
+        messages.add(str(exc.value))
+    assert len(messages) == 1

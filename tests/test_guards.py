@@ -129,18 +129,39 @@ def test_every_refusal_has_a_mutant():
         assert name in tests.get(module, ()), test
 
 
+def _owned_methods(tree):
+    """{def node: "C.m"} for each classmethod and staticmethod m of C."""
+    return {stmt: f"{node.name}.{stmt.name}"
+            for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+            for stmt in node.body if isinstance(stmt, ast.FunctionDef)
+            and any(getattr(d, "id", None) in ("classmethod", "staticmethod")
+                    for d in stmt.decorator_list)}
+
+
 def test_every_name_has_a_caller_in_the_package():
+    """A name is called when some module names it.  A classmethod or
+    staticmethod C.m is called only where the package writes C.m, or
+    cls.m inside C, so a same-named method of another class is no
+    caller of it."""
     defined, used = set(), set()
     for name, tree in _trees().items():
+        owned = _owned_methods(tree)
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defined.add(node.name)
+                defined.add(owned.get(node, node.name))
             if name == "__init__.py":  # its export table is no caller
                 continue
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
+                if isinstance(node.value, ast.Name):
+                    used.add(f"{node.value.id}.{node.attr}")
+            elif isinstance(node, ast.ClassDef):
+                used.update(f"{node.name}.{sub.attr}"
+                            for sub in ast.walk(node)
+                            if isinstance(sub, ast.Attribute)
+                            and getattr(sub.value, "id", None) == "cls")
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
     dunders = {n for n in defined if n.startswith("__") and n.endswith("__")}

@@ -74,7 +74,7 @@ def test_valuation_and_principal_part(F27):
     a = LaurentPoly(F27, {-5: 2, 0: 1, 3: 4})
     assert a.valuation() == -5
     assert reduce_mod_wp(F27, a) == {-5: 2}
-    assert LaurentPoly.zero(F27).valuation() is None
+    assert LaurentPoly(F27).valuation() is None
     assert reduce_mod_wp(F27, LaurentPoly(F27, {2: 1, 7: 3})) == {}
 
 
@@ -90,7 +90,7 @@ def test_zero_handling(F27):
 def test_scale_by_zero_is_zero(F27):
     # the kernel multiplies on logs and 0 has none, so scale guards it
     a = LaurentPoly(F27, {-3: 5, 2: 7})
-    assert a.scale(0) == LaurentPoly.zero(F27)
+    assert a.scale(0) == LaurentPoly(F27)
     s = TruncatedSeries(F27, {-3: 5, 2: 7}, prec=4)
     zero = s.scale(0)
     assert (zero.d, zero.prec) == ({}, 4)
@@ -142,7 +142,7 @@ def test_pow_pk_is_pth_power(data):
 def test_int_pow(data):
     ctx = make_field(3, 3)
     a = LaurentPoly(ctx, data.draw(sparse_dicts(ctx, max_terms=4)))
-    assert (a ** 0).d == LaurentPoly.one(ctx).d
+    assert (a ** 0).d == {0: 1}
     assert (a ** 1).d == a.d
     assert (a ** 4).d == (a * a * a * a).d
     assert (a ** 27).d == a.pow_pk(3).d
@@ -200,7 +200,7 @@ def test_series_mul_series_prec(F27):
 
 def test_series_mul_by_zero(F27):
     a = TruncatedSeries(F27, {-3: 1}, prec=10)
-    z = TruncatedSeries.from_poly(LaurentPoly.zero(F27))
+    z = TruncatedSeries.from_poly(LaurentPoly(F27))
     out = a * z
     assert out.d == {} and out.prec == math.inf
 

@@ -19,12 +19,12 @@ from astower.ff import (MAX_FIELD_Q, Params, basis_and_reps, make_field,
 from astower.local import cover_rhs_polys
 from astower.tower import (
     GENS,
+    Endo,
     certify_group,
     check_endo,
     commutator,
     compose_endo,
     extension_multiplicity,
-    identity_endo,
     invert_endo,
     presentation,
     presentation_equiv,
@@ -247,7 +247,7 @@ def test_shift_tables_certified(mixed):
 
 
 def test_check_endo_violation(mixed):
-    bad = identity_endo(mixed).replace(y1=mixed.gen("y1") + mixed.x())
+    bad = Endo(mixed, {}).replace(y1=mixed.gen("y1") + mixed.x())
     defects = check_endo(bad)
     assert defects["y1"].d == {(27, 0, 0, 0, 0, 0): 1, X: 2}
     assert defects["w"].d == {(34, 0, 0, 0, 0, 0): 2, (8, 0, 0, 0, 0, 0): 1}
@@ -256,7 +256,7 @@ def test_check_endo_violation(mixed):
 def test_check_endo_checks_fixed_generators_whose_relation_moves(mixed):
     # every generator is fixed, but y1's relation is in x, which moves:
     # the fixed-variable shortcut must not skip it
-    shift = identity_endo(mixed).replace(x=mixed.x() + mixed.const(1))
+    shift = Endo(mixed, {}).replace(x=mixed.x() + mixed.const(1))
     defects = check_endo(shift)
     assert defects["y1"] == (mixed.relations["y1"]
                              - shift.apply(mixed.relations["y1"]))
@@ -264,7 +264,7 @@ def test_check_endo_checks_fixed_generators_whose_relation_moves(mixed):
 
 def test_apply_returns_an_element_whose_variables_are_fixed(mixed):
     rel = mixed.relations["w"]  # in x, y1 and y2 only
-    assert identity_endo(mixed).apply(rel) is rel
+    assert Endo(mixed, {}).apply(rel) is rel
     assert vertical_shift_families(mixed)["v2"](3).apply(rel) is rel
     assert sigma_shift(mixed, 3).apply(rel) is not rel
 
@@ -286,7 +286,7 @@ def test_compose_and_invert_shifts(mixed):
     s1, s2 = sigma_shift(mixed, 3), sigma_shift(mixed, 9)
     assert compose_endo(s1, s2) == sigma_shift(mixed, ctx.add(3, 9))
     assert invert_endo(s1) == sigma_shift(mixed, ctx.neg(3))
-    assert compose_endo(s1, invert_endo(s1)) == identity_endo(mixed)
+    assert compose_endo(s1, invert_endo(s1)) == Endo(mixed, {})
 
 
 @pytest.mark.parametrize("params", [P31, P51], ids=["p3s1", "p5s1"])
@@ -294,7 +294,7 @@ def test_endos_record_what_they_move_and_cannot_be_rewritten(params):
     pres = presentation(params)
     basis = prime_basis(pres.ctx)
     fams = vertical_shift_families(pres)
-    endos = [identity_endo(pres)]
+    endos = [Endo(pres, {})]
     for g in basis:
         endos += [sigma_shift(pres, g), tau_shift(pres, g),
                   prolong_translation(pres, g)]
@@ -305,16 +305,21 @@ def test_endos_record_what_they_move_and_cannot_be_rewritten(params):
               compose_endo(lift, invert_endo(lift))]
     variables = {"x": pres.x(), **{name: pres.gen(name) for name in GENS}}
     for e in endos:
+        assert e.images.keys() == variables.keys()
         assert e.moved == {name for name, img in e.images.items()
                            if img != variables[name]}
         with pytest.raises(TypeError):
             e.images["y1"] = pres.gen("y1")
     assert endos[0].moved == endos[-1].moved == frozenset()
+    for make in (lambda: Endo(pres, {"z": pres.x()}),
+                 lambda: endos[0].replace(z=pres.x())):
+        with pytest.raises(ParameterError, match="no generator named 'z'"):
+            make()
     assert invert_endo(lift).moved == lift.moved == frozenset(variables)
 
 
 def test_invert_rejects_non_unipotent(mixed):
-    doubled = identity_endo(mixed).replace(y1=mixed.gen("y1").scale(2))
+    doubled = Endo(mixed, {}).replace(y1=mixed.gen("y1").scale(2))
     with pytest.raises(UnsupportedError):
         invert_endo(doubled)
 
@@ -324,7 +329,7 @@ def test_commutator_table(params):
     pres = presentation(params)
     ctx = pres.ctx
     basis, _ = basis_and_reps(ctx)
-    ident = identity_endo(pres)
+    ident = Endo(pres, {})
     for gi in basis:
         for gj in basis:
             c = commutator(sigma_shift(pres, gi), tau_shift(pres, gj))
@@ -468,7 +473,7 @@ def test_prolong_certified_on_basis_and_inverse(mixed):
         Q = invert_endo(P)
         assert not check_endo(Q)
         assert Q.images["x"].d == {X: 1, ONE: ctx.neg(a)}
-        assert compose_endo(P, Q) == identity_endo(mixed)
+        assert compose_endo(P, Q) == Endo(mixed, {})
 
 
 def test_prolong_cocycle_is_vertical(mixed):
@@ -526,7 +531,7 @@ def test_vertical_families_and_multiplicity(mixed):
 
 
 def test_prolong_identity_at_zero(mixed):
-    assert prolong_translation(mixed, 0) == identity_endo(mixed)
+    assert prolong_translation(mixed, 0) == Endo(mixed, {})
 
 
 @pytest.mark.parametrize("params", [P31, P51], ids=["3-1", "5-1"])
@@ -540,7 +545,7 @@ def test_basis_lift_composites_lift_every_translation(params):
     p = ctx.p
     basis = [p ** i for i in range(ctx.n)]
     sigma = [prolong_translation(pres, b) for b in basis]
-    composite = {0: identity_endo(pres)}
+    composite = {0: Endo(pres, {})}
     for a in range(1, ctx.q):
         # a - b_i drops a's lowest nonzero digit by one, and
         # composite(a) = composite(a - b_i) o sigma_i
@@ -711,7 +716,7 @@ def test_endo_apply_matches_tuple_oracle(params, data):
     fams = vertical_shift_families(pres)
     endo = data.draw(st.sampled_from([
         prolong_translation(pres, a), sigma_shift(pres, g),
-        tau_shift(pres, g), identity_endo(pres), fams["v1"](g),
+        tau_shift(pres, g), Endo(pres, {}), fams["v1"](g),
         fams["v2"](g), fams["w"](g)]))
     monos = st.tuples(st.integers(0, 3), *[st.integers(0, 2)] * 5)
     elem = pres.element(data.draw(
@@ -770,4 +775,4 @@ def test_decoded_view_round_trips_through_element(data):
     again = pres.element(el.d)
     assert again == el and again.d == el.d
     assert pres.normalize(el.terms) is el.terms  # normal input comes back
-    assert el.constant_term() == el.d.get(ONE, 0)
+    assert el.terms.get(0, 0) == el.d.get(ONE, 0)
