@@ -450,8 +450,8 @@ def _flushed() -> bool:
 def _fast_exit(code: int) -> None:
     """End the process with `code`, skipping interpreter teardown.
 
-    Teardown frees every object one by one: about 0.5 s of a report at
-    q ~ 10^6, and a few ms of each small one.  Skipping it loses nothing.
+    Teardown frees every object one by one, a few ms of each report.
+    Skipping it loses nothing.
     Every file the CLI writes (`--out`, a cache entry) is closed before
     `main` returns, and the CLI starts no thread.  What is left is the
     buffered output, flushed here, and the `atexit` handlers, run here

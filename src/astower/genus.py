@@ -126,7 +126,7 @@ def _line_histogram(ctx: FieldCtx, reduced_basis: list[dict[int, int]],
     p, n = ctx.p, ctx.n
     # echelon rows keyed by column e*n + j (exponent e, digit j < n), an
     # int the kernel can add; the highest pole order sorts first.  Entries
-    # are F_p digits, codes below p, which F_q's tables keep there.
+    # are F_p digits, codes below p, which F_q's arithmetic keeps there.
     pivots = {} if pivots is None else pivots
     dim = len(pivots) + len(reduced_basis)
     for red in reduced_basis:

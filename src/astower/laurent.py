@@ -17,7 +17,6 @@ metric `laurent.support_max`.
 
 import math
 
-from .errors import ParameterError
 from .ff import FieldCtx, lp_map_pow, lp_mul, power
 
 _watermark = 0
@@ -76,12 +75,9 @@ class LaurentPoly:
 
     def pow_pk(self, k: int) -> "LaurentPoly":
         """self ** (p**k): exponents scale, coefficients Frobenius."""
-        if k < 0:
-            raise ParameterError(f"p^{k}-th power: k must be nonnegative")
         if k == 0:
             return self
-        out = lp_map_pow(self.d, self.ctx.p ** k, self.ctx)
-        return LaurentPoly(self.ctx, _note(out))
+        return LaurentPoly(self.ctx, _note(lp_map_pow(self.d, k, self.ctx)))
 
     def __pow__(self, e: int) -> "LaurentPoly":
         return power(self, e, LaurentPoly(self.ctx, {0: 1}), self.ctx.p)

@@ -22,7 +22,7 @@ on `ff`'s kernel, which the Laurent series use too.  A monomial is normal
 iff (m + bias) & high == 0, with 2^(W-1) - q in each field of bias and
 the top bit of each field in high.  No field carries while it stays
 below 2^(W-1): products of normal monomials stay below 2q, p^k-th powers
-(k <= n) below q^2, and every q within `ff`'s table budget has
+(k <= n) below q^2, and every q within `ff`'s field budget has
 2q^2 < 2^(W-1).
 `TowerElement.d` and `TowerPresentation.element` keep a 6-tuple view.
 
@@ -133,17 +133,13 @@ class TowerElement:
 
     def pow_pk(self, k: int) -> "TowerElement":
         """The p^k-th power, taken n steps at a time so fields stay < q^2."""
-        if k < 0:
-            raise ParameterError(f"p^{k}-th power: k must be nonnegative")
         pres = self.pres
-        n = pres.params.n
-        out = self
-        while k > 0:
-            step = min(k, n)
-            out = TowerElement(pres, pres.normalize(lp_map_pow(
-                out.terms, pres.ctx.p ** step, pres.ctx)))
-            k -= step
-        return out
+        step = min(k, pres.params.n)
+        if not step:
+            return self
+        out = TowerElement(pres, pres.normalize(lp_map_pow(
+            self.terms, step, pres.ctx)))
+        return out if k == step else out.pow_pk(k - step)
 
     def __pow__(self, e: int) -> "TowerElement":
         return power(self, e, self.pres.const(1), self.pres.ctx.p)
@@ -165,7 +161,7 @@ class TowerPresentation:
     def __init__(self, params: Params):
         q = params.q
         self.params = params
-        self.ctx = params.field()  # refused above the table budget
+        self.ctx = params.field()  # refused above the field budget
         self._high = sum(_FIELD_LIMIT << shift for _, _, shift in _FIELDS)
         self._bias = sum((_FIELD_LIMIT - q) << shift for _, _, shift in _FIELDS)
         self._gp: dict[tuple[int, int], Terms] = {}

@@ -1052,6 +1052,47 @@ def test_frontier_reports_through_the_console_script():
         3 * q0 * (q - 1) * (q + q0 + 1) // 2
 
 
+# Exit code and stdout sha256 of all six commands at (101, 1) and (7, 3),
+# q = 1,030,301 and 823,543, the largest fields within the budget.
+with open(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                       "frontier_pins.json"), encoding="utf-8") as _handle:
+    _FRONTIER = json.load(_handle)
+
+# The console script behind a hook that writes the process's peak RSS
+# since exec (VmHWM) to $PEAK_FILE at exit, as the benchmark's report
+# processes do.
+_PEAK_ENTRY = """import atexit, os, sys
+def peak():
+    with open("/proc/self/status") as status, \\
+            open(os.environ["PEAK_FILE"], "w") as out:
+        out.write(next(x for x in status if x.startswith("VmHWM:")))
+atexit.register(peak)
+from astower.cli import main
+sys.exit(main())
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="VmHWM is read from /proc")
+@pytest.mark.parametrize("report", sorted(_FRONTIER["reports"]))
+def test_frontier_pins_through_the_console_script(report, tmp_path):
+    """Each report at the frontier keeps its pinned exit code and stdout
+    bytes, in under 10 s and under 48 MiB of peak RSS."""
+    ref = _FRONTIER["reports"][report]
+    peak = tmp_path / "peak"
+    started = time.perf_counter()
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_ENTRY, *report.split(), "--seed",
+         str(_FRONTIER["pinned_seed"])],
+        capture_output=True, env=dict(_env(), PEAK_FILE=str(peak)),
+        timeout=30)
+    wall = time.perf_counter() - started
+    assert done.returncode == ref["exit"], done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == ref["sha256"]
+    assert wall < 10.0
+    assert int(peak.read_text(encoding="ascii").split()[1]) < 48 * 1024
+
+
 # Exit code and stdout sha256 of `--format md` for the 18 benchmark
 # `paper` reports; the JSON pins above never reach `_render_md`.
 _MD_PINNED = {

@@ -6,7 +6,7 @@ package unless it is listed here with a reason, and so is every record
 field.  These lists are read from the source with `ast`, so a new
 refusal without a test, or a new name or field only the tests read,
 fails here.  Only `ff`, which holds the kernel, may name the field's
-tables, and README's Layout lists exactly the package's modules.  The
+memos, and README's Layout lists exactly the package's modules.  The
 benchmark's per-layer metrics are keyed on names its tracer wraps, so
 deleting or renaming one of those names fails here too.
 """
@@ -93,9 +93,7 @@ PRINTED = {"BaseFloor", "CoverClass", "GenusReport", "AuditRow",
 
 # (record, field) pairs no code in the package reads, each kept for a
 # stated reason.
-UNREAD = {
-    ("FieldCtx", "modulus"): "test_ff builds its naive oracle from it",
-}
+UNREAD: dict[tuple[str, str], str] = {}
 
 
 def _trees():
@@ -229,13 +227,14 @@ def test_only_the_cli_exit_helper_calls_os_exit():
     assert sites == [("cli.py", "_fast_exit")]
 
 
-_FIELD_TABLES = {"LOG", "ALOG", "ZECH", "kernel_args"}
+_FIELD_TABLES = {"_coords", "_products", "_sums", "_frob"}
 
 
 def test_only_ff_and_the_kernel_see_the_field_tables():
-    """The field's log, antilog and Zech tables are its representation:
-    every other module passes the `FieldCtx` itself to the kernel in
-    `ff`, so that only `ff` changes when the representation does."""
+    """The field's tables, its memos of coordinates, products, sums and
+    Frobenius images, are its representation: every other module passes
+    the `FieldCtx` itself to the kernel in `ff`, so that only `ff`
+    changes when the representation does."""
     sites = []
     for name, tree in _trees().items():
         if name == "ff.py":
