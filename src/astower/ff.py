@@ -38,8 +38,8 @@ from .errors import ParameterError, UnsupportedError
 
 # Field budget: the largest field `make_field` builds.  It admits
 # q = 7^7 = 823,543 (p = 7, s = 3) and refuses 13^7 ~ 62.7 M (p = 13,
-# s = 3).  Nothing is allocated per element, so the memos do not set it;
-# `tower`'s packed monomials rely on it (FIELD_BITS).
+# s = 3).  It bounds only the time and memory a field's work may take;
+# nothing is allocated per element, so the memos do not set it.
 MAX_FIELD_Q = 1 << 20
 
 
@@ -302,18 +302,10 @@ class FieldCtx:
     def _frobenius(self, k: int) -> _Memo:
         """The memo of a -> a^(p^k), for 0 <= k < n: a(t)^(p^k) is
         a(t^(p^k)), so coordinate i of a goes to the coordinates of
-        t^(i p^k).  t^(p^k) is t^p for k = 1 and the image of t under the
-        first power applied k times for k > 1."""
+        t^(i p^k), with t^(p^k) taken by square-and-multiply mod the
+        modulus."""
         p, n, m, coords = self.p, self.n, self.modulus, self._coords
-        if k == 0:
-            return _Memo(lambda a: a)
-        if k == 1:
-            tk = _ppow_mod([0, 1], p, m, p)
-        else:
-            tk = p  # the code of t
-            for _ in range(k):
-                tk = self._frob[1][tk]
-            tk = coords[tk]
+        tk = _ppow_mod([0, 1], p ** k, m, p)
         cols, col = [], [1]
         for _ in range(n):
             cols.append(col + [0] * (n - len(col)))
@@ -460,8 +452,9 @@ def make_field(p: int, n: int) -> FieldCtx:
 
 def _check_field(p: int, n: int) -> None:
     """Refuse F_{p^n} unless p is an odd prime, n >= 1 and p^n is at most
-    MAX_FIELD_Q.  The budget is decided before the primality test and
-    without computing a huge power, so a huge p or n is refused at once.
+    MAX_FIELD_Q, a bound on time and memory alone.  The budget is decided
+    before the primality test and without computing a huge power, so a
+    huge p or n is refused at once.
     p and n must be of type int, so a bool is refused.
     """
     if type(p) is not int or p < 3:

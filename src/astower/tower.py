@@ -15,15 +15,16 @@ Every automorphism a report relies on passes `certify_automorphism`; the
 finite-extension lemma stated there proves it one without inverting it.
 
 A monomial x^e0 y1^e1 y2^e2 v1^e3 v2^e4 w^e5 is one Python int,
-e0 << 5W | e1 << 4W | ... | e5 with W = FIELD_BITS bits per generator
-and x in the unbounded top bits: a product of monomials is one int
-addition, a p^k-th power one int product, so every sum and product runs
-on `ff`'s kernel, which the Laurent series use too.  A monomial is normal
-iff (m + bias) & high == 0, with 2^(W-1) - q in each field of bias and
-the top bit of each field in high.  No field carries while it stays
-below 2^(W-1): products of normal monomials stay below 2q, p^k-th powers
-(k <= n) below q^2, and every q within `ff`'s field budget has
-2q^2 < 2^(W-1).
+e0 << 5W | e1 << 4W | ... | e5 with W bits per generator and x in the
+unbounded top bits: a product of monomials is one int addition, a p^k-th
+power one int product, so every sum and product runs on `ff`'s kernel,
+which the Laurent series use too.  Each presentation sets its own
+W = 2 * q.bit_length() + 2 and keeps the layout that follows from it.
+A monomial is normal iff (m + bias) & high == 0, with 2^(W-1) - q in
+each field of bias and the top bit of each field in high.  No field
+carries while it stays below 2^(W-1): products of normal monomials stay
+below 2q, p^k-th powers (k <= n) below q^2, and q < 2^(W/2 - 1) gives
+2q^2 < 2^(W-1) for every q.
 `TowerElement.d` and `TowerPresentation.element` keep a 6-tuple view.
 
 An `Endo` is given by the variables it moves: `Endo(pres, images)` fixes
@@ -56,34 +57,11 @@ Monomial = tuple[int, int, int, int, int, int]
 Terms = dict[int, int]
 
 GENS = ("y1", "y2", "v1", "v2", "w")
-FIELD_BITS = 48
-_FIELD_MASK = (1 << FIELD_BITS) - 1
-_FIELD_LIMIT = 1 << (FIELD_BITS - 1)
-_X_SHIFT = len(GENS) * FIELD_BITS
-# (slot, name, bit offset) of each generator; slot 1 = y1, highest field
-_FIELDS = tuple((slot, name, (len(GENS) - slot) * FIELD_BITS)
-                for slot, name in enumerate(GENS, 1))
-# (name, bit offset, exponent mask) of every variable, x's unbounded
-_VARS = (("x", _X_SHIFT, -1),
-         *((name, shift, _FIELD_MASK) for _, name, shift in _FIELDS))
 _NAMES = frozenset(("x", *GENS))
 _ONE: Terms = {0: 1}  # the constant 1; packed monomial 0 is x^0 ... w^0
 
 _CANDIDATE_CAP = 4096
 _CONST = -1  # key of the constant in wp_solve's affine forms
-
-
-def _pack(m: Monomial) -> int:
-    packed = m[0]
-    for e in m[1:]:
-        packed = packed << FIELD_BITS | e
-    return packed
-
-
-def _unpack(m: int) -> Monomial:
-    w, mask = FIELD_BITS, _FIELD_MASK
-    return (m >> 5 * w, m >> 4 * w & mask, m >> 3 * w & mask,
-            m >> 2 * w & mask, m >> w & mask, m & mask)
 
 
 class TowerElement:
@@ -101,7 +79,9 @@ class TowerElement:
     @property
     def d(self) -> dict[Monomial, int]:
         """The terms as {(x, y1, y2, v1, v2, w) exponents: code}."""
-        return {_unpack(m): c for m, c in self.terms.items()}
+        layout = self.pres._layout
+        return {tuple(m >> shift & mask for _, shift, mask in layout): c
+                for m, c in self.terms.items()}
 
     def _check(self, other: "TowerElement") -> None:
         if self.pres is not other.pres:
@@ -162,14 +142,22 @@ class TowerPresentation:
         q = params.q
         self.params = params
         self.ctx = params.field()  # refused above the field budget
-        self._high = sum(_FIELD_LIMIT << shift for _, _, shift in _FIELDS)
-        self._bias = sum((_FIELD_LIMIT - q) << shift for _, _, shift in _FIELDS)
+        # W bits per generator exponent; q < 2^(W/2 - 1), so 2q^2 < 2^(W-1)
+        self.width = width = 2 * q.bit_length() + 2
+        self._limit = limit = 1 << (width - 1)
+        # (name, bit offset, exponent mask) of x, y1, ..., w: a generator's
+        # slot is its index, and x's mask keeps its unbounded top bits
+        self._layout = (("x", len(GENS) * width, -1),
+                        *((name, (len(GENS) - slot) * width, (1 << width) - 1)
+                          for slot, name in enumerate(GENS, 1)))
+        ones = sum(1 << shift for _, shift, _ in self._layout[1:])
+        self._high, self._bias = limit * ones, (limit - q) * ones
         self._gp: dict[tuple[int, int], Terms] = {}
         self._qpow: dict[int, Terms] = {}
         self.relations: dict[str, TowerElement] = {}
         # one element per variable, handed out by x(), gen() and Endo
         self._vars = {name: TowerElement(self, {1 << shift: 1})
-                      for name, shift, _ in _VARS}
+                      for name, shift, _ in self._layout}
 
         rhs = tower_rhs(params)
         for slot, name in enumerate(GENS, 1):
@@ -186,7 +174,7 @@ class TowerPresentation:
         from the nearest memoized exponent by g^(k+q) = g^k * (g + rhs)."""
         q = self.params.q
         if e < q:
-            return {e << _FIELDS[slot - 1][2]: 1}
+            return {e << self._layout[slot][1]: 1}
         gp = self._gp
         out = gp.get((slot, e))
         if out is None:
@@ -214,15 +202,16 @@ class TowerPresentation:
         if not bad:
             return raw
         out = dict(raw)
+        gens, limit = self._layout[1:], self._limit
         while bad:
             rewritten: Terms = {}
             for m in bad:
                 c = out.pop(m)
                 over = (m + bias) & high
                 factor = None
-                for slot, _, shift in _FIELDS:
-                    if over >> shift & _FIELD_LIMIT:
-                        e = m >> shift & _FIELD_MASK
+                for slot, (_, shift, mask) in enumerate(gens, 1):
+                    if over >> shift & limit:
+                        e = m >> shift & mask
                         m -= e << shift
                         g = self._gen_pow(slot, e)
                         factor = g if factor is None else lp_mul(
@@ -238,14 +227,16 @@ class TowerPresentation:
     def element(self, raw: dict[Monomial, int]) -> TowerElement:
         """Normal form of {(x, y1, y2, v1, v2, w) exponents: code}."""
         packed: Terms = {}
+        layout, limit = self._layout, self._limit
         for m, c in raw.items():
             if (len(m) != 6 or m[0] < 0
-                    or not all(0 <= e < _FIELD_LIMIT for e in m[1:])):
+                    or not all(0 <= e < limit for e in m[1:])):
                 raise ParameterError(
                     f"monomial {m!r} needs six exponents, x's nonnegative "
-                    f"and the generator ones in [0, 2^{FIELD_BITS - 1})")
+                    f"and the generator ones in [0, 2^{self.width - 1}): "
+                    f"W = {self.width} bits per field at q = {self.params.q}")
             if c:
-                packed[_pack(m)] = c
+                packed[sum(e << s for e, (_, s, _) in zip(m, layout))] = c
         return TowerElement(self, self.normalize(packed))
 
     def const(self, c: int) -> TowerElement:
@@ -256,7 +247,7 @@ class TowerPresentation:
             return self._vars["x"]
         if e < 0:  # the powers Endo.apply takes are of nonnegative exponents
             raise ParameterError(f"x^{e}: negative exponents are not defined")
-        return TowerElement(self, {e << _X_SHIFT: 1})
+        return TowerElement(self, {e << self._layout[0][1]: 1})
 
     def gen(self, name: str) -> TowerElement:
         if name not in self.gens:
@@ -285,6 +276,8 @@ class Endo:
         unknown = images.keys() - _NAMES
         if unknown:
             raise ParameterError(f"no generator named {min(unknown)!r}")
+        if any(img.pres is not pres for img in images.values()):
+            raise ParameterError("elements from different presentations")
         self.pres = pres
         self.images = MappingProxyType({**pres._vars, **images})
         self.moved = frozenset(name for name, img in images.items()
@@ -296,15 +289,17 @@ class Endo:
         Only the moved variables are substituted: the fixed ones stay in
         each monomial, which multiplies the product of the moved powers.
         """
+        pres = self.pres
+        if elem.pres is not pres:
+            raise ParameterError("elements from different presentations")
         support = 0
         for m in elem.terms:
             support |= m
         moved = [(self.images[name], shift, mask)
-                 for name, shift, mask in _VARS
+                 for name, shift, mask in pres._layout
                  if support >> shift & mask and name in self.moved]
         if not moved:
             return elem
-        pres = self.pres
         acc: Terms = {}
         for m, c in elem.terms.items():
             term = None
@@ -357,10 +352,10 @@ def invert_endo(a: Endo) -> Endo:
     if xdiff.terms.keys() - {0}:
         raise UnsupportedError("x-image is not a translation")
     inv = Endo(pres, {"x": pres.x() - pres.const(xdiff.terms.get(0, 0))})
-    for _, name, shift in _FIELDS:
+    for name, shift, _ in pres._layout[1:]:
         t = a.images[name] - pres.gen(name)
         # this generator and everything after it sit below this bit
-        later = (1 << (shift + FIELD_BITS)) - 1
+        later = (1 << (shift + pres.width)) - 1
         if any(m & later for m in t.terms):
             raise UnsupportedError(
                 f"image of {name} is not triangular-unipotent")

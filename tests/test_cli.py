@@ -1053,7 +1053,9 @@ def test_frontier_reports_through_the_console_script():
 
 
 # Exit code and stdout sha256 of all six commands at (101, 1) and (7, 3),
-# q = 1,030,301 and 823,543, the largest fields within the budget.
+# q = 1,030,301 and 823,543, the largest fields within the budget, and at
+# (13, 2) and (3, 5), q = 371,293 and 177,147: the tower's packed fields
+# are W = 42, 42, 40 and 38 bits wide there.
 with open(os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "frontier_pins.json"), encoding="utf-8") as _handle:
     _FRONTIER = json.load(_handle)

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from astower import tower
 from astower.errors import IntegrityError, ParameterError, UnsupportedError
-from astower.ff import (MAX_FIELD_Q, Params, basis_and_reps, make_field,
+from astower.ff import (Params, basis_and_reps, lp_map_pow, make_field,
                         prime_basis, tower_rhs)
 from astower.local import cover_rhs_polys
 from astower.tower import (
@@ -316,6 +316,16 @@ def test_endos_record_what_they_move_and_cannot_be_rewritten(params):
         with pytest.raises(ParameterError, match="no generator named 'z'"):
             make()
     assert invert_endo(lift).moved == lift.moved == frozenset(variables)
+
+
+def test_endo_refuses_elements_from_another_presentation(mixed, mixed51):
+    # packed monomials are laid out per presentation, and a foreign
+    # image would carry F_125 codes into an F_27 element
+    foreign = mixed51.gen("w") + mixed51.const(4)
+    with pytest.raises(ParameterError, match="different presentations"):
+        Endo(mixed, {"w": foreign})
+    with pytest.raises(ParameterError, match="different presentations"):
+        Endo(mixed, {}).apply(foreign)
 
 
 def test_invert_rejects_non_unipotent(mixed):
@@ -727,7 +737,8 @@ def test_endo_apply_matches_tuple_oracle(params, data):
 
 def test_pow_pk_far_beyond_n_stays_inside_the_packed_fields(mixed):
     # y1^(q^m) = y1 + sum_{i<m} rhs^(q^i); scaling y1's field by 3^42
-    # in one go would overflow 48 bits, so pow_pk has to go n at a time
+    # in one go would overflow its W = 12 bits, so pow_pk has to go n at
+    # a time
     y1, rhs = mixed.gen("y1"), mixed.relations["y1"]
     want = y1
     for i in range(14):
@@ -738,8 +749,22 @@ def test_pow_pk_far_beyond_n_stays_inside_the_packed_fields(mixed):
 def test_packed_fields_cannot_overflow_at_the_table_budget():
     # normal monomials times normal monomials stay below 2q, their
     # p^k-th powers (k <= n) below q^2: both must fit below the top bit
-    assert 2 * MAX_FIELD_Q ** 2 < 1 << (tower.FIELD_BITS - 1)
-    # so a presentation needs no check of its own: its Params passes the
+    # of each presentation's W-bit fields, at every n within the budget
+    for p, s in ((3, 1), (5, 1), (3, 2), (13, 2), (7, 3), (101, 1), (3, 5)):
+        params = Params(p, s)
+        assert 2 * params.q ** 2 < 1 << (presentation(params).width - 1)
+    # every field at once at both bounds: the full normal form of the
+    # q-th power has about q^5 terms, so the packed power is read back
+    # before normalizing, against the oracle's exponent scaling
+    for params in (P31, P51):
+        pres, orc, q = presentation(params), oracle(params), params.q
+        top = pres.element({(1,) + (q - 1,) * 5: 2})
+        assert (top * top).d == orc.mul(top.d, top.d)
+        raw = lp_map_pow(top.terms, params.n, pres.ctx)
+        assert tower.TowerElement(pres, raw).d == {
+            tuple(e * q for e in m): orc.ctx.pow_int(c, q)
+            for m, c in top.d.items()}
+    # a presentation needs no check of its own: its Params passes the
     # table budget before any table is built, and q = 13^7 is refused
     tracemalloc.start()
     started = time.perf_counter()
