@@ -2,12 +2,13 @@
 
 Every subcommand produces one canonical JSON document (sorted keys,
 two-space indent, integers and fraction strings only, never floats) so
-that repeated runs and cached runs are byte identical.  `verify`, `genus`
-and `audit` print the fields of their `genus` record, with `params`
-printed as p, s, q0, q, n (`_report`).  `_canonical`
-writes it without the `json` package and refuses a float, None, a tuple
-or a string that needs an escape; `json` is loaded only to decode a
-cache entry.  Timing chatter goes to stderr.
+that repeated runs and cached runs are byte identical.  Each command
+builds its report's body, and `_obtain` adds the header: `command`, and
+`params` printed as p, s, q0, q, n.  `verify` and `genus` print the
+fields of their `genus` record.  `_canonical` writes the report without
+the `json` package and refuses a float, None, a tuple or a string that
+needs an escape; `json` is loaded only to decode a cache entry.  Timing
+chatter goes to stderr.
 Exit codes: 0 success, 1 integrity failure, 2 usage or parameter error,
 3 audit found mismatching rows.  The console script (`main()` with no
 argv) flushes stdout and stderr, runs the `atexit` handlers and ends
@@ -40,39 +41,28 @@ def _class_rows(classes) -> list:
             for c in classes]
 
 
-def _report(command: str, record) -> dict:
-    """A `genus` record as its report: its fields, the command, and
-    `params` as p, s, q0, q, n."""
-    return {**record._asdict(), "command": command,
-            "params": _params_payload(record.params)}
-
-
 # ------------------------------------------------------------ commands
 
 
 def cmd_verify(params: Params, args) -> dict:
     from .genus import verify_big_action
 
-    return _report("verify", verify_big_action(params))
+    return verify_big_action(params)._asdict()
 
 
 def cmd_genus(params: Params, args) -> dict:
     from .genus import genus_of_F
 
     rep = genus_of_F(params)
-    return {**_report("genus", rep), "classes": _class_rows(rep.classes)}
+    return {**rep._asdict(), "classes": _class_rows(rep.classes)}
 
 
 def cmd_conductor(params: Params, args) -> dict:
     from .genus import cover_classes, ree_aggregate, ree_line_groups
 
     classes = cover_classes(params)
-    payload = {
-        "command": "conductor",
-        "params": _params_payload(params),
-        "base_floor": classes[0].base._asdict(),
-        "classes": _class_rows(classes),
-    }
+    payload = {"base_floor": classes[0].base._asdict(),
+               "classes": _class_rows(classes)}
     if params.p == 3:
         groups = ree_line_groups(params)
         payload["two_floor_groups"] = {str(m): c
@@ -85,12 +75,8 @@ def cmd_audit(params: Params, args) -> dict:
     from .genus import audit_closed_forms
 
     rows = audit_closed_forms(params)
-    return {
-        "command": "audit",
-        "params": _params_payload(params),
-        "rows": [r._asdict() for r in rows],
-        "mismatches": sum(1 for r in rows if not r.match),
-    }
+    return {"rows": [r._asdict() for r in rows],
+            "mismatches": sum(1 for r in rows if not r.match)}
 
 
 def cmd_commutators(params: Params, args) -> dict:
@@ -129,12 +115,7 @@ def cmd_commutators(params: Params, args) -> dict:
                for f in (sigma, tau) for i in range(n)
                for j in range(i + 1, n)):
         raise IntegrityError("two same-kind shifts do not commute")
-    return {
-        "command": "commutators",
-        "params": _params_payload(params),
-        "pairs": pairs,
-        "sigma_pairs_commute": True,
-    }
+    return {"pairs": pairs, "sigma_pairs_commute": True}
 
 
 def cmd_prolong(params: Params, args) -> dict:
@@ -166,8 +147,6 @@ def cmd_prolong(params: Params, args) -> dict:
             raise IntegrityError(f"translation {a} is not its basis sum")
 
     return {
-        "command": "prolong",
-        "params": _params_payload(params),
         "translations_certified": len(avals),
         "exhaustive": exhaustive,
         "restriction_ok": True,
@@ -311,7 +290,8 @@ def _obtain(args, params: Params) -> tuple:
     cached = _read_cached(cache_file, args) if cache_file else None
     if cached:
         return cached
-    payload = _COMMANDS[args.command][0](params, args)
+    payload = {**_COMMANDS[args.command][0](params, args),
+               "command": args.command, "params": _params_payload(params)}
     text = _canonical(payload)
     if cached is False:
         print(f"cache entry not written: {cache_file} is not a regular file",

@@ -18,7 +18,8 @@ scaling by 0 needs no guard of its own.  `lp_map_pow` is the one p^k-th
 power of every element type, and `power` the one e-th power: it climbs
 the base-p digits of e with the type's own p^k-th power and product.
 Fields above the budget MAX_FIELD_Q are refused, and `Params` refuses
-(p, s) by the same rule, applied to F_{p^(2s+1)}.
+(p, s) by the same rule, applied to F_{p^(2s+1)}.  A code outside
+range(q) is refused (`FieldCtx.check`) wherever a caller hands one in.
 `tower_rhs` holds the tower's equations, the one copy every layer reads.
 
 The modulus for each (p, n) is the first monic irreducible polynomial of
@@ -280,6 +281,14 @@ class FieldCtx:
     def __setattr__(self, name, value):
         raise AttributeError("FieldCtx is immutable")
 
+    def check(self, *codes: int) -> None:
+        """Refuse a code outside range(q) with ParameterError.  `add` and
+        `mul` check on a memo miss: a pair the memo holds was checked, or
+        came from the kernel, whose codes all came through a check."""
+        if codes and (min(codes) < 0 or max(codes) >= self.q):
+            bad = next(c for c in codes if not 0 <= c < self.q)
+            raise ParameterError(f"code {bad} is not an element of F_{self.q}")
+
     # --------------------------------------------------------- memo misses
 
     def _product(self, a: int, b: int) -> int:
@@ -318,14 +327,20 @@ class FieldCtx:
 
     def add(self, a: int, b: int) -> int:
         c = self._sums[a].get(b)
-        return self._sum(a, b) if c is None else c
+        if c is None:
+            self.check(a, b)
+            c = self._sum(a, b)
+        return c
 
     def neg(self, a: int) -> int:
         return self.mul(self.p - 1, a)
 
     def mul(self, a: int, b: int) -> int:
         c = self._products[a].get(b)
-        return self._product(a, b) if c is None else c
+        if c is None:
+            self.check(a, b)
+            c = self._product(a, b)
+        return c
 
     def inv(self, a: int) -> int:
         if a == 0:

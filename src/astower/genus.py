@@ -10,21 +10,22 @@ pieces E_1, ..., E_r exhaust the dual space of an N-dimensional group,
 
     g(E) = sum g(E_i) - p * (p^(N-1) - 1) / (p - 1) * g(base).
 
-The conductors feeding the first formula come from the exact pole
-reduction in `local`, certified for every line of a coefficient space at
-once by F_p-linear algebra (`_line_histogram`); nothing in this module is
-approximate or sampled, and every derived count or genus is cross-checked
-against an independent closed form where one exists, raising
-IntegrityError on disagreement.
+Every conductor feeding the first formula, the first floor's included,
+is read off `local.line_histogram`, which certifies every line of a
+coefficient space at once by F_p-linear algebra over the exact pole
+reductions; nothing in this module is approximate or sampled, and every
+derived count or genus is cross-checked against an independent closed
+form where one exists, raising IntegrityError on disagreement.
 """
 
 from collections import namedtuple
 from math import gcd
 
 from .errors import IntegrityError, ParameterError
-from .ff import FieldCtx, Params, lp_mul, prime_basis
-from .local import (build_uniformizer, conductor_of_cover, cover_rhs_polys,
-                    expand_at_infinity, expand_rational, reduce_mod_wp)
+from .ff import Params
+from .local import (basis_rows, build_uniformizer, conductor_of_cover,
+                    cover_rhs_polys, expand_at_infinity, expand_rational,
+                    line_histogram)
 
 _CLASS_ORDER = ("y2", "v1", "v2", "w")
 
@@ -91,99 +92,27 @@ def conductor_ladder(params: Params) -> dict[str, int]:
     }
 
 
-def _line_histogram(ctx: FieldCtx, reduced_basis: list[dict[int, int]],
-                    pivots: dict | None = None) -> dict[int, int]:
-    """Conductor histogram {m: lines} over every line of a coefficient space.
-
-    reduced_basis holds the `reduce_mod_wp` reduced principal parts
-    of an F_p-basis f_1, ..., f_dim of the space of right-hand sides.  A
-    line is a nonzero vector a in F_p^dim up to F_p* scaling.
-
-    Soundness: each reduction replayed its certificate
-    f_i = red_i + (u_i^p - u_i) + (terms without a pole).  Since
-    u -> u^p - u is additive, u = sum a_i u_i certifies
-    sum a_i f_i = sum a_i red_i + (u^p - u) + (terms without a pole).  So
-    a line whose top pole order e in sum a_i red_i is prime to p has
-    conductor m = e + 1 (Stichtenoth, Prop. 3.7.8), proved from the dim
-    replayed basis certificates rather than from sampled lines.
-
-    Counting: write the F_p coordinates (pole order, base-p digit) of
-    sum a_i red_i as a linear map of a, with columns in decreasing pole
-    order.  One Gaussian elimination in that column order gives the rank
-    of each leading block; with k_{>e} and k_{>=e} the kernel dimensions
-    of the columns above e and at or above e, the lines whose top pole
-    order is e number (p^k_{>e} - p^k_{>=e}) / (p - 1).
-
-    Rows are eliminated one at a time and never change an earlier pivot,
-    so `pivots` may carry the echelon an earlier call left (full rank, so
-    len(pivots) rows): the new rows extend it in place, each entered
-    once, and the histogram covers the old and new rows together.
-
-    Every bar must be a reduced conductor (m >= 2, m - 1 prime to p) and
-    the bars must cover all (p^dim - 1)/(p - 1) lines (no line without a
-    pole); either failure raises IntegrityError.
-    """
-    p, n = ctx.p, ctx.n
-    # echelon rows keyed by column e*n + j (exponent e, digit j < n), an
-    # int the kernel can add; the highest pole order sorts first.  Entries
-    # are F_p digits, codes below p, which F_q's arithmetic keeps there.
-    pivots = {} if pivots is None else pivots
-    dim = len(pivots) + len(reduced_basis)
-    for red in reduced_basis:
-        row = {e * n + j: d for e, c in red.items()
-               for j, d in enumerate(ctx.to_coeffs(c)) if d}
-        while row:
-            lead = min(row)
-            piv = pivots.get(lead)
-            if piv is None:
-                pivots[lead] = lp_mul({0: ctx.inv(row[lead])}, row, ctx)
-                break
-            lp_mul({0: ctx.neg(row[lead])}, piv, ctx, row)
-    rank_at: dict[int, int] = {}
-    for e in (key // n for key in pivots):
-        rank_at[-e] = rank_at.get(-e, 0) + 1
-    hist: dict[int, int] = {}
-    kernel = dim
-    for pole in sorted(rank_at, reverse=True):
-        m = pole + 1
-        if m < 2 or gcd(pole, p) != 1:
-            raise IntegrityError(
-                f"line conductor {m} is not reduced for p={p}")
-        rank = rank_at[pole]
-        hist[m] = (p ** kernel - p ** (kernel - rank)) // (p - 1)
-        kernel -= rank
-    if sum(hist.values()) != (p ** dim - 1) // (p - 1):
-        raise IntegrityError(
-            f"{p ** kernel - 1} nonzero vectors of the coefficient space "
-            "reduce to no pole")
-    return hist
-
-
 def class_conductors(params: Params) -> dict[str, int]:
     """Conductor of every cover class, certified over all of its lines.
 
     The coefficient space V_{<=i} is spanned by b * part_j for j <= i and
-    b in the F_p-basis of F_q; each part is expanded once and scaled by
-    b (expansion is F_q-linear), and each product is reduced on its own
-    (reduction is only F_p-linear).  The classes grow one running echelon
-    (see `_line_histogram`), so each of the 4n rows is eliminated once
-    and hist(V_{<=i}) is read off the pivots after class i.  Class i's
-    histogram is hist(V_{<=i}) - hist(V_{<i}) and must be the single bar
+    b in the F_p-basis of F_q, the `basis_rows` of each part's expansion.
+    The classes grow one running echelon (see `line_histogram`), so each
+    of the 4n rows is eliminated once and hist(V_{<=i}) is read off the
+    pivots after class i.  Class i's histogram is
+    hist(V_{<=i}) - hist(V_{<i}) and must be the single bar
     {ladder[label]: class_line_counts[label]}.
     """
     ctx = params.field()
     data = build_uniformizer(params)
     parts = cover_rhs_polys(params)
-    basis = prime_basis(ctx)
     ladder = conductor_ladder(params)
     counts = class_line_counts(params)
     pivots: dict = {}
     below: dict[int, int] = {}
     for label in _CLASS_ORDER:
         expansion = expand_at_infinity(data, parts[label])
-        upto = _line_histogram(
-            ctx, [reduce_mod_wp(ctx, expansion.scale(b)) for b in basis],
-            pivots)
+        upto = line_histogram(ctx, basis_rows(ctx, expansion), pivots)
         want = dict(below)
         m = ladder[label]
         want[m] = want.get(m, 0) + counts[label]
@@ -209,8 +138,8 @@ def base_floor(params: Params) -> BaseFloor:
     """Conductor, line genus, line count and genus of the first floor,
     the degree-q cover cut out by y1.
 
-    All (q - 1)/(p - 1) of its lines share the rhs shape c * f1 with
-    f1 = x^q0 * (x^q - x), hence one conductor and one line genus.
+    Its (q - 1)/(p - 1) lines u^p - u = c * f1 all have the conductor
+    `conductor_of_cover` certifies, hence one line genus.
     """
     p, q = params.p, params.q
     lines = (q - 1) // (p - 1)
@@ -349,19 +278,15 @@ def ree_line_groups(params: Params) -> dict[int, int]:
     enough that the histogram has exactly two bars, one conductor
     apart: the pure first-floor lines and everything else.  Every one of
     the (q^2 - 1)/(p - 1) lines c1*f1 + c2*f2 over the rational base is
-    certified by `_line_histogram` from the reductions of b*f1, b*f2
-    for b in the F_p-basis of F_q.
+    certified by `line_histogram` from the `basis_rows` of f1 and f2.
     """
     if params.p != 3:
         raise ParameterError("the two-floor filtration break needs p = 3")
     ctx = params.field()
     parts = cover_rhs_polys(params)
-    reduced: list[dict[int, int]] = []
-    for label in ("y1", "y2"):
-        expansion = expand_rational(ctx, parts[label])
-        reduced += [reduce_mod_wp(ctx, expansion.scale(b))
-                    for b in prime_basis(ctx)]
-    return _line_histogram(ctx, reduced)
+    return line_histogram(ctx, [
+        row for label in ("y1", "y2")
+        for row in basis_rows(ctx, expand_rational(ctx, parts[label]))])
 
 
 def ree_aggregate(params: Params, groups: dict[int, int]) -> int:

@@ -7,7 +7,9 @@ coefficient at an exponent strictly below `prec` is exact and anything
 at or above it is unknown, so `d` holds no term at or above `prec`.
 Sums and products carry `prec` forward, and `local.reduce_mod_wp`
 refuses a series unless z^0 lies below `prec`, because a conductor read
-from an uncertified principal part would be a guess.
+from an uncertified principal part would be a guess.  The constructors
+and `scale` refuse a code outside range(q); a ring operation's result
+comes from the kernel and is wrapped unchecked (`_made`).
 
 The module also keeps a support watermark: the largest dict size that
 has passed through any ring operation since the last reset.  No check
@@ -46,6 +48,7 @@ class LaurentPoly:
     def __init__(self, ctx: FieldCtx, data: dict[int, int] | None = None):
         self.ctx = ctx
         self.d = {e: c for e, c in (data or {}).items() if c}
+        ctx.check(*self.d.values())
 
     def valuation(self) -> int | None:
         if not self.d:
@@ -58,26 +61,33 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPoly) and self.d == other.d
 
+    def _made(self, d: dict[int, int]) -> "LaurentPoly":
+        """A polynomial over this field holding d, a kernel result: its
+        codes are nonzero and in range(q), so `__init__` is skipped."""
+        out = object.__new__(LaurentPoly)
+        out.ctx, out.d = self.ctx, d
+        return out
+
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = lp_mul({0: 1}, other.d, self.ctx, dict(self.d))
-        return LaurentPoly(self.ctx, _note(out))
+        return self._made(_note(out))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = lp_mul({0: self.ctx.neg(1)}, other.d, self.ctx, dict(self.d))
-        return LaurentPoly(self.ctx, _note(out))
+        return self._made(_note(out))
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = lp_mul(self.d, other.d, self.ctx)
-        return LaurentPoly(self.ctx, _note(out))
+        return self._made(_note(lp_mul(self.d, other.d, self.ctx)))
 
     def scale(self, c: int) -> "LaurentPoly":
-        return LaurentPoly(self.ctx, lp_mul({0: c}, self.d, self.ctx))
+        self.ctx.check(c)
+        return self._made(lp_mul({0: c}, self.d, self.ctx))
 
     def pow_pk(self, k: int) -> "LaurentPoly":
         """self ** (p**k): exponents scale, coefficients Frobenius."""
         if k == 0:
             return self
-        return LaurentPoly(self.ctx, _note(lp_map_pow(self.d, k, self.ctx)))
+        return self._made(_note(lp_map_pow(self.d, k, self.ctx)))
 
     def __pow__(self, e: int) -> "LaurentPoly":
         return power(self, e, LaurentPoly(self.ctx, {0: 1}), self.ctx.p)
@@ -100,6 +110,7 @@ class TruncatedSeries:
     def __init__(self, ctx: FieldCtx, data: dict[int, int], prec: Prec):
         self.ctx = ctx
         self.prec = prec
+        ctx.check(*data.values())
         self.d = {e: c for e, c in data.items() if c and e < prec}
 
     @classmethod
@@ -112,14 +123,21 @@ class TruncatedSeries:
             return None
         return min(self.d)
 
+    def _made(self, d: dict[int, int], prec: Prec) -> "TruncatedSeries":
+        """A series over this field holding d below prec, d a kernel
+        result; see `LaurentPoly._made`."""
+        out = object.__new__(TruncatedSeries)
+        out.ctx, out.prec = self.ctx, prec
+        out.d = {e: c for e, c in d.items() if e < prec}
+        return out
+
     def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         out = lp_mul({0: 1}, other.d, self.ctx, dict(self.d))
-        return TruncatedSeries(self.ctx, _note(out),
-                               min(self.prec, other.prec))
+        return self._made(_note(out), min(self.prec, other.prec))
 
     def scale(self, c: int) -> "TruncatedSeries":
-        return TruncatedSeries(self.ctx, lp_mul({0: c}, self.d, self.ctx),
-                               self.prec)
+        self.ctx.check(c)
+        return self._made(lp_mul({0: c}, self.d, self.ctx), self.prec)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         # an error term O(z^P) times a factor of valuation v lands in
@@ -129,8 +147,7 @@ class TruncatedSeries:
         sv = math.inf if sv is None else sv
         ov = math.inf if ov is None else ov
         prec = min(self.prec + ov, other.prec + sv)
-        out = lp_mul(self.d, other.d, self.ctx)
-        return TruncatedSeries(self.ctx, _note(out), prec)
+        return self._made(_note(lp_mul(self.d, other.d, self.ctx)), prec)
 
     def __repr__(self):
         return f"TruncatedSeries({len(self.d)} terms, prec={self.prec})"

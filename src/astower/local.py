@@ -14,14 +14,15 @@ right-hand sides come from `ff.tower_rhs`, the one table of the tower's
 equations, through `cover_rhs_polys`.  `expand_at_infinity` pushes such
 a polynomial through the parametrization, tracking certified precision,
 and `reduce_mod_wp` normalizes the resulting principal part modulo the
-image of u -> u^p - u to read off the conductor of the corresponding
-degree-p cover.
+image of u -> u^p - u.  `line_histogram` is the one place a conductor is
+read: from the reductions of a basis (`basis_rows`), it proves the
+conductor of every line of a coefficient space.
 """
 
 import math
 
 from .errors import IntegrityError, ParameterError, UnsupportedError
-from .ff import FieldCtx, Params, tower_rhs
+from .ff import FieldCtx, Params, lp_mul, prime_basis, tower_rhs
 from .laurent import LaurentPoly, TruncatedSeries
 
 
@@ -169,23 +170,95 @@ def reduce_mod_wp(ctx: FieldCtx, f: TruncatedSeries | LaurentPoly
     return work
 
 
-def conductor_of_cover(params: Params, label: str) -> int:
-    """Conductor exponent m at infinity of the degree-p cover
-    u^p - u = rhs over F_q(x), rhs the x-only `cover_rhs_polys` entry
-    label.
+def basis_rows(ctx: FieldCtx, f: TruncatedSeries | LaurentPoly
+               ) -> list[dict[int, int]]:
+    """The reductions of b*f, b in the F_p-basis of F_q: `line_histogram`'s
+    rows for the lines of F_q*f.  Expansion is F_q-linear, so f is
+    expanded once; reduction is only F_p-linear, so each b*f is reduced."""
+    return [reduce_mod_wp(ctx, f.scale(b)) for b in prime_basis(ctx)]
 
-    One path: expand at x = 1/z, reduce modulo the image of u -> u^p - u
-    and return m = 1 + (largest reduced pole order) (Stichtenoth,
-    Prop. 3.7.8).  A reduced pole order divisible by p would contradict
-    the normalization, so m - 1 is checked to be prime to p.
+
+def line_histogram(ctx: FieldCtx, reduced_basis: list[dict[int, int]],
+                   pivots: dict | None = None) -> dict[int, int]:
+    """Conductor histogram {m: lines} over every line of a coefficient space.
+
+    reduced_basis holds the `reduce_mod_wp` reduced principal parts
+    of an F_p-basis f_1, ..., f_dim of the space of right-hand sides.  A
+    line is a nonzero vector a in F_p^dim up to F_p* scaling.
+
+    Soundness: each reduction replayed its certificate
+    f_i = red_i + (u_i^p - u_i) + (terms without a pole).  Since
+    u -> u^p - u is additive, u = sum a_i u_i certifies
+    sum a_i f_i = sum a_i red_i + (u^p - u) + (terms without a pole).  So
+    a line whose top pole order e in sum a_i red_i is prime to p has
+    conductor m = e + 1 (Stichtenoth, Prop. 3.7.8), proved from the dim
+    replayed basis certificates rather than from sampled lines.
+
+    Counting: write the F_p coordinates (pole order, base-p digit) of
+    sum a_i red_i as a linear map of a, with columns in decreasing pole
+    order.  One Gaussian elimination in that column order gives the rank
+    of each leading block; with k_{>e} and k_{>=e} the kernel dimensions
+    of the columns above e and at or above e, the lines whose top pole
+    order is e number (p^k_{>e} - p^k_{>=e}) / (p - 1).
+
+    Rows are eliminated one at a time and never change an earlier pivot,
+    so `pivots` may carry the echelon an earlier call left (full rank, so
+    len(pivots) rows): the new rows extend it in place, each entered
+    once, and the histogram covers the old and new rows together.
+
+    Every bar must be a reduced conductor (m >= 2, m - 1 prime to p) and
+    the bars must cover all (p^dim - 1)/(p - 1) lines (no line without a
+    pole); either failure raises IntegrityError.
     """
+    p, n = ctx.p, ctx.n
+    # echelon rows keyed by column e*n + j (exponent e, digit j < n), an
+    # int the kernel can add; the highest pole order sorts first.  Entries
+    # are F_p digits, codes below p, which F_q's arithmetic keeps there.
+    pivots = {} if pivots is None else pivots
+    dim = len(pivots) + len(reduced_basis)
+    for red in reduced_basis:
+        row = {e * n + j: d for e, c in red.items()
+               for j, d in enumerate(ctx.to_coeffs(c)) if d}
+        while row:
+            lead = min(row)
+            piv = pivots.get(lead)
+            if piv is None:
+                pivots[lead] = lp_mul({0: ctx.inv(row[lead])}, row, ctx)
+                break
+            lp_mul({0: ctx.neg(row[lead])}, piv, ctx, row)
+    rank_at: dict[int, int] = {}
+    for e in (key // n for key in pivots):
+        rank_at[-e] = rank_at.get(-e, 0) + 1
+    hist: dict[int, int] = {}
+    kernel = dim
+    for pole in sorted(rank_at, reverse=True):
+        m = pole + 1
+        if m < 2 or math.gcd(pole, p) != 1:
+            raise IntegrityError(
+                f"line conductor {m} is not reduced for p={p}")
+        rank = rank_at[pole]
+        hist[m] = (p ** kernel - p ** (kernel - rank)) // (p - 1)
+        kernel -= rank
+    if sum(hist.values()) != (p ** dim - 1) // (p - 1):
+        raise IntegrityError(
+            f"{p ** kernel - 1} nonzero vectors of the coefficient space "
+            "reduce to no pole")
+    return hist
+
+
+def conductor_of_cover(params: Params, label: str) -> int:
+    """Conductor exponent m at infinity of the degree-p covers
+    u^p - u = c * rhs, c in F_q*, over F_q(x), rhs the x-only
+    `cover_rhs_polys` entry label: the one bar of `line_histogram` over
+    all (q - 1)/(p - 1) lines, expanded at x = 1/z."""
     try:
         rhs = cover_rhs_polys(params)[label]
     except KeyError:
         raise ParameterError(f"unknown cover label {label!r}") from None
     ctx = params.field()
-    reduced = reduce_mod_wp(ctx, expand_rational(ctx, rhs))
-    m = 1 + max(-e for e in reduced)  # every x-only entry has a pole
-    if (m - 1) % params.p == 0:
-        raise IntegrityError(f"reduced conductor jump {m - 1} divisible by {params.p}")
-    return m
+    hist = line_histogram(ctx, basis_rows(ctx, expand_rational(ctx, rhs)))
+    if len(hist) != 1:
+        raise IntegrityError(
+            f"the lines of cover {label} have conductors {sorted(hist)}, "
+            "not one")
+    return next(iter(hist))

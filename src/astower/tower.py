@@ -13,6 +13,7 @@ exact computations on these normal forms.
 
 Every automorphism a report relies on passes `certify_automorphism`; the
 finite-extension lemma stated there proves it one without inverting it.
+A product or normal form above MAX_TERMS terms is refused (`_budget`).
 
 A monomial x^e0 y1^e1 y2^e2 v1^e3 v2^e4 w^e5 is one Python int,
 e0 << 5W | e1 << 4W | ... | e5 with W bits per generator and x in the
@@ -61,6 +62,10 @@ _NAMES = frozenset(("x", *GENS))
 _ONE: Terms = {0: 1}  # the constant 1; packed monomial 0 is x^0 ... w^0
 
 _CANDIDATE_CAP = 4096
+# Term budget: the most terms a product or normal form may hold.  No
+# report's normal form holds more than 14, so this stops only a runaway
+# power, such as a p^n-th power of a monomial with every exponent near q.
+MAX_TERMS = 1 << 16
 _CONST = -1  # key of the constant in wp_solve's affine forms
 
 
@@ -105,9 +110,10 @@ class TowerElement:
         self._check(other)
         pres = self.pres
         return TowerElement(pres, pres.normalize(
-            lp_mul(self.terms, other.terms, pres.ctx)))
+            pres._mul(self.terms, other.terms)))
 
     def scale(self, c: int) -> "TowerElement":
+        self.pres.ctx.check(c)
         return TowerElement(self.pres,
                             lp_mul({0: c}, self.terms, self.pres.ctx))
 
@@ -185,9 +191,14 @@ class TowerPresentation:
             step = self._qpow[slot]
             while k < e:
                 k += q
-                out = self.normalize(lp_mul(out, step, self.ctx))
+                out = self.normalize(self._mul(out, step))
                 gp[(slot, k)] = out
         return out
+
+    def _mul(self, a: Terms, b: Terms) -> Terms:
+        """a * b, not yet normal; see `_budget`."""
+        _budget(len(a) * len(b))
+        return lp_mul(a, b, self.ctx)
 
     def normalize(self, raw: Terms) -> Terms:
         """Rewrite packed terms until every generator exponent is below q.
@@ -195,7 +206,8 @@ class TowerPresentation:
         Input that is already normal comes back unchanged.  Each round
         replaces every g^e with e >= q by the memoized normal form of
         g^e; each such step strictly lowers the highest offending
-        generator slot or its exponent, so the rounds end.
+        generator slot or its exponent, so the rounds end.  A result
+        that would pass the term budget is refused (`_budget`).
         """
         high, bias = self._high, self._bias
         bad = [m for m in raw if (m + bias) & high]
@@ -214,9 +226,10 @@ class TowerPresentation:
                         e = m >> shift & mask
                         m -= e << shift
                         g = self._gen_pow(slot, e)
-                        factor = g if factor is None else lp_mul(
-                            factor, g, self.ctx)
+                        factor = g if factor is None else self._mul(
+                            factor, g)
                 lp_mul({m: c}, factor, self.ctx, out=rewritten)
+                _budget(len(out) + len(rewritten))
             # out holds only normal monomials now, so no bad one merges
             bad = [m for m in rewritten if (m + bias) & high]
             lp_mul(rewritten, _ONE, self.ctx, out=out)
@@ -237,9 +250,11 @@ class TowerPresentation:
                     f"W = {self.width} bits per field at q = {self.params.q}")
             if c:
                 packed[sum(e << s for e, (_, s, _) in zip(m, layout))] = c
+        self.ctx.check(*raw.values())
         return TowerElement(self, self.normalize(packed))
 
     def const(self, c: int) -> TowerElement:
+        self.ctx.check(c)
         return TowerElement(self, {0: c} if c else {})
 
     def x(self, e: int = 1) -> TowerElement:
@@ -256,6 +271,14 @@ class TowerPresentation:
 
     def __repr__(self):
         return f"TowerPresentation(p={self.params.p}, s={self.params.s})"
+
+
+def _budget(terms: int) -> None:
+    """Refuse a product that may hold more than MAX_TERMS terms before it
+    is formed, and a normal form as it passes MAX_TERMS."""
+    if terms > MAX_TERMS:
+        raise UnsupportedError(
+            f"{terms} terms exceed the tower's term budget of {MAX_TERMS}")
 
 
 @lru_cache(maxsize=None)
@@ -309,7 +332,7 @@ class Endo:
                     m -= e << shift
                     f = img.terms if e == 1 else (img ** e).terms
                     term = f if term is None else pres.normalize(
-                        lp_mul(term, f, pres.ctx))
+                        pres._mul(term, f))
             if term is not None and m:
                 term = pres.normalize(lp_mul(term, {m: 1}, pres.ctx))
                 m = 0

@@ -882,15 +882,35 @@ def test_class_report_refuses_a_wrong_uniformizer_residual(monkeypatch,
 
 
 def test_conductor_refuses_an_unreduced_pole(monkeypatch, capsys):
-    """A reduction that hands back its input's poles leaves the first
-    floor's pole z^-30, a jump divisible by 3."""
+    """A reduction that hands back its input's poles leaves the y2
+    class's pole z^-891, a jump divisible by 3, which the line histogram
+    refuses before any conductor is read."""
 
     def unreduced(ctx, f):
         return {e: c for e, c in f.d.items() if e < 0}
 
     monkeypatch.setattr(local, "reduce_mod_wp", unreduced)
     _refused(["conductor", "--p", "3", "--s", "1"], capsys,
-             "reduced conductor jump 30 divisible by 3")
+             "line conductor 892 is not reduced for p=3")
+
+
+def test_first_floor_refuses_lines_with_two_conductors(monkeypatch, capsys):
+    """A reduction that adds z^-41 to the b = t row of the y1 cover, and
+    to no other, gives every line with a t coordinate conductor 42.  The
+    first floor is read from all of its lines, so it is refused; f1 alone
+    still reduces to conductor 11."""
+    real = local.reduce_mod_wp
+    ctx = make_field(3, 3)
+    t_row = local.expand_rational(
+        ctx, local.cover_rhs_polys(ff.Params(3, 1))["y1"]).scale(3)
+
+    def mutant(ctx, f):
+        out = real(ctx, f)
+        return {**out, -41: 1} if f == t_row else out
+
+    monkeypatch.setattr(local, "reduce_mod_wp", mutant)
+    _refused(["verify", "--p", "3", "--s", "1"], capsys,
+             "the lines of cover y1 have conductors [11, 42], not one")
 
 
 def test_class_report_refuses_a_wrong_p_root(monkeypatch, capsys):

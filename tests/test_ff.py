@@ -15,7 +15,7 @@ from hypothesis import given, strategies as st
 from astower.errors import ParameterError, UnsupportedError
 from astower.ff import (FieldCtx, Params, basis_and_reps, lp_map_pow,
                         lp_mul, make_field)
-from astower.laurent import LaurentPoly
+from astower.laurent import LaurentPoly, TruncatedSeries
 from astower.tower import presentation
 
 
@@ -432,3 +432,29 @@ def test_negative_power_is_refused_alike_by_both_element_types():
                 refused(base)
             messages.add(str(exc.value))
         assert len(messages) == 1
+
+
+def test_codes_outside_the_field_are_refused_at_every_entry():
+    """A code is an element of F_q only in range(q): 27 and 30 would be
+    read by their low base-3 digits as 0 and 3, and -1 kept as it is."""
+    F27 = make_field(3, 3)
+    pres = presentation(Params(3, 1))
+    poly = LaurentPoly(F27, {-1: 1})
+    series = TruncatedSeries(F27, {-1: 1}, 5)
+    entries = [
+        lambda c: pres.element({(0,) * 6: c}),
+        pres.const,
+        pres.gen("y1").scale,
+        poly.scale,
+        series.scale,
+        lambda c: LaurentPoly(F27, {0: c}),
+        lambda c: TruncatedSeries(F27, {0: c}, 5),
+        lambda c: F27.add(c, 1),
+        lambda c: F27.mul(1, c),
+        F27.neg,
+    ]
+    for entry in entries:
+        for code in (27, 30, -1):
+            with pytest.raises(ParameterError, match=f"code {code} is not"):
+                entry(code)
+        entry(26)  # the largest code is accepted

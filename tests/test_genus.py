@@ -12,11 +12,10 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from astower import genus
+from astower import local
 from astower.errors import IntegrityError, ParameterError, UnsupportedError
 from astower.ff import MAX_FIELD_Q, Params, make_field
 from astower.genus import (
-    _line_histogram,
     audit_closed_forms,
     base_floor,
     class_conductors,
@@ -31,7 +30,8 @@ from astower.genus import (
     verify_big_action,
 )
 from astower.local import (build_uniformizer, cover_rhs_polys,
-                           expand_at_infinity, expand_rational, reduce_mod_wp)
+                           expand_at_infinity, expand_rational, line_histogram,
+                           reduce_mod_wp)
 
 P31 = Params(3, 1)
 P51 = Params(5, 1)
@@ -222,12 +222,12 @@ def test_class_conductors_eliminate_each_row_once(params, monkeypatch):
     """The four classes grow one echelon: each of their 4n reduced parts
     enters the elimination once, where recomputing the 1n, 2n, 3n and 4n
     row prefixes would enter 10n."""
-    real = genus.reduce_mod_wp
+    real = local.reduce_mod_wp
 
     def counted(ctx, f):
         return _CountedRow(real(ctx, f))
 
-    monkeypatch.setattr(genus, "reduce_mod_wp", counted)
+    monkeypatch.setattr(local, "reduce_mod_wp", counted)
     _CountedRow.reads = 0
     assert class_conductors(params) == conductor_ladder(params)
     assert _CountedRow.reads == 4 * params.n
@@ -238,27 +238,27 @@ def test_class_conductors_eliminate_each_row_once(params, monkeypatch):
 def test_line_histogram_counts_lines_by_top_pole():
     F3, F27 = make_field(3, 1), make_field(3, 3)
     # a*z^-2 + b*z^-1: 3 lines with a != 0, 1 line with a = 0
-    assert _line_histogram(F3, [{-2: 1}, {-1: 1}]) == {3: 3, 2: 1}
+    assert line_histogram(F3, [{-2: 1}, {-1: 1}]) == {3: 3, 2: 1}
     # an echelon carried over from the first rows gives the same bars
     pivots = {}
-    assert _line_histogram(F3, [{-2: 1}], pivots) == {3: 1}
-    assert _line_histogram(F3, [{-1: 1}], pivots) == {3: 3, 2: 1}
+    assert line_histogram(F3, [{-2: 1}], pivots) == {3: 1}
+    assert line_histogram(F3, [{-1: 1}], pivots) == {3: 3, 2: 1}
     # 1 and t are F_3-independent at the same pole order
-    assert _line_histogram(F27, [{-2: 1, -1: 5}, {-2: 3}]) == {3: 4}
-    assert _line_histogram(F27, []) == {}
+    assert line_histogram(F27, [{-2: 1, -1: 5}, {-2: 3}]) == {3: 4}
+    assert line_histogram(F27, []) == {}
 
 
 def test_line_histogram_rejects_unreduced_top_pole():
     F3 = make_field(3, 1)
     with pytest.raises(IntegrityError):
-        _line_histogram(F3, [{-3: 1}, {-1: 1}])
+        line_histogram(F3, [{-3: 1}, {-1: 1}])
 
 
 def test_line_histogram_rejects_short_line_total():
     F27 = make_field(3, 3)
     # the second vector is twice the first, so one line reduces to no pole
     with pytest.raises(IntegrityError):
-        _line_histogram(F27, [{-2: 1, -1: 4}, {-2: 2, -1: 8}])
+        line_histogram(F27, [{-2: 1, -1: 4}, {-2: 2, -1: 8}])
 
 
 # ---------------------------------------------------------- base floor

@@ -1,7 +1,8 @@
 """Guards on the package's shape rather than on its results.
 
 Every certificate refusal (`raise IntegrityError`) has a test that makes
-it fire, and every function and class is reached from inside the
+it fire, so does every budget refusal (`raise UnsupportedError`), and
+every function and class is reached from inside the
 package unless it is listed here with a reason, and so is every record
 field.  These lists are read from the source with `ast`, so a new
 refusal without a test, or a new name or field only the tests read,
@@ -43,11 +44,6 @@ MUTANTS = {
         "test_genus.py::test_rh_genus_rejects_bad_jumps",
     ("genus.py", "class counts fail to cover the dual space"):
         "test_cli.py::test_class_report_refuses_a_ladder_that_misses_a_class",
-    ("genus.py", "line conductor {} is not reduced for p={}"):
-        "test_genus.py::test_line_histogram_rejects_unreduced_top_pole",
-    ("genus.py", "{} nonzero vectors of the coefficient space reduce to no "
-                 "pole"):
-        "test_genus.py::test_line_histogram_rejects_short_line_total",
     ("genus.py", "class {}: lines by conductor {} up to this class, the "
                  "ladder predicts {}"):
         "test_genus.py::test_class_conductors_reject_a_wrong_ladder",
@@ -61,8 +57,13 @@ MUTANTS = {
         "test_cli.py::test_class_report_refuses_a_wrong_uniformizer_residual",
     ("local.py", "additive reduction failed its replay check"):
         "test_cli.py::test_class_report_refuses_a_wrong_p_root",
-    ("local.py", "reduced conductor jump {} divisible by {}"):
-        "test_cli.py::test_conductor_refuses_an_unreduced_pole",
+    ("local.py", "line conductor {} is not reduced for p={}"):
+        "test_genus.py::test_line_histogram_rejects_unreduced_top_pole",
+    ("local.py", "{} nonzero vectors of the coefficient space reduce to no "
+                 "pole"):
+        "test_genus.py::test_line_histogram_rejects_short_line_total",
+    ("local.py", "the lines of cover {} have conductors {}, not one"):
+        "test_cli.py::test_first_floor_refuses_lines_with_two_conductors",
     ("tower.py", "{} does not restrict to x -> x + {}"):
         "test_cli.py::test_prolong_refuses_a_broken_certificate",
     ("tower.py", "{} fails the relation check"):
@@ -71,6 +72,24 @@ MUTANTS = {
         "test_tower.py::test_wp_solve_refuses_a_wrong_affine_solution",
     ("tower.py", "witness {} fails to link the presentations at {}"):
         "test_tower.py::test_presentation_equiv_refuses_a_missing_link",
+}
+
+# (file, message) of each budget refusal and the test that reaches it.
+BUDGETS = {
+    ("ff.py", "F_{}^{} has more than {} elements, above the field budget"):
+        "test_ff.py::test_field_budget_refuses_before_allocating",
+    ("local.py", "expansion certified only above z^{}; principal part "
+                 "would be unverified (raise the working precision)"):
+        "test_local.py::test_expansion_certificate_failure",
+    ("tower.py", "x-image is not a translation"):
+        "test_tower.py::test_invert_rejects_an_x_image_that_is_no_"
+        "translation",
+    ("tower.py", "image of {} is not triangular-unipotent"):
+        "test_tower.py::test_invert_rejects_non_unipotent",
+    ("tower.py", "{} candidate monomials exceed the solver cap"):
+        "test_tower.py::test_wp_solve_refuses_a_box_over_the_solver_cap",
+    ("tower.py", "{} terms exceed the tower's term budget of {}"):
+        "test_tower.py::test_runaway_power_is_refused_by_the_term_budget",
 }
 
 # Names no code in the package calls, each kept for a stated reason.
@@ -108,23 +127,33 @@ def _template(node) -> str:
     return node.value
 
 
-def test_every_refusal_has_a_mutant():
+def _assert_each_raise_has_a_test(error: str, table: dict) -> None:
+    """The (file, message) of each `raise error(...)` in the package are
+    exactly table's keys, and each names a test that exists."""
     sites = set()
     for name, tree in _trees().items():
         for node in ast.walk(tree):
             if (isinstance(node, ast.Raise)
                     and isinstance(node.exc, ast.Call)
-                    and getattr(node.exc.func, "id", None) == "IntegrityError"):
+                    and getattr(node.exc.func, "id", None) == error):
                 sites.add((name, _template(node.exc.args[0])))
-    assert sites == set(MUTANTS)
+    assert sites == set(table)
     tests = {}
     for path in TESTS.glob("test_*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         tests[path.name] = {node.name for node in tree.body
                             if isinstance(node, ast.FunctionDef)}
-    for test in MUTANTS.values():
+    for test in table.values():
         module, name = test.split("::")
         assert name in tests.get(module, ()), test
+
+
+def test_every_refusal_has_a_mutant():
+    _assert_each_raise_has_a_test("IntegrityError", MUTANTS)
+
+
+def test_every_budget_refusal_has_a_test():
+    _assert_each_raise_has_a_test("UnsupportedError", BUDGETS)
 
 
 def _owned_methods(tree):

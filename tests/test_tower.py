@@ -6,6 +6,11 @@ values were derived twice independently with the composition convention
 (a o b)(e) = a(b(e)).
 """
 
+import os
+import pathlib
+import resource
+import subprocess
+import sys
 import time
 import tracemalloc
 
@@ -334,6 +339,11 @@ def test_invert_rejects_non_unipotent(mixed):
         invert_endo(doubled)
 
 
+def test_invert_rejects_an_x_image_that_is_no_translation(mixed):
+    with pytest.raises(UnsupportedError, match="not a translation"):
+        invert_endo(Endo(mixed, {"x": mixed.x(2)}))
+
+
 @pytest.mark.parametrize("params", [P31, P51], ids=["p3s1", "p5s1"])
 def test_commutator_table(params):
     pres = presentation(params)
@@ -425,6 +435,13 @@ def test_wp_solve_top_generator_needs_wider_box(mixed):
     assert wp_solve(mixed, target) is None
     got = wp_solve(mixed, target, bound=(0, 0, 0, 0, 1))
     assert got is not None and got.d == w.d
+
+
+def test_wp_solve_refuses_a_box_over_the_solver_cap(mixed):
+    # 21 * 21 * 21 * 2 * 1 candidate monomials against the cap of 4096
+    with pytest.raises(UnsupportedError,
+                       match="18522 candidate monomials exceed"):
+        wp_solve(mixed, mixed.x(), bound=(20, 20, 20, 0, 0))
 
 
 def test_wp_solve_refuses_a_wrong_affine_solution(mixed, monkeypatch):
@@ -801,3 +818,42 @@ def test_decoded_view_round_trips_through_element(data):
     assert again == el and again.d == el.d
     assert pres.normalize(el.terms) is el.terms  # normal input comes back
     assert el.terms.get(0, 0) == el.d.get(ONE, 0)
+
+
+_RUNAWAY = """
+from astower.errors import UnsupportedError
+from astower.ff import Params
+from astower.tower import presentation
+
+pres = presentation(Params(3, 1))
+try:
+    pres.element({(1, 26, 26, 26, 26, 26): 2}).pow_pk(3)
+except UnsupportedError as exc:
+    print(exc)
+else:
+    raise SystemExit("the power was formed")
+"""
+
+
+def _limit_address_space():
+    limit = 1536 << 20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_runaway_power_is_refused_by_the_term_budget():
+    """The q-th power of x (y1 y2 v1 v2 w)^(q-1) at (3,1) expands toward
+    q^5 generator monomials.  The term budget refuses it before any
+    product that large is formed.  It runs in a child process with 1.5 GiB
+    of address space and a timeout, so without the budget this test fails
+    instead of exhausting memory or hanging the suite."""
+    src = pathlib.Path(tower.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    try:
+        done = subprocess.run([sys.executable, "-c", _RUNAWAY],
+                              capture_output=True, text=True, env=env,
+                              timeout=60, preexec_fn=_limit_address_space)
+    except subprocess.TimeoutExpired:
+        pytest.fail("the runaway power was not refused within 60 s")
+    assert done.returncode == 0, done.stderr
+    assert f"term budget of {tower.MAX_TERMS}" in done.stdout
