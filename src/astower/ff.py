@@ -348,6 +348,7 @@ class FieldCtx:
         return self.pow_int(a, -1)
 
     def pow_int(self, a: int, e: int) -> int:
+        self.check(a)
         if a == 0:
             if e > 0:
                 return 0
@@ -362,6 +363,7 @@ class FieldCtx:
 
     def frobenius_iter(self, a: int, k: int) -> int:
         """a^(p^k); k is taken mod n, so k = -1 inverts one Frobenius."""
+        self.check(a)
         return self._frob[k % self.n][a]
 
     def p_root(self, a: int) -> int:

@@ -1,15 +1,18 @@
-"""Sparse Laurent polynomials and truncated Laurent series over F_q.
+"""Sparse Laurent series over F_q, exact below a precision.
 
-Both classes store a dict mapping exponent to nonzero field code and
-delegate the inner loops to `ff`'s kernel.  `LaurentPoly` is exact;
-`TruncatedSeries` carries an exclusive precision `prec`, meaning every
-coefficient at an exponent strictly below `prec` is exact and anything
-at or above it is unknown, so `d` holds no term at or above `prec`.
-Sums and products carry `prec` forward, and `local.reduce_mod_wp`
-refuses a series unless z^0 lies below `prec`, because a conductor read
-from an uncertified principal part would be a guess.  The constructors
-and `scale` refuse a code outside range(q); a ring operation's result
-comes from the kernel and is wrapped unchecked (`_made`).
+A `LaurentPoly` stores a dict mapping exponent to nonzero field code and
+delegates the inner loops to `ff`'s kernel.  It carries an exclusive
+precision `prec`: every coefficient at an exponent strictly below `prec`
+is exact and anything at or above it is unknown, so `d` holds no term at
+or above `prec`.  A polynomial is exact, prec = inf; a `TruncatedSeries`
+is the subclass holding a finite prec.  Each ring rule is written once,
+in `LaurentPoly`, and carries `prec` forward, except the product's rule,
+`TruncatedSeries.__mul__`, which takes every product with a series
+factor on either side.  `local.reduce_mod_wp` refuses a series unless
+z^0 lies below `prec`, because a conductor read from an uncertified
+principal part would be a guess.  The constructors and `scale` refuse a
+code outside range(q); a ring operation's result comes from the kernel
+and is wrapped unchecked (`_made`).
 
 The module also keeps a support watermark: the largest dict size that
 has passed through any ring operation since the last reset.  No check
@@ -40,10 +43,15 @@ def _note(d: dict[int, int]) -> dict[int, int]:
     return d
 
 
+Prec = int | float
+
+
 class LaurentPoly:
-    """f = sum c_e z^e with finitely many terms, exponents any integers."""
+    """f = sum c_e z^e with finitely many terms, exponents any integers,
+    exact below `prec`: infinite here, finite in a `TruncatedSeries`."""
 
     __slots__ = ("ctx", "d")
+    prec: Prec = math.inf
 
     def __init__(self, ctx: FieldCtx, data: dict[int, int] | None = None):
         self.ctx = ctx
@@ -51,43 +59,56 @@ class LaurentPoly:
         ctx.check(*self.d.values())
 
     def valuation(self) -> int | None:
-        if not self.d:
-            return None
-        return min(self.d)
+        return min(self.d, default=None)
 
     def __bool__(self) -> bool:
         return bool(self.d)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentPoly) and self.d == other.d
+        return (isinstance(other, LaurentPoly) and self.d == other.d
+                and self.prec == other.prec)
 
-    def _made(self, d: dict[int, int]) -> "LaurentPoly":
-        """A polynomial over this field holding d, a kernel result: its
-        codes are nonzero and in range(q), so `__init__` is skipped."""
-        out = object.__new__(LaurentPoly)
+    def _made(self, d: dict[int, int], prec: Prec = math.inf
+              ) -> "LaurentPoly":
+        """d below prec, d a kernel result (codes nonzero, in range(q)), so
+        `__init__` is skipped; a finite prec makes a `TruncatedSeries`."""
+        if prec == math.inf:
+            out = object.__new__(LaurentPoly)
+        else:
+            out = object.__new__(TruncatedSeries)
+            out.prec = prec
+            d = {e: c for e, c in d.items() if e < prec}
         out.ctx, out.d = self.ctx, d
         return out
 
+    def _plus(self, other: "LaurentPoly", c: int) -> "LaurentPoly":
+        out = lp_mul({0: c}, other.d, self.ctx, dict(self.d))
+        return self._made(_note(out), min(self.prec, other.prec))
+
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = lp_mul({0: 1}, other.d, self.ctx, dict(self.d))
-        return self._made(_note(out))
+        return self._plus(other, 1)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = lp_mul({0: self.ctx.neg(1)}, other.d, self.ctx, dict(self.d))
-        return self._made(_note(out))
+        return self._plus(other, self.ctx.neg(1))
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
+        """The exact product; a series factor takes the product over, so
+        its precision is kept whichever side it is on."""
+        if other.prec != math.inf:
+            return other * self
         return self._made(_note(lp_mul(self.d, other.d, self.ctx)))
 
     def scale(self, c: int) -> "LaurentPoly":
         self.ctx.check(c)
-        return self._made(lp_mul({0: c}, self.d, self.ctx))
+        return self._made(lp_mul({0: c}, self.d, self.ctx), self.prec)
 
     def pow_pk(self, k: int) -> "LaurentPoly":
-        """self ** (p**k): exponents scale, coefficients Frobenius."""
+        """self ** (p**k): exponents scale, coefficients Frobenius.  The
+        map is additive, so an error term O(z^P) goes to O(z^(P p^k))."""
         if k == 0:
             return self
-        return self._made(_note(lp_map_pow(self.d, k, self.ctx)))
+        return self._made(_note(lp_map_pow(self.d, k, self.ctx)),
+                          self.prec * self.ctx.p ** k)
 
     def __pow__(self, e: int) -> "LaurentPoly":
         return power(self, e, LaurentPoly(self.ctx, {0: 1}), self.ctx.p)
@@ -99,53 +120,22 @@ class LaurentPoly:
         return "LaurentPoly(" + " + ".join(parts) + ")"
 
 
-Prec = int | float
-
-
-class TruncatedSeries:
+class TruncatedSeries(LaurentPoly):
     """Laurent series known exactly below the exclusive bound `prec`."""
 
-    __slots__ = ("ctx", "d", "prec")
+    __slots__ = ("prec",)
 
     def __init__(self, ctx: FieldCtx, data: dict[int, int], prec: Prec):
-        self.ctx = ctx
+        super().__init__(ctx, data)
         self.prec = prec
-        ctx.check(*data.values())
-        self.d = {e: c for e, c in data.items() if c and e < prec}
+        self.d = {e: c for e, c in self.d.items() if e < prec}
 
-    @classmethod
-    def from_poly(cls, poly: LaurentPoly, prec: Prec = math.inf
-                  ) -> "TruncatedSeries":
-        return cls(poly.ctx, poly.d, prec)
-
-    def valuation(self) -> int | None:
-        if not self.d:
-            return None
-        return min(self.d)
-
-    def _made(self, d: dict[int, int], prec: Prec) -> "TruncatedSeries":
-        """A series over this field holding d below prec, d a kernel
-        result; see `LaurentPoly._made`."""
-        out = object.__new__(TruncatedSeries)
-        out.ctx, out.prec = self.ctx, prec
-        out.d = {e: c for e, c in d.items() if e < prec}
-        return out
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        out = lp_mul({0: 1}, other.d, self.ctx, dict(self.d))
-        return self._made(_note(out), min(self.prec, other.prec))
-
-    def scale(self, c: int) -> "TruncatedSeries":
-        self.ctx.check(c)
-        return self._made(lp_mul({0: c}, self.d, self.ctx), self.prec)
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+    def __mul__(self, other: LaurentPoly) -> LaurentPoly:
         # an error term O(z^P) times a factor of valuation v lands in
         # O(z^(P+v)), so each operand's precision shifts by the other's
         # valuation and the weaker certificate wins
-        sv, ov = self.valuation(), other.valuation()
-        sv = math.inf if sv is None else sv
-        ov = math.inf if ov is None else ov
+        sv = min(self.d, default=math.inf)
+        ov = min(other.d, default=math.inf)
         prec = min(self.prec + ov, other.prec + sv)
         return self._made(_note(lp_mul(self.d, other.d, self.ctx)), prec)
 

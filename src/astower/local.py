@@ -88,23 +88,23 @@ def build_uniformizer(params: Params) -> UniformizerData:
 
 
 def expand_at_infinity(data: UniformizerData, rhs: dict[tuple[int, int], int]
-                       ) -> TruncatedSeries:
+                       ) -> LaurentPoly:
     """Evaluate rhs, {(x, y) exponents: code}, at the parametrization,
     with certified precision.
 
-    The first generator enters as its head at the fixed precision q*b1,
-    the valuation of the head's residual, and each product carries that
-    bound forward.  If the result cannot certify every coefficient
-    through z^0 the conductor downstream would be a guess, so that case
-    raises UnsupportedError.
+    x is exact; the first generator enters as its head, a series at the
+    fixed precision q*b1 (its residual's valuation), and each product
+    carries that bound forward.  If the result cannot certify every
+    coefficient through z^0 the conductor downstream would be a guess,
+    so that case raises UnsupportedError.
     """
-    y_series = TruncatedSeries.from_poly(data.y_head,
-                                         prec=data.params.q * data.b1)
-    total = TruncatedSeries(data.ctx, {}, math.inf)
+    y_series = TruncatedSeries(data.ctx, data.y_head.d,
+                               data.params.q * data.b1)
+    total = LaurentPoly(data.ctx)
     for (ex, ey), c in sorted(rhs.items()):
-        term = TruncatedSeries.from_poly(data.x_poly ** ex)
+        term = data.x_poly ** ex
         for _ in range(ey):
-            term = term * y_series
+            term = y_series * term
         total = total + term.scale(c)
     if total.prec <= 0:
         raise UnsupportedError(
@@ -124,8 +124,7 @@ def expand_rational(ctx: FieldCtx, rhs: dict[tuple[int, int], int]
     return LaurentPoly(ctx, {-ex: c for (ex, _), c in rhs.items()})
 
 
-def reduce_mod_wp(ctx: FieldCtx, f: TruncatedSeries | LaurentPoly
-                  ) -> dict[int, int]:
+def reduce_mod_wp(ctx: FieldCtx, f: LaurentPoly) -> dict[int, int]:
     """The principal part of f normalized modulo the image of
     u -> u^p - u, as {pole order: code}: no order in it is divisible
     by p.
@@ -138,9 +137,10 @@ def reduce_mod_wp(ctx: FieldCtx, f: TruncatedSeries | LaurentPoly
     over the folds' witnesses, f == reduced + (u^p - u) + (the terms of
     f without a pole).  Each order folds once, so the m are distinct;
     were two equal, u would keep only one of them and the identity
-    would fail closed.
+    would fail closed.  It sums f's constant, so f needs prec > 0,
+    which an exact f (prec = inf) has.
     """
-    if isinstance(f, TruncatedSeries) and f.prec <= 0:
+    if f.prec <= 0:
         raise ParameterError(
             f"series certified only above z^{f.prec}; cannot reduce")
     original = f.d
@@ -170,11 +170,13 @@ def reduce_mod_wp(ctx: FieldCtx, f: TruncatedSeries | LaurentPoly
     return work
 
 
-def basis_rows(ctx: FieldCtx, f: TruncatedSeries | LaurentPoly
-               ) -> list[dict[int, int]]:
+def basis_rows(ctx: FieldCtx, f: LaurentPoly) -> list[dict[int, int]]:
     """The reductions of b*f, b in the F_p-basis of F_q: `line_histogram`'s
     rows for the lines of F_q*f.  Expansion is F_q-linear, so f is
-    expanded once; reduction is only F_p-linear, so each b*f is reduced."""
+    expanded once; reduction is only F_p-linear, so each b*f is reduced.
+    A reduction reads only the poles and z^0, so f is first cut at z^1;
+    a prec at or below 0 is kept, and the reduction refuses it."""
+    f = TruncatedSeries(ctx, f.d, min(f.prec, 1))
     return [reduce_mod_wp(ctx, f.scale(b)) for b in prime_basis(ctx)]
 
 

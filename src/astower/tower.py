@@ -207,8 +207,10 @@ class TowerPresentation:
         replaces every g^e with e >= q by the memoized normal form of
         g^e; each such step strictly lowers the highest offending
         generator slot or its exponent, so the rounds end.  A result
-        that would pass the term budget is refused (`_budget`).
+        that would pass the term budget is refused (`_budget`), and so
+        is a code outside range(q).
         """
+        self.ctx.check(*raw.values())
         high, bias = self._high, self._bias
         bad = [m for m in raw if (m + bias) & high]
         if not bad:
@@ -250,7 +252,6 @@ class TowerPresentation:
                     f"W = {self.width} bits per field at q = {self.params.q}")
             if c:
                 packed[sum(e << s for e, (_, s, _) in zip(m, layout))] = c
-        self.ctx.check(*raw.values())
         return TowerElement(self, self.normalize(packed))
 
     def const(self, c: int) -> TowerElement:

@@ -898,7 +898,8 @@ def test_first_floor_refuses_lines_with_two_conductors(monkeypatch, capsys):
     """A reduction that adds z^-41 to the b = t row of the y1 cover, and
     to no other, gives every line with a t coordinate conductor 42.  The
     first floor is read from all of its lines, so it is refused; f1 alone
-    still reduces to conductor 11."""
+    still reduces to conductor 11.  The row arrives cut at z^1, so it is
+    picked by its terms, not by `==`, which also compares prec."""
     real = local.reduce_mod_wp
     ctx = make_field(3, 3)
     t_row = local.expand_rational(
@@ -906,7 +907,7 @@ def test_first_floor_refuses_lines_with_two_conductors(monkeypatch, capsys):
 
     def mutant(ctx, f):
         out = real(ctx, f)
-        return {**out, -41: 1} if f == t_row else out
+        return {**out, -41: 1} if f.d == t_row.d else out
 
     monkeypatch.setattr(local, "reduce_mod_wp", mutant)
     _refused(["verify", "--p", "3", "--s", "1"], capsys,
@@ -1075,7 +1076,8 @@ def test_frontier_reports_through_the_console_script():
 # Exit code and stdout sha256 of all six commands at (101, 1) and (7, 3),
 # q = 1,030,301 and 823,543, the largest fields within the budget, and at
 # (13, 2) and (3, 5), q = 371,293 and 177,147: the tower's packed fields
-# are W = 42, 42, 40 and 38 bits wide there.
+# are W = 42, 42, 40 and 38 bits wide there.  The middle of the grid,
+# (7, 1), (3, 3) and (5, 2), q = 343, 2,187 and 3,125, is pinned too.
 with open(os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "frontier_pins.json"), encoding="utf-8") as _handle:
     _FRONTIER = json.load(_handle)

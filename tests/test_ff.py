@@ -302,7 +302,7 @@ def test_memoized_kernel_matches_naive_oracle(p, n):
 
 
 @pytest.mark.parametrize("p,n", [(3, 3), (5, 3), (7, 3), (3, 5)])
-def test_zech_edge_cases(p, n):
+def test_additive_edge_cases(p, n):
     """Additive edge cases: a + (-a) = 0, a + 0 = a, -0 = 0 and
     -1 = p - 1."""
     ctx = make_field(p, n)
@@ -458,3 +458,25 @@ def test_codes_outside_the_field_are_refused_at_every_entry():
             with pytest.raises(ParameterError, match=f"code {code} is not"):
                 entry(code)
         entry(26)  # the largest code is accepted
+
+
+def test_powers_roots_and_frobenius_refuse_codes_outside_the_field():
+    """pow_int, inv, frobenius_iter and p_root read no code by its low
+    base-p digits either (30 used to give a cube 3, an inverse 19, a
+    Frobenius image 5 and a root 4, and -4 a square 1), and no refused
+    code is left in the Frobenius memo."""
+    F27 = make_field(3, 3)
+    entries = [
+        lambda c: F27.pow_int(c, 1),
+        lambda c: F27.pow_int(c, 2),
+        F27.inv,
+        lambda c: F27.frobenius_iter(c, 1),
+        F27.p_root,
+    ]
+    for entry in entries:
+        for code in (27, 30, -1, -4):
+            with pytest.raises(ParameterError, match=f"code {code} is not"):
+                entry(code)
+        entry(26)  # the largest code is accepted
+    for memo in F27._frob.values():
+        assert all(0 <= a < 27 for a in memo)

@@ -2,7 +2,7 @@
 
 The multiplication oracle here is a dense dict-of-dicts product written
 directly against the field context, so it exercises none of the kernel
-code paths (log table walk, Zech addition, in-place accumulation).
+code paths (memoized products and sums, in-place accumulation).
 """
 
 import math
@@ -170,7 +170,7 @@ def test_series_prec_semantics(F27):
 
 def test_series_from_poly_exact(F27):
     p = LaurentPoly(F27, {-27: 1, 207: 1})
-    s = TruncatedSeries.from_poly(p)
+    s = TruncatedSeries(F27, p.d, math.inf)
     assert s.prec == math.inf
     assert s.d == p.d
 
@@ -184,7 +184,7 @@ def test_series_add_prec(F27):
 def test_series_mul_poly_prec(F27):
     a = TruncatedSeries(F27, {-3: 1, 0: 2}, prec=10)
     p = LaurentPoly(F27, {-2: 1, 5: 3})
-    out = a * TruncatedSeries.from_poly(p)
+    out = a * TruncatedSeries(F27, p.d, math.inf)
     assert out.prec == 8  # 10 + v(p) = 10 - 2
     assert out.d[-5] == 1
 
@@ -200,7 +200,7 @@ def test_series_mul_series_prec(F27):
 
 def test_series_mul_by_zero(F27):
     a = TruncatedSeries(F27, {-3: 1}, prec=10)
-    z = TruncatedSeries.from_poly(LaurentPoly(F27))
+    z = TruncatedSeries(F27, LaurentPoly(F27).d, math.inf)
     out = a * z
     assert out.d == {} and out.prec == math.inf
 
@@ -215,14 +215,57 @@ def test_series_principal_part_needs_nonneg_prec(F27):
         reduce_mod_wp(F27, bad)
 
 
+def test_poly_times_series_keeps_the_series_prec_in_either_order(F27):
+    # z^5 * z^-2 = z^3 lies below 6 - 2 = 4, but z^4 and up are unknown
+    p = LaurentPoly(F27, {-2: 1})
+    s = TruncatedSeries(F27, {-3: 1, 5: 1}, 6)
+    for out in (p * s, s * p):
+        assert isinstance(out, TruncatedSeries)
+        assert (out.d, out.prec) == ({-5: 1, 3: 1}, 4)
+    assert p * s == s * p
+
+
+def test_pow_pk_scales_the_series_prec(F27):
+    # Frobenius is additive: O(z^P) goes to O(z^(P p^k)), either sign of P
+    s = TruncatedSeries(F27, {-2: 3, 1: 1}, 2)
+    cube = s.pow_pk(1)
+    assert cube.prec == 6
+    assert cube.d == {-6: F27.frobenius_iter(3, 1), 3: 1}
+    assert s ** 3 == cube
+    # the product rule certifies less, and agrees below what it certifies
+    prod = s * s * s
+    assert prod.prec == -2
+    assert prod.d == {e: c for e, c in cube.d.items() if e < -2}
+    assert s.pow_pk(2).prec == 18
+    assert TruncatedSeries(F27, {-9: 1}, -1).pow_pk(1).prec == -3
+
+
+def test_equality_compares_prec(F27):
+    d = {-3: 5, 2: 7}
+    assert LaurentPoly(F27, d) != TruncatedSeries(F27, d, 10)
+    assert TruncatedSeries(F27, d, 10) != TruncatedSeries(F27, d, 11)
+    assert TruncatedSeries(F27, d, 10) == TruncatedSeries(F27, d, 10)
+    # an infinite prec is the exact polynomial
+    assert LaurentPoly(F27, d) == TruncatedSeries(F27, d, math.inf)
+
+
+def test_sums_keep_the_smaller_prec(F27):
+    exact = LaurentPoly(F27, {-1: 1, 8: 2})
+    s = TruncatedSeries(F27, {0: 1}, 7)
+    for out in (exact + s, s + exact, exact - s, s - exact):
+        assert isinstance(out, TruncatedSeries) and out.prec == 7
+        assert 8 not in out.d  # z^8 lies above what the sum certifies
+    assert type(exact + exact) is LaurentPoly
+
+
 @given(data=st.data())
 def test_series_mul_agrees_with_poly_mul_below_prec(data):
     ctx = make_field(3, 3)
     da = data.draw(sparse_dicts(ctx, max_terms=5))
     db = data.draw(sparse_dicts(ctx, max_terms=5))
     pa, pb = LaurentPoly(ctx, da), LaurentPoly(ctx, db)
-    sa = TruncatedSeries.from_poly(pa, prec=50)
-    sb = TruncatedSeries.from_poly(pb, prec=50)
+    sa = TruncatedSeries(ctx, pa.d, 50)
+    sb = TruncatedSeries(ctx, pb.d, 50)
     prod_s = sa * sb
     prod_p = pa * pb
     hi = 50 if math.isinf(prod_s.prec) else min(50, int(prod_s.prec))

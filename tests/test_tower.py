@@ -820,6 +820,17 @@ def test_decoded_view_round_trips_through_element(data):
     assert el.terms.get(0, 0) == el.d.get(ONE, 0)
 
 
+def test_normalize_refuses_codes_outside_the_field():
+    """`normalize` is public and takes packed terms as they come, so it
+    checks their codes: {0: 30} and {0: -1} used to come back as they
+    were, elements that are not in F_27."""
+    pres = presentation(P31)
+    for code in (27, 30, -1):
+        with pytest.raises(ParameterError, match=f"code {code} is not"):
+            pres.normalize({0: code})
+    assert pres.normalize({0: 26}) == {0: 26}
+
+
 _RUNAWAY = """
 from astower.errors import UnsupportedError
 from astower.ff import Params
