@@ -35,12 +35,6 @@ def _params_payload(params: Params) -> dict:
             "q": params.q, "n": params.n}
 
 
-def _class_rows(classes) -> list:
-    """The rows of `CoverClass` records, without the shared `base`."""
-    return [{k: v for k, v in c._asdict().items() if k != "base"}
-            for c in classes]
-
-
 # ------------------------------------------------------------ commands
 
 
@@ -54,15 +48,15 @@ def cmd_genus(params: Params, args) -> dict:
     from .genus import genus_of_F
 
     rep = genus_of_F(params)
-    return {**rep._asdict(), "classes": _class_rows(rep.classes)}
+    return {**rep._asdict(), "classes": [c._asdict() for c in rep.classes]}
 
 
 def cmd_conductor(params: Params, args) -> dict:
     from .genus import cover_classes, ree_aggregate, ree_line_groups
 
-    classes = cover_classes(params)
-    payload = {"base_floor": classes[0].base._asdict(),
-               "classes": _class_rows(classes)}
+    base, classes = cover_classes(params)
+    payload = {"base_floor": base._asdict(),
+               "classes": [c._asdict() for c in classes]}
     if params.p == 3:
         groups = ree_line_groups(params)
         payload["two_floor_groups"] = {str(m): c

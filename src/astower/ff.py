@@ -7,20 +7,22 @@ the field's only state, and every q takes the same path: a product
 multiplies the coordinate vectors as polynomials in t and reduces by the
 modulus, with the dense helpers that also find the modulus; a sum adds
 digitwise mod p; the k-th Frobenius power applies the coordinates of
-t^(i p^k) (Lidl-Niederreiter, Finite Fields, ch. 2).  Each result is
-memoized inside the `FieldCtx`, so a report computes each distinct
-product once.  The memos stay in this module: `laurent`, `tower` and
-`genus` pass the context to its sparse kernel, `lp_mul` and
-`lp_map_pow`, and no other module reads them.  Every sum, difference,
-scaling and echelon row update is one `lp_mul` by a one-term scalar
-{0: c}, passed first, and a zero code in that scalar adds nothing, so
-scaling by 0 needs no guard of its own.  `lp_map_pow` is the one p^k-th
-power of every element type, and `power` the one e-th power: it climbs
-the base-p digits of e with the type's own p^k-th power and product.
-Fields above the budget MAX_FIELD_Q are refused, and `Params` refuses
-(p, s) by the same rule, applied to F_{p^(2s+1)}.  A code outside
-range(q) is refused (`FieldCtx.check`) wherever a caller hands one in.
-`tower_rhs` holds the tower's equations, the one copy every layer reads.
+t^(i p^k); and an inverse is the product b of the other Frobenius images
+times the inverse mod p of the norm a*b (Lidl-Niederreiter, Finite
+Fields, ch. 2).  Each result is memoized inside the `FieldCtx`, so a
+report computes each distinct product once.  The memos stay in this
+module: `laurent`, `tower` and `genus` pass the context to its sparse
+kernel, `lp_mul` and `lp_map_pow`, and no other module reads them.
+Every sum, difference, scaling and echelon row update is one `lp_mul` by
+a one-term scalar {0: c}, passed first, and a zero code in that scalar
+adds nothing, so scaling by 0 needs no guard of its own.  `lp_map_pow`
+is the one p^k-th power of every element type, and `power` the one e-th
+power: it climbs the base-p digits of e with the type's own p^k-th power
+and product.  Fields above the budget MAX_FIELD_Q are refused, and
+`Params` refuses (p, s) by the same rule, applied to F_{p^(2s+1)}.  A
+code outside range(q) is refused (`FieldCtx.check`) wherever a caller
+hands one in.  `tower_rhs` holds the tower's equations, the one copy
+every layer reads.
 
 The modulus for each (p, n) is the first monic irreducible polynomial of
 degree n in ascending code order of its non-leading coefficient vector,
@@ -255,8 +257,8 @@ class FieldCtx:
     two coordinate vectors as polynomials in t, reduced by `modulus`; a
     sum is their digitwise sum mod p; and the k-th Frobenius power sends
     coordinate i to the coordinates of t^(i p^k), columns computed once
-    per k.  A factor in F_p (a code below p) just scales the coordinates,
-    and powers of such a code stay in F_p; -a is (p - 1) * a.  Each
+    per k.  A factor in F_p (a code below p) just scales the coordinates;
+    -a is (p - 1) * a, and a^-1 is read off the Frobenius images.  Each
     result is memoized inside the context: `_products[a][b]` and
     `_sums[a][b]`, stored under both orders since both operations
     commute, `_frob[k][a]`, and `_coords[a]`, the coordinate list every
@@ -343,23 +345,16 @@ class FieldCtx:
         return c
 
     def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return self.pow_int(a, -1)
-
-    def pow_int(self, a: int, e: int) -> int:
+        """a^-1 from the norm: b = a^p * a^(p^2) * ... * a^(p^(n-1)), read
+        from the Frobenius memos, makes a*b the norm of a, in F_p, so
+        a^-1 = b * (a*b)^-1 with the last inverse taken mod p."""
         self.check(a)
         if a == 0:
-            if e > 0:
-                return 0
-            if e == 0:
-                return 1
-            raise ZeroDivisionError("0 to a negative power")
-        p = self.p
-        if a < p:
-            return pow(a, e, p)
-        return _code(_ppow_mod(self._coords[a], e % (self.q - 1),
-                               self.modulus, p), p)
+            raise ZeroDivisionError("inverse of 0")
+        b = 1
+        for k in range(1, self.n):
+            b = self.mul(b, self._frob[k][a])
+        return self.mul(pow(self.mul(a, b), -1, self.p), b)
 
     def frobenius_iter(self, a: int, k: int) -> int:
         """a^(p^k); k is taken mod n, so k = -1 inverts one Frobenius."""

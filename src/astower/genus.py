@@ -104,14 +104,14 @@ def class_conductors(params: Params) -> dict[str, int]:
     {ladder[label]: class_line_counts[label]}.
     """
     ctx = params.field()
-    data = build_uniformizer(params)
+    uniformizer = build_uniformizer(params)
     parts = cover_rhs_polys(params)
     ladder = conductor_ladder(params)
     counts = class_line_counts(params)
     pivots: dict = {}
     below: dict[int, int] = {}
     for label in _CLASS_ORDER:
-        expansion = expand_at_infinity(data, parts[label])
+        expansion = expand_at_infinity(uniformizer, parts[label])
         upto = line_histogram(ctx, basis_rows(ctx, expansion), pivots)
         want = dict(below)
         m = ladder[label]
@@ -174,29 +174,27 @@ def gs_aggregate(p: int, pieces: list[tuple[int, int]], base_genus: int) -> int:
     return g
 
 
-CoverClass = namedtuple("CoverClass", "label count conductor genus base")
+CoverClass = namedtuple("CoverClass", "label count conductor genus")
 
 
-def cover_classes(params: Params) -> list[CoverClass]:
-    """Count, conductor, and line genus for each of the four classes.
-
-    Line genera are taken over the first floor, whose `BaseFloor` every
-    class carries as base, so that neither `genus_of_F` nor the
-    conductor report certifies it again.
+def cover_classes(params: Params) -> tuple[BaseFloor, list[CoverClass]]:
+    """The first floor's `BaseFloor`, and the count, conductor and line
+    genus of each of the four classes, taken over that floor, returned
+    with it so that neither `genus_of_F` nor the conductor report
+    certifies it again.
     """
     counts = class_line_counts(params)
     conductors = class_conductors(params)
     base = base_floor(params)
-    return [CoverClass(label, counts[label], conductors[label],
-                       rh_genus(params.p, base.genus, conductors[label]),
-                       base)
-            for label in _CLASS_ORDER]
+    return base, [CoverClass(label, counts[label], conductors[label],
+                             rh_genus(params.p, base.genus, conductors[label]))
+                  for label in _CLASS_ORDER]
 
 
-# classes is a tuple of CoverClass; every other field but params is an int
-GenusReport = namedtuple("GenusReport", "params base_genus classes "
-                         "weighted_sum gs_subtraction genus "
-                         "printed_subtraction genus_printed")
+# classes is a tuple of CoverClass; every other field is an int
+GenusReport = namedtuple("GenusReport", "base_genus classes weighted_sum "
+                         "gs_subtraction genus printed_subtraction "
+                         "genus_printed")
 
 
 def genus_of_F(params: Params) -> GenusReport:
@@ -210,16 +208,14 @@ def genus_of_F(params: Params) -> GenusReport:
     bound the result lands on for the parameters treated here.
     """
     p, q, q0 = params.p, params.q, params.q0
-    classes = tuple(cover_classes(params))
-    gb = classes[0].base.genus
+    base, classes = cover_classes(params)
     weighted = sum(c.count * c.genus for c in classes)
-    g = gs_aggregate(p, [(c.count, c.genus) for c in classes], gb)
+    g = gs_aggregate(p, [(c.count, c.genus) for c in classes], base.genus)
     unit = (q - 1) // (p - 1)
     printed_sub = unit * (q // q0) * ((q - 1) // 2)
     return GenusReport(
-        params=params,
-        base_genus=gb,
-        classes=classes,
+        base_genus=base.genus,
+        classes=tuple(classes),
         weighted_sum=weighted,
         gs_subtraction=weighted - g,
         genus=g,
@@ -256,7 +252,7 @@ def audit_closed_forms(params: Params) -> list[AuditRow]:
         "w": q * (2 * p * q + 2 * p * q0 - q0 - q - 1),
     }
     rows = []
-    for c in cover_classes(params):
+    for c in cover_classes(params)[1]:
         num = closed[c.label]
         rows.append(AuditRow(
             label=c.label,
@@ -307,8 +303,8 @@ def ree_aggregate(params: Params, groups: dict[int, int]) -> int:
 
 
 BigActionReport = namedtuple(
-    "BigActionReport", "params group_order genus genus_printed bound "
-    "bound_printed is_big is_big_printed readings_agree")
+    "BigActionReport", "group_order genus genus_printed bound bound_printed "
+    "is_big is_big_printed readings_agree")
 BigActionReport.__doc__ = """The verdict under both genus readings; bound and
 bound_printed are 2p/(p-1) times the genus as `Exact`."""
 
@@ -328,7 +324,6 @@ def verify_big_action(params: Params) -> BigActionReport:
     is_big = order * (p - 1) > 2 * p * rep.genus
     is_big_printed = order * (p - 1) > 2 * p * rep.genus_printed
     return BigActionReport(
-        params=params,
         group_order=order,
         genus=rep.genus,
         genus_printed=rep.genus_printed,

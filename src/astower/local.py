@@ -3,10 +3,11 @@
 The degree-q cover defined by the first tower relation has a unique place
 above x = infinity, and `build_uniformizer` realizes a uniformizer z for
 it: x becomes an explicit 3-term Laurent polynomial in z, and the first
-generator becomes an explicit 9-term head whose Artin-Schreier defect
-(the residual) has valuation exactly q*b1.  That one sharp valuation is
-the hinge of everything downstream, so it is rechecked on every build
-and a failure raises IntegrityError rather than warning.
+generator an explicit 9-term head whose Artin-Schreier defect (the
+residual) has valuation exactly q*b1.  That one sharp valuation is the
+hinge of everything downstream, so it is rechecked on every build, a
+failure raises IntegrityError rather than warning, and the head is
+returned as the series it certifies: the first generator below z^(q*b1).
 
 Every function of interest here is a polynomial in x and the first
 generator, held as a plain {(x, y) exponents: code} dict.  The covers'
@@ -40,20 +41,9 @@ def cover_rhs_polys(params: Params) -> dict[str, dict[tuple[int, int], int]]:
             for label, terms in rhs.items()}
 
 
-class UniformizerData:
-    """x and the head of the first generator as Laurent polynomials in
-    the uniformizer z, and b1, the exponent that fixes the head's
-    precision: its residual has valuation q*b1."""
-
-    __slots__ = ("params", "ctx", "x_poly", "y_head", "b1")
-
-    def __init__(self, params: Params, ctx: FieldCtx, x_poly: LaurentPoly,
-                 y_head: LaurentPoly, b1: int):
-        self.params, self.ctx = params, ctx
-        self.x_poly, self.y_head, self.b1 = x_poly, y_head, b1
-
-
-def build_uniformizer(params: Params) -> UniformizerData:
+def build_uniformizer(params: Params) -> tuple[LaurentPoly, TruncatedSeries]:
+    """(x, the first generator) in z: x exact, the generator a series
+    certified below z^(q*b1) by its residual's checked valuation."""
     ctx = params.field()
     q0, q = params.q0, params.q
     a1 = (q * q - q * q0 - q) // q0
@@ -84,25 +74,23 @@ def build_uniformizer(params: Params) -> UniformizerData:
     if v != q * b1 or residual.d[v] != 1:
         raise IntegrityError(
             f"uniformizer residual must start 1*z^{q * b1}, got valuation {v}")
-    return UniformizerData(params, ctx, x_poly, y_head, b1)
+    return x_poly, TruncatedSeries(ctx, y_head.d, q * b1)
 
 
-def expand_at_infinity(data: UniformizerData, rhs: dict[tuple[int, int], int]
-                       ) -> LaurentPoly:
-    """Evaluate rhs, {(x, y) exponents: code}, at the parametrization,
-    with certified precision.
+def expand_at_infinity(uniformizer: tuple[LaurentPoly, TruncatedSeries],
+                       rhs: dict[tuple[int, int], int]) -> LaurentPoly:
+    """Evaluate rhs, {(x, y) exponents: code}, at the parametrization
+    `build_uniformizer` returned, with certified precision.
 
-    x is exact; the first generator enters as its head, a series at the
-    fixed precision q*b1 (its residual's valuation), and each product
-    carries that bound forward.  If the result cannot certify every
-    coefficient through z^0 the conductor downstream would be a guess,
-    so that case raises UnsupportedError.
+    x is exact; the first generator enters as its certified series, and
+    each product carries its precision forward.  If the result cannot
+    certify every coefficient through z^0 the conductor downstream would
+    be a guess, so that case raises UnsupportedError.
     """
-    y_series = TruncatedSeries(data.ctx, data.y_head.d,
-                               data.params.q * data.b1)
-    total = LaurentPoly(data.ctx)
+    x_poly, y_series = uniformizer
+    total = LaurentPoly(x_poly.ctx)
     for (ex, ey), c in sorted(rhs.items()):
-        term = data.x_poly ** ex
+        term = x_poly ** ex
         for _ in range(ey):
             term = y_series * term
         total = total + term.scale(c)

@@ -663,8 +663,7 @@ def prolong_translation(pres: TowerPresentation, a: int) -> Endo:
     with A = a^q0 the w-correction is A*(v2 - x*y2) + A^2*(v1 - x*y1).
     """
     ctx = pres.ctx
-    q0 = pres.params.q0
-    A = ctx.pow_int(a, q0) if a else 0
+    A = ctx.frobenius_iter(a, pres.params.s)
     A2 = ctx.mul(A, A)
     aA = ctx.mul(a, A)
     aA2 = ctx.mul(a, A2)

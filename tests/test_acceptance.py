@@ -62,14 +62,16 @@ def criterion(num: int, label: str):
 def test_criterion_01_uniformizer_identity():
     started = time.monotonic()
     for params in (P31, P51, P32):
-        data = build_uniformizer(params)  # integrity-checked internally
-        # the head's defect y^q - y - f1 against the first relation
-        yh = data.y_head
+        # integrity-checked internally
+        x_poly, y_series = build_uniformizer(params)
+        # the head's defect y^q - y - f1 against the first relation, the
+        # head taken exactly: its residual certifies the series' prec
+        yh = LaurentPoly(x_poly.ctx, y_series.d)
         residual = yh.pow_pk(params.n) - yh
         for (ex, _, _), c in tower_rhs(params)["y1"].items():
-            residual = residual - (data.x_poly ** ex).scale(c)
+            residual = residual - (x_poly ** ex).scale(c)
         v = residual.valuation()
-        assert v == params.q * data.b1
+        assert v == y_series.prec
         assert residual.d[v] == 1
         assert len(residual.d) == 12
     assert time.monotonic() - started < 10.0

@@ -4,7 +4,8 @@ Every certificate refusal (`raise IntegrityError`) has a test that makes
 it fire, so does every budget refusal (`raise UnsupportedError`), and
 every function and class is reached from inside the
 package unless it is listed here with a reason, and so is every record
-field.  These lists are read from the source with `ast`, so a new
+field; a field of a record the CLI prints is a key of the printed
+reports.  These lists are read from the source with `ast`, so a new
 refusal without a test, or a new name or field only the tests read,
 fails here.  Only `ff`, which holds the kernel, may name the field's
 memos, and README's Layout lists exactly the package's modules.  The
@@ -19,6 +20,8 @@ import pathlib
 import re
 import subprocess
 import sys
+
+from astower import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "astower"
@@ -106,9 +109,14 @@ UNCALLED = {
     "reset_support_watermark": "tests reset the watermark between runs",
 }
 
-# Records the CLI prints whole through `_asdict()`, so each field is read.
+# Records the CLI prints whole through `_asdict()`, so each field is read
+# by printing it.
 PRINTED = {"BaseFloor", "CoverClass", "GenusReport", "AuditRow",
            "BigActionReport"}
+
+# The keys `cli` adds to every report; a record field of the same name
+# would be overwritten by the header and never printed.
+HEADER = {"command", "params"}
 
 # (record, field) pairs no code in the package reads, each kept for a
 # stated reason.
@@ -212,16 +220,38 @@ def _record_fields(tree):
                         for field in fields.replace(",", " ").split())
 
 
-def test_every_record_field_is_read_in_the_package():
+def _keys(value):
+    """Every dict key in a decoded JSON value, at any depth."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from _keys(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _keys(item)
+
+
+def test_every_record_field_is_read_in_the_package(capsys):
     """A field is read when some module loads an attribute of its name;
-    matched by name, as the caller test above matches functions."""
+    matched by name, as the caller test above matches functions.  A
+    `PRINTED` record's field is read when it is printed: it must be a
+    key of some report of the six commands at (3, 1), and no header key,
+    which `cli` writes over."""
     fields, read = set(), set()
     for tree in _trees().values():
         fields.update(_record_fields(tree))
         read.update(node.attr for node in ast.walk(tree)
                     if isinstance(node, ast.Attribute)
                     and isinstance(node.ctx, ast.Load))
+    printed = set()
+    for command in cli._COMMANDS:
+        cli.main([command, "--p", "3", "--s", "1"])
+        printed.update(_keys(json.loads(capsys.readouterr().out)))
     assert PRINTED <= {record for record, _ in fields}
+    unprinted = {(record, field) for record, field in fields
+                 if record in PRINTED
+                 and (field not in printed or field in HEADER)}
+    assert unprinted == set()
     unread = {(record, field) for record, field in fields
               if record not in PRINTED and field not in read}
     assert unread == set(UNREAD)
