@@ -27,9 +27,9 @@ _OWNERS = {
               "expand_at_infinity", "reduce_mod_wp"),
     "tower": ("certify_automorphism", "certify_group", "check_endo",
               "commutator", "compose_endo", "extension_multiplicity",
-              "invert_endo", "presentation", "presentation_equiv",
-              "prolong_translation", "sigma_shift", "tau_shift",
-              "vertical_shift_families", "wp_solve"),
+              "invert_endo", "presentation", "prolong_translation",
+              "sigma_shift", "tau_shift", "vertical_shift_families",
+              "wp_solve"),
 }
 _OWNER = {name: module for module, names in _OWNERS.items()
           for name in names}

@@ -245,16 +245,16 @@ def _canonical(payload) -> str:
     return _write(payload, "") + "\n"
 
 
-def _read_cached(path: str, args) -> tuple:
+def _read_cached(path: str, args, params: Params) -> tuple:
     """(text, payload) of the cache entry at path, None for a miss, or
     False for an entry that is not a regular file.
 
     An entry that is missing, unreadable, not the canonical text of its
-    own payload (a float has none), or a report of another command or
-    (p, s) is a miss, so the report is recomputed and the entry
-    rewritten, never served.  The entry is opened without blocking, so a
-    FIFO with no writer is not a hang; such an entry, like a directory or
-    a device, is neither read nor written.
+    own payload (a float has none), or whose header (command and params)
+    is not the one this run prints is a miss, so the report is
+    recomputed and the entry rewritten, never served.  The entry is
+    opened without blocking, so a FIFO with no writer is not a hang; such
+    an entry, like a directory or a device, is neither read nor written.
     """
     try:
         with open(path, encoding="utf-8",
@@ -271,17 +271,15 @@ def _read_cached(path: str, args) -> tuple:
         return False
     except (OSError, ValueError, RecursionError, TypeError):
         return None
-    params = payload.get("params")
     if (payload.get("command") != args.command
-            or not isinstance(params, dict)
-            or params.get("p") != args.p or params.get("s") != args.s):
+            or payload.get("params") != _params_payload(params)):
         return None
     return text, payload
 
 
 def _obtain(args, params: Params) -> tuple:
     cache_file = _cache_path(args) if args.cache_dir else None
-    cached = _read_cached(cache_file, args) if cache_file else None
+    cached = _read_cached(cache_file, args, params) if cache_file else None
     if cached:
         return cached
     payload = {**_COMMANDS[args.command][0](params, args),

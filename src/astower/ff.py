@@ -257,13 +257,13 @@ class FieldCtx:
     two coordinate vectors as polynomials in t, reduced by `modulus`; a
     sum is their digitwise sum mod p; and the k-th Frobenius power sends
     coordinate i to the coordinates of t^(i p^k), columns computed once
-    per k.  A factor in F_p (a code below p) just scales the coordinates;
-    -a is (p - 1) * a, and a^-1 is read off the Frobenius images.  Each
-    result is memoized inside the context: `_products[a][b]` and
-    `_sums[a][b]`, stored under both orders since both operations
-    commute, `_frob[k][a]`, and `_coords[a]`, the coordinate list every
-    computation starts from.  The memos are caches of pure functions, so they change no
-    result; they grow with the operations performed, not with q.
+    per k.  -a is (p - 1) * a, and a^-1 is read off the Frobenius
+    images.  Each result is memoized inside the context:
+    `_products[a][b]` and `_sums[a][b]`, stored under both orders since
+    both operations commute, `_frob[k][a]`, and `_coords[a]`, the
+    coordinate list every computation starts from.  The memos are caches
+    of pure functions, so they change no result; they grow with the
+    operations performed, not with q.
     """
 
     __slots__ = ("p", "n", "q", "modulus", "_coords", "_products", "_sums",
@@ -295,12 +295,7 @@ class FieldCtx:
 
     def _product(self, a: int, b: int) -> int:
         p, coords, products = self.p, self._coords, self._products
-        if b < p:
-            a, b = b, a
-        if a < p:
-            c = _code([a * x for x in coords[b]], p)
-        else:
-            c = _code(_pmod(_pmul(coords[a], coords[b]), self.modulus, p), p)
+        c = _code(_pmod(_pmul(coords[a], coords[b]), self.modulus, p), p)
         products[a][b] = products[b][a] = c
         return c
 

@@ -143,7 +143,7 @@ def base_floor(params: Params) -> BaseFloor:
     """
     p, q = params.p, params.q
     lines = (q - 1) // (p - 1)
-    m = conductor_of_cover(params, "y1")
+    m = conductor_of_cover(params)
     line_genus = rh_genus(p, 0, m)
     return BaseFloor(m, line_genus, lines, lines * line_genus)
 

@@ -17,7 +17,8 @@ a polynomial through the parametrization, tracking certified precision,
 and `reduce_mod_wp` normalizes the resulting principal part modulo the
 image of u -> u^p - u.  `line_histogram` is the one place a conductor is
 read: from the reductions of a basis (`basis_rows`), it proves the
-conductor of every line of a coefficient space.
+conductor of every line of a coefficient space.  `conductor_of_cover`
+reads the first floor's, the one conductor of the lines over y1.
 """
 
 import math
@@ -236,19 +237,15 @@ def line_histogram(ctx: FieldCtx, reduced_basis: list[dict[int, int]],
     return hist
 
 
-def conductor_of_cover(params: Params, label: str) -> int:
-    """Conductor exponent m at infinity of the degree-p covers
-    u^p - u = c * rhs, c in F_q*, over F_q(x), rhs the x-only
-    `cover_rhs_polys` entry label: the one bar of `line_histogram` over
-    all (q - 1)/(p - 1) lines, expanded at x = 1/z."""
-    try:
-        rhs = cover_rhs_polys(params)[label]
-    except KeyError:
-        raise ParameterError(f"unknown cover label {label!r}") from None
+def conductor_of_cover(params: Params) -> int:
+    """Conductor exponent m at infinity of the first floor's degree-p
+    covers u^p - u = c * f1, c in F_q*, over F_q(x), f1 the y1 entry of
+    `cover_rhs_polys`: the one bar of `line_histogram` over all
+    (q - 1)/(p - 1) lines, expanded at x = 1/z."""
     ctx = params.field()
-    hist = line_histogram(ctx, basis_rows(ctx, expand_rational(ctx, rhs)))
+    hist = line_histogram(ctx, basis_rows(ctx, expand_rational(
+        ctx, cover_rhs_polys(params)["y1"])))
     if len(hist) != 1:
         raise IntegrityError(
-            f"the lines of cover {label} have conductors {sorted(hist)}, "
-            "not one")
+            f"the lines of cover y1 have conductors {sorted(hist)}, not one")
     return next(iter(hist))

@@ -25,7 +25,6 @@ from astower import (
     invert_endo,
     make_field,
     presentation,
-    presentation_equiv,
     prolong_translation,
     ree_aggregate,
     ree_line_groups,
@@ -83,7 +82,7 @@ def test_criterion_02_conductors():
     for params in (P31, P51, P32):
         assert class_conductors(params) == \
             conductor_ladder(params)
-    assert conductor_of_cover(P31, "y1") == 11
+    assert conductor_of_cover(P31) == 11
     groups = ree_line_groups(P31)
     assert groups == {11: 13, 12: 351}
     low, high = sorted(groups)
@@ -132,11 +131,11 @@ def test_criterion_06_commutators():
             for gj in basis:
                 shift = ctx.neg(ctx.mul(two, ctx.mul(gi, gj)))
                 com = commutator(sigma_shift(pres, gi), tau_shift(pres, gj))
-                assert com == ident.replace(
-                    w=pres.gen("w") + pres.const(shift))
+                assert com == Endo(pres, {
+                    "w": pres.gen("w") + pres.const(shift)})
                 rev = commutator(tau_shift(pres, gj), sigma_shift(pres, gi))
-                assert rev == ident.replace(
-                    w=pres.gen("w") + pres.const(ctx.neg(shift)))
+                assert rev == Endo(pres, {
+                    "w": pres.gen("w") + pres.const(ctx.neg(shift))})
                 assert commutator(sigma_shift(pres, gi),
                                   sigma_shift(pres, gj)) == ident
                 assert commutator(tau_shift(pres, gi),
@@ -169,11 +168,28 @@ def test_criterion_07_prolongations():
 @criterion(8, "the three presentations differ by the additive witnesses "
               "x*y1, x*y2, y1*y2")
 def test_criterion_08_presentation_equivalence():
+    """The unprimed presentation defines each v_i by x*y_i^q - x^q*y_i and
+    keeps this w; the primed one keeps these v_i and defines w by the
+    `tower_rhs` entry "w'".  Written as elements of this presentation
+    (`element` normalizes y_i^q), u^q - u for u = x*y_i is (this v_i
+    rhs) - (unprimed rhs), and for u = y1*y2 it is (primed w rhs) -
+    (this w rhs)."""
     for params in (P31, P51, Params(7, 1), P32):
-        links = presentation_equiv(params)
-        assert links["v1"].d == {(1, 1, 0, 0, 0, 0): 1}
-        assert links["v2"].d == {(1, 0, 1, 0, 0, 0): 1}
-        assert links["w"].d == {(0, 1, 1, 0, 0, 0): 1}
+        pres = presentation(params)
+        q, n1 = params.q, pres.ctx.neg(1)
+        rel = pres.relations
+        primed_w = pres.element({(*m, 0, 0, 0): c
+                                 for m, c in tower_rhs(params)["w'"].items()})
+        links = [
+            ((1, 1, 0, 0, 0, 0), rel["v1"] - pres.element(
+                {(1, q, 0, 0, 0, 0): 1, (q, 1, 0, 0, 0, 0): n1})),
+            ((1, 0, 1, 0, 0, 0), rel["v2"] - pres.element(
+                {(1, 0, q, 0, 0, 0): 1, (q, 0, 1, 0, 0, 0): n1})),
+            ((0, 1, 1, 0, 0, 0), primed_w - rel["w"]),
+        ]
+        for witness, target in links:
+            u = pres.element({witness: 1})
+            assert u.pow_pk(params.n) - u == target
 
 
 @criterion(9, "randomized invariants hold at 1000 examples per suite")

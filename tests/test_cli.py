@@ -540,6 +540,12 @@ def _bad_entry(kind, good, tmp_path, capsys):
             capsys)
         (entry,) = other.glob("*.json")
         return entry.read_bytes()
+    if kind == "edited_q":
+        # canonical JSON of the right command at the right (p, s), but
+        # with a header this run would not print
+        payload = json.loads(good)
+        payload["params"]["q"] += 1
+        return cli._canonical(payload).encode("utf-8")
     if kind in ("float", "null", "escaped"):
         # canonical JSON of the right report, but with a value in it that
         # no report prints: a float, a null or a string json escapes
@@ -555,8 +561,8 @@ def _bad_entry(kind, good, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kind", ["truncated", "not_json", "hand_edited",
-                                  "other_command", "float", "null",
-                                  "escaped", "reformatted"])
+                                  "other_command", "edited_q", "float",
+                                  "null", "escaped", "reformatted"])
 def test_cache_recomputes_an_entry_it_cannot_trust(kind, tmp_path, capsys):
     args = ["verify", "--p", "3", "--s", "1"]
     want = run(args, capsys)[:2]
@@ -735,6 +741,11 @@ def test_prolong_lists_0_1_and_two_seeded_draws_above_q_128(seed):
 # that the n basis lifts extend to every listed translation.
 
 
+def _move_w(endo, by):
+    """endo with its w image moved by `by`."""
+    return tower.Endo(endo.pres, {**endo.images, "w": endo.images["w"] + by})
+
+
 def _move_w_by_x_in_lift_of(monkeypatch, a):
     """The lift of x -> x + a also moves w by x, which breaks its w
     relation (at p = 3, t has code 3)."""
@@ -742,7 +753,7 @@ def _move_w_by_x_in_lift_of(monkeypatch, a):
 
     def mutant(pres, c):
         lift = real(pres, c)
-        return lift.replace(w=lift.images["w"] + pres.x()) if c == a else lift
+        return _move_w(lift, pres.x()) if c == a else lift
 
     monkeypatch.setattr(tower, "prolong_translation", mutant)
 
@@ -796,7 +807,7 @@ def test_commutators_refuse_a_sigma_shift_that_moves_w_by_x(extra,
     def perturbed(pres, g):
         shift = real(pres, g)
         moved = pres.x() if extra == "x" else pres.gen(extra)
-        return shift.replace(w=shift.images["w"] + moved)
+        return _move_w(shift, moved)
 
     monkeypatch.setattr(tower, "sigma_shift", perturbed)
     _refused(["commutators", "--p", "3", "--s", "1"], capsys,
@@ -848,7 +859,7 @@ def test_commutators_refuse_same_kind_shifts_that_do_not_commute(
         out = real_compose(a, b)
         i, j = index(a), index(b)
         if i is not None and j is not None and i < j:
-            return out.replace(w=out.images["w"] + out.pres.const(1))
+            return _move_w(out, out.pres.const(1))
         return out
 
     monkeypatch.setattr(tower, "sigma_shift", sigma)
@@ -947,7 +958,7 @@ def test_prolong_refuses_a_wrong_vertical_shift(command, monkeypatch, capsys):
             shift = real_w(g)
             if g != 3:
                 return shift
-            return shift.replace(w=shift.images["w"] + pres.x())
+            return _move_w(shift, pres.x())
 
         fams["w"] = w_family
         return fams

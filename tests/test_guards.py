@@ -65,7 +65,7 @@ MUTANTS = {
     ("local.py", "{} nonzero vectors of the coefficient space reduce to no "
                  "pole"):
         "test_genus.py::test_line_histogram_rejects_short_line_total",
-    ("local.py", "the lines of cover {} have conductors {}, not one"):
+    ("local.py", "the lines of cover y1 have conductors {}, not one"):
         "test_cli.py::test_first_floor_refuses_lines_with_two_conductors",
     ("tower.py", "{} does not restrict to x -> x + {}"):
         "test_cli.py::test_prolong_refuses_a_broken_certificate",
@@ -73,8 +73,6 @@ MUTANTS = {
         "test_cli.py::test_commutators_refuse_a_sigma_shift_that_moves_w_by_x",
     ("tower.py", "additive solver witness failed its replay check"):
         "test_tower.py::test_wp_solve_refuses_a_wrong_affine_solution",
-    ("tower.py", "witness {} fails to link the presentations at {}"):
-        "test_tower.py::test_presentation_equiv_refuses_a_missing_link",
 }
 
 # (file, message) of each budget refusal and the test that reaches it.
@@ -101,7 +99,6 @@ UNCALLED = {
     "basis_and_reps": "metric ff.basis_and_reps.s",
     "class_conductor": "metric genus.class_conductor.s",
     "commutator": "metric tower.commutator.*; criterion 06's oracle",
-    "presentation_equiv": "criterion 08",
     "wp_solve": "metric tower.wp_solve.calls",
     # the benchmark's tracer reads the support watermark; only tests
     # reset it

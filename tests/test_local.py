@@ -21,11 +21,13 @@ from astower.laurent import (
     support_watermark,
 )
 from astower.local import (
+    basis_rows,
     build_uniformizer,
     conductor_of_cover,
     cover_rhs_polys,
     expand_at_infinity,
     expand_rational,
+    line_histogram,
     reduce_mod_wp,
 )
 
@@ -219,20 +221,18 @@ def test_conductor_over_rational_base():
     r = reduce_mod_wp(ctx, f)
     assert _principal(f) == {-30: 1, -4: 2}
     assert r == {-10: 1, -4: 2}
-    assert conductor_of_cover(P31, "y1") == _conductor(r) == 11
-    r2 = reduce_mod_wp(ctx, expand_rational(ctx, rhs["y2"]))
+    assert conductor_of_cover(P31) == _conductor(r) == 11
+    f2 = expand_rational(ctx, rhs["y2"])
+    r2 = reduce_mod_wp(ctx, f2)
     assert r2 == {-11: 1, -7: 2}
-    assert conductor_of_cover(P31, "y2") == _conductor(r2) == 12
+    assert _conductor(r2) == 12
+    assert line_histogram(ctx, basis_rows(ctx, f2)) == {12: 13}
 
 
 def test_rational_base_rejects_y_terms():
     ctx = make_field(3, 3)
     with pytest.raises(ParameterError):
         expand_rational(ctx, {(2, 1): 1})
-    with pytest.raises(ParameterError):  # the w cover lies over y1
-        conductor_of_cover(P31, "w")
-    with pytest.raises(ParameterError):
-        conductor_of_cover(P31, "z")
 
 
 # -------------------------------------------------------------- reduction

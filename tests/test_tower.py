@@ -32,7 +32,6 @@ from astower.tower import (
     extension_multiplicity,
     invert_endo,
     presentation,
-    presentation_equiv,
     prolong_translation,
     sigma_shift,
     tau_shift,
@@ -139,8 +138,8 @@ def test_every_layer_reads_the_one_equation_table(params):
 
 
 def unprimed_v1(pres):
-    """The unprimed v1 right-hand side x*y1^q - x^q*y1, as written by
-    `presentation_equiv`; `element` normalizes y1^q."""
+    """The unprimed v1 right-hand side x*y1^q - x^q*y1, as criterion 08
+    writes it; `element` normalizes y1^q."""
     q = pres.params.q
     return pres.element({(1, q, 0, 0, 0, 0): 1,
                          (q, 1, 0, 0, 0, 0): pres.ctx.neg(1)})
@@ -252,7 +251,7 @@ def test_shift_tables_certified(mixed):
 
 
 def test_check_endo_violation(mixed):
-    bad = Endo(mixed, {}).replace(y1=mixed.gen("y1") + mixed.x())
+    bad = Endo(mixed, {"y1": mixed.gen("y1") + mixed.x()})
     defects = check_endo(bad)
     assert defects["y1"].d == {(27, 0, 0, 0, 0, 0): 1, X: 2}
     assert defects["w"].d == {(34, 0, 0, 0, 0, 0): 2, (8, 0, 0, 0, 0, 0): 1}
@@ -261,7 +260,7 @@ def test_check_endo_violation(mixed):
 def test_check_endo_checks_fixed_generators_whose_relation_moves(mixed):
     # every generator is fixed, but y1's relation is in x, which moves:
     # the fixed-variable shortcut must not skip it
-    shift = Endo(mixed, {}).replace(x=mixed.x() + mixed.const(1))
+    shift = Endo(mixed, {"x": mixed.x() + mixed.const(1)})
     defects = check_endo(shift)
     assert defects["y1"] == (mixed.relations["y1"]
                              - shift.apply(mixed.relations["y1"]))
@@ -316,10 +315,8 @@ def test_endos_record_what_they_move_and_cannot_be_rewritten(params):
         with pytest.raises(TypeError):
             e.images["y1"] = pres.gen("y1")
     assert endos[0].moved == endos[-1].moved == frozenset()
-    for make in (lambda: Endo(pres, {"z": pres.x()}),
-                 lambda: endos[0].replace(z=pres.x())):
-        with pytest.raises(ParameterError, match="no generator named 'z'"):
-            make()
+    with pytest.raises(ParameterError, match="no generator named 'z'"):
+        Endo(pres, {"z": pres.x()})
     assert invert_endo(lift).moved == lift.moved == frozenset(variables)
 
 
@@ -334,7 +331,7 @@ def test_endo_refuses_elements_from_another_presentation(mixed, mixed51):
 
 
 def test_invert_rejects_non_unipotent(mixed):
-    doubled = Endo(mixed, {}).replace(y1=mixed.gen("y1").scale(2))
+    doubled = Endo(mixed, {"y1": mixed.gen("y1").scale(2)})
     with pytest.raises(UnsupportedError):
         invert_endo(doubled)
 
@@ -453,24 +450,6 @@ def test_wp_solve_refuses_a_wrong_affine_solution(mixed, monkeypatch):
     with pytest.raises(IntegrityError,
                        match="witness failed its replay check"):
         wp_solve(mixed, mixed.relations["y1"])
-
-
-# ---------------------------------------------------- presentation links
-
-
-def test_presentation_equiv(mixed):
-    links = presentation_equiv(P31)
-    assert links["v1"].d == {(1, 1, 0, 0, 0, 0): 1}
-    assert links["v2"].d == {(1, 0, 1, 0, 0, 0): 1}
-    assert links["w"].d == {(0, 1, 1, 0, 0, 0): 1}
-
-
-def test_presentation_equiv_refuses_a_missing_link(monkeypatch):
-    # x*y1 solves the v1 link, not the w one
-    monkeypatch.setitem(tower._LINK_WITNESSES, "w", (1, 1, 0, 0, 0, 0))
-    with pytest.raises(IntegrityError, match="fails to link the "
-                                             "presentations at w"):
-        presentation_equiv(P31)
 
 
 # ----------------------------------------------------------- prolongation
