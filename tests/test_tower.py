@@ -452,6 +452,29 @@ def test_wp_solve_refuses_a_wrong_affine_solution(mixed, monkeypatch):
         wp_solve(mixed, mixed.relations["y1"])
 
 
+# ---------------------------------------------------- presentation links
+
+
+def test_presentation_equiv(mixed):
+    # the solver, not a table, finds each link's witness: v_i against the
+    # unprimed rhs, w against the primed "w'" read from tower_rhs
+    q, n1 = P31.q, mixed.ctx.neg(1)
+    rel = mixed.relations
+    unprimed_v2 = mixed.element({(1, 0, q, 0, 0, 0): 1,
+                                 (q, 0, 1, 0, 0, 0): n1})
+    primed_w = mixed.element({(*m, 0, 0, 0): c
+                              for m, c in tower_rhs(P31)["w'"].items()})
+    links = {"v1": rel["v1"] - unprimed_v1(mixed),
+             "v2": rel["v2"] - unprimed_v2,
+             "w": primed_w - rel["w"]}
+    assert {name: wp_solve(mixed, target).d
+            for name, target in links.items()} == {
+        "v1": {(1, 1, 0, 0, 0, 0): 1},
+        "v2": {(1, 0, 1, 0, 0, 0): 1},
+        "w": {(0, 1, 1, 0, 0, 0): 1},
+    }
+
+
 # ----------------------------------------------------------- prolongation
 
 
