@@ -4,11 +4,11 @@ Every subcommand produces one canonical JSON document (sorted keys,
 two-space indent, integers and fraction strings only, never floats) so
 that repeated runs and cached runs are byte identical.  Each command
 builds its report's body, and `_obtain` adds the header: `command`, and
-`params` printed as p, s, q0, q, n.  `verify` and `genus` print the
-fields of their `genus` record.  `_canonical` writes the report without
-the `json` package and refuses a float, None, a tuple or a string that
-needs an escape; `json` is loaded only to decode a cache entry.  Timing
-chatter goes to stderr.
+`params` printed as p, s, q0, q, n.  `verify`, `genus`, `conductor` and
+`audit` print the dicts their `genus` builders return.  `_canonical`
+writes the report without the `json` package and refuses a float, None,
+a tuple or a string that needs an escape; `json` is loaded only to
+decode a cache entry.  Timing chatter goes to stderr.
 Exit codes: 0 success, 1 integrity failure, 2 usage or parameter error,
 3 audit found mismatching rows.  The console script (`main()` with no
 argv) flushes stdout and stderr, runs the `atexit` handlers and ends
@@ -41,22 +41,20 @@ def _params_payload(params: Params) -> dict:
 def cmd_verify(params: Params, args) -> dict:
     from .genus import verify_big_action
 
-    return verify_big_action(params)._asdict()
+    return verify_big_action(params)
 
 
 def cmd_genus(params: Params, args) -> dict:
     from .genus import genus_of_F
 
-    rep = genus_of_F(params)
-    return {**rep._asdict(), "classes": [c._asdict() for c in rep.classes]}
+    return genus_of_F(params)
 
 
 def cmd_conductor(params: Params, args) -> dict:
     from .genus import cover_classes, ree_aggregate, ree_line_groups
 
     base, classes = cover_classes(params)
-    payload = {"base_floor": base._asdict(),
-               "classes": [c._asdict() for c in classes]}
+    payload = {"base_floor": base, "classes": classes}
     if params.p == 3:
         groups = ree_line_groups(params)
         payload["two_floor_groups"] = {str(m): c
@@ -69,8 +67,7 @@ def cmd_audit(params: Params, args) -> dict:
     from .genus import audit_closed_forms
 
     rows = audit_closed_forms(params)
-    return {"rows": [r._asdict() for r in rows],
-            "mismatches": sum(1 for r in rows if not r.match)}
+    return {"rows": rows, "mismatches": sum(not r["match"] for r in rows)}
 
 
 def cmd_commutators(params: Params, args) -> dict:

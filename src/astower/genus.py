@@ -18,7 +18,6 @@ derived count or genus is cross-checked against an independent closed
 form where one exists, raising IntegrityError on disagreement.
 """
 
-from collections import namedtuple
 from math import gcd
 
 from .errors import IntegrityError, ParameterError
@@ -131,12 +130,10 @@ def class_conductor(params: Params, label: str) -> int:
     return class_conductors(params)[label]
 
 
-BaseFloor = namedtuple("BaseFloor", "conductor line_genus lines genus")
-
-
-def base_floor(params: Params) -> BaseFloor:
+def base_floor(params: Params) -> dict:
     """Conductor, line genus, line count and genus of the first floor,
-    the degree-q cover cut out by y1.
+    the degree-q cover cut out by y1, as `conductor`'s `base_floor` prints
+    them.
 
     Its (q - 1)/(p - 1) lines u^p - u = c * f1 all have the conductor
     `conductor_of_cover` certifies, hence one line genus.
@@ -145,7 +142,8 @@ def base_floor(params: Params) -> BaseFloor:
     lines = (q - 1) // (p - 1)
     m = conductor_of_cover(params)
     line_genus = rh_genus(p, 0, m)
-    return BaseFloor(m, line_genus, lines, lines * line_genus)
+    return {"conductor": m, "line_genus": line_genus, "lines": lines,
+            "genus": lines * line_genus}
 
 
 # --------------------------------------------------------- aggregation
@@ -174,30 +172,23 @@ def gs_aggregate(p: int, pieces: list[tuple[int, int]], base_genus: int) -> int:
     return g
 
 
-CoverClass = namedtuple("CoverClass", "label count conductor genus")
-
-
-def cover_classes(params: Params) -> tuple[BaseFloor, list[CoverClass]]:
-    """The first floor's `BaseFloor`, and the count, conductor and line
-    genus of each of the four classes, taken over that floor, returned
-    with it so that neither `genus_of_F` nor the conductor report
+def cover_classes(params: Params) -> tuple[dict, list[dict]]:
+    """The first floor's `base_floor`, and the label, count, conductor and
+    line genus of each of the four classes, taken over that floor,
+    returned with it so that neither `genus_of_F` nor the conductor report
     certifies it again.
     """
     counts = class_line_counts(params)
     conductors = class_conductors(params)
     base = base_floor(params)
-    return base, [CoverClass(label, counts[label], conductors[label],
-                             rh_genus(params.p, base.genus, conductors[label]))
+    return base, [{"label": label, "count": counts[label],
+                   "conductor": conductors[label],
+                   "genus": rh_genus(params.p, base["genus"],
+                                     conductors[label])}
                   for label in _CLASS_ORDER]
 
 
-# classes is a tuple of CoverClass; every other field is an int
-GenusReport = namedtuple("GenusReport", "base_genus classes weighted_sum "
-                         "gs_subtraction genus printed_subtraction "
-                         "genus_printed")
-
-
-def genus_of_F(params: Params) -> GenusReport:
+def genus_of_F(params: Params) -> dict:
     """Genus of the full field under both published readings.
 
     `genus` subtracts the compositum correction for the rank-4n dual
@@ -209,31 +200,24 @@ def genus_of_F(params: Params) -> GenusReport:
     """
     p, q, q0 = params.p, params.q, params.q0
     base, classes = cover_classes(params)
-    weighted = sum(c.count * c.genus for c in classes)
-    g = gs_aggregate(p, [(c.count, c.genus) for c in classes], base.genus)
+    pieces = [(c["count"], c["genus"]) for c in classes]
+    weighted = sum(count * genus for count, genus in pieces)
+    g = gs_aggregate(p, pieces, base["genus"])
     unit = (q - 1) // (p - 1)
     printed_sub = unit * (q // q0) * ((q - 1) // 2)
-    return GenusReport(
-        base_genus=base.genus,
-        classes=tuple(classes),
-        weighted_sum=weighted,
-        gs_subtraction=weighted - g,
-        genus=g,
-        printed_subtraction=printed_sub,
-        genus_printed=weighted - printed_sub,
-    )
+    return {"base_genus": base["genus"], "classes": classes,
+            "weighted_sum": weighted, "gs_subtraction": weighted - g,
+            "genus": g, "printed_subtraction": printed_sub,
+            "genus_printed": weighted - printed_sub}
 
 
 # --------------------------------------------------------------- audit
 
 
-AuditRow = namedtuple("AuditRow", "label closed pipeline match difference")
-AuditRow.__doc__ = """One class genus against its closed form; closed and
-difference (closed minus pipeline) are `Exact`."""
-
-
-def audit_closed_forms(params: Params) -> list[AuditRow]:
-    """Compare pipeline class genera against their closed forms.
+def audit_closed_forms(params: Params) -> list[dict]:
+    """Compare pipeline class genera against their closed forms, one row
+    per class; a row's closed and difference (closed minus pipeline) are
+    `Exact`.
 
     The y2, v1, v2 forms reproduce the pipeline exactly; the w form
     overshoots by exactly q/2, and the audit records that difference
@@ -253,14 +237,10 @@ def audit_closed_forms(params: Params) -> list[AuditRow]:
     }
     rows = []
     for c in cover_classes(params)[1]:
-        num = closed[c.label]
-        rows.append(AuditRow(
-            label=c.label,
-            closed=_exact_ratio(num, den),
-            pipeline=c.genus,
-            match=num == c.genus * den,
-            difference=_exact_ratio(num - c.genus * den, den),
-        ))
+        num, scaled = closed[c["label"]], c["genus"] * den
+        rows.append({"label": c["label"], "closed": _exact_ratio(num, den),
+                     "pipeline": c["genus"], "match": num == scaled,
+                     "difference": _exact_ratio(num - scaled, den)})
     return rows
 
 
@@ -302,15 +282,9 @@ def ree_aggregate(params: Params, groups: dict[int, int]) -> int:
 # ------------------------------------------------------------- verdict
 
 
-BigActionReport = namedtuple(
-    "BigActionReport", "group_order genus genus_printed bound bound_printed "
-    "is_big is_big_printed readings_agree")
-BigActionReport.__doc__ = """The verdict under both genus readings; bound and
-bound_printed are 2p/(p-1) times the genus as `Exact`."""
-
-
-def verify_big_action(params: Params) -> BigActionReport:
-    """Check |G| > 2p/(p-1) * g for the full action, under both readings.
+def verify_big_action(params: Params) -> dict:
+    """Check |G| > 2p/(p-1) * g for the full action, under both readings;
+    bound and bound_printed are 2p/(p-1) times each genus as `Exact`.
 
     |G| = q^6 is certified in this run by `tower.certify_group`, imported
     here so that the other class reports never load `tower`.  The
@@ -321,15 +295,11 @@ def verify_big_action(params: Params) -> BigActionReport:
     rep = genus_of_F(params)
     p = params.p
     order = certify_group(presentation(params))
-    is_big = order * (p - 1) > 2 * p * rep.genus
-    is_big_printed = order * (p - 1) > 2 * p * rep.genus_printed
-    return BigActionReport(
-        group_order=order,
-        genus=rep.genus,
-        genus_printed=rep.genus_printed,
-        bound=_exact_ratio(2 * p * rep.genus, p - 1),
-        bound_printed=_exact_ratio(2 * p * rep.genus_printed, p - 1),
-        is_big=is_big,
-        is_big_printed=is_big_printed,
-        readings_agree=is_big == is_big_printed,
-    )
+    g, g_printed = rep["genus"], rep["genus_printed"]
+    is_big = order * (p - 1) > 2 * p * g
+    is_big_printed = order * (p - 1) > 2 * p * g_printed
+    return {"group_order": order, "genus": g, "genus_printed": g_printed,
+            "bound": _exact_ratio(2 * p * g, p - 1),
+            "bound_printed": _exact_ratio(2 * p * g_printed, p - 1),
+            "is_big": is_big, "is_big_printed": is_big_printed,
+            "readings_agree": is_big == is_big_printed}

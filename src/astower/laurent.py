@@ -11,8 +11,9 @@ in `LaurentPoly`, and carries `prec` forward, except the product's rule,
 factor on either side.  `local.reduce_mod_wp` refuses a series unless
 z^0 lies below `prec`, because a conductor read from an uncertified
 principal part would be a guess.  The constructors and `scale` refuse a
-code outside range(q); a ring operation's result comes from the kernel
-and is wrapped unchecked (`_made`).
+code outside range(q), and a sum or product refuses an operand over
+another field context (`same_field`); a ring operation's result comes
+from the kernel and is wrapped unchecked (`_made`).
 
 The module also keeps a support watermark: the largest dict size that
 has passed through any ring operation since the last reset.  No check
@@ -22,6 +23,7 @@ metric `laurent.support_max`.
 
 import math
 
+from .errors import ParameterError
 from .ff import FieldCtx, lp_map_pow, lp_mul, power
 
 _watermark = 0
@@ -46,6 +48,15 @@ def _note(d: dict[int, int]) -> dict[int, int]:
 Prec = int | float
 
 
+def same_field(ctx: FieldCtx, other: FieldCtx) -> FieldCtx:
+    """ctx, once other is the same context: codes of two fields are
+    refused, as `TowerElement` refuses two presentations."""
+    if other is not ctx:
+        raise ParameterError(
+            f"elements from different fields, F_{ctx.q} and F_{other.q}")
+    return ctx
+
+
 class LaurentPoly:
     """f = sum c_e z^e with finitely many terms, exponents any integers,
     exact below `prec`: infinite here, finite in a `TruncatedSeries`."""
@@ -65,8 +76,8 @@ class LaurentPoly:
         return bool(self.d)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, LaurentPoly) and self.d == other.d
-                and self.prec == other.prec)
+        return (isinstance(other, LaurentPoly) and self.ctx is other.ctx
+                and self.d == other.d and self.prec == other.prec)
 
     def _made(self, d: dict[int, int], prec: Prec = math.inf
               ) -> "LaurentPoly":
@@ -82,7 +93,8 @@ class LaurentPoly:
         return out
 
     def _plus(self, other: "LaurentPoly", c: int) -> "LaurentPoly":
-        out = lp_mul({0: c}, other.d, self.ctx, dict(self.d))
+        out = lp_mul({0: c}, other.d, same_field(self.ctx, other.ctx),
+                     dict(self.d))
         return self._made(_note(out), min(self.prec, other.prec))
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
@@ -96,7 +108,8 @@ class LaurentPoly:
         its precision is kept whichever side it is on."""
         if other.prec != math.inf:
             return other * self
-        return self._made(_note(lp_mul(self.d, other.d, self.ctx)))
+        return self._made(_note(lp_mul(self.d, other.d,
+                                       same_field(self.ctx, other.ctx))))
 
     def scale(self, c: int) -> "LaurentPoly":
         self.ctx.check(c)
@@ -137,7 +150,8 @@ class TruncatedSeries(LaurentPoly):
         sv = min(self.d, default=math.inf)
         ov = min(other.d, default=math.inf)
         prec = min(self.prec + ov, other.prec + sv)
-        return self._made(_note(lp_mul(self.d, other.d, self.ctx)), prec)
+        return self._made(_note(lp_mul(
+            self.d, other.d, same_field(self.ctx, other.ctx))), prec)
 
     def __repr__(self):
         return f"TruncatedSeries({len(self.d)} terms, prec={self.prec})"

@@ -25,7 +25,7 @@ import math
 
 from .errors import IntegrityError, ParameterError, UnsupportedError
 from .ff import FieldCtx, Params, lp_mul, prime_basis, tower_rhs
-from .laurent import LaurentPoly, TruncatedSeries
+from .laurent import LaurentPoly, TruncatedSeries, same_field
 
 
 def cover_rhs_polys(params: Params) -> dict[str, dict[tuple[int, int], int]]:
@@ -127,8 +127,10 @@ def reduce_mod_wp(ctx: FieldCtx, f: LaurentPoly) -> dict[int, int]:
     f without a pole).  Each order folds once, so the m are distinct;
     were two equal, u would keep only one of them and the identity
     would fail closed.  It sums f's constant, so f needs prec > 0,
-    which an exact f (prec = inf) has.
+    which an exact f (prec = inf) has.  An f over another field context
+    is refused.
     """
+    same_field(ctx, f.ctx)
     if f.prec <= 0:
         raise ParameterError(
             f"series certified only above z^{f.prec}; cannot reduce")
@@ -165,7 +167,7 @@ def basis_rows(ctx: FieldCtx, f: LaurentPoly) -> list[dict[int, int]]:
     expanded once; reduction is only F_p-linear, so each b*f is reduced.
     A reduction reads only the poles and z^0, so f is first cut at z^1;
     a prec at or below 0 is kept, and the reduction refuses it."""
-    f = TruncatedSeries(ctx, f.d, min(f.prec, 1))
+    f = TruncatedSeries(same_field(ctx, f.ctx), f.d, min(f.prec, 1))
     return [reduce_mod_wp(ctx, f.scale(b)) for b in prime_basis(ctx)]
 
 

@@ -118,13 +118,13 @@ class TowerElement:
 
     def pow_pk(self, k: int) -> "TowerElement":
         """The p^k-th power, taken n steps at a time so fields stay < q^2."""
-        pres = self.pres
-        step = min(k, pres.params.n)
-        if not step:
-            return self
-        out = TowerElement(pres, pres.normalize(lp_map_pow(
-            self.terms, step, pres.ctx)))
-        return out if k == step else out.pow_pk(k - step)
+        pres, out = self.pres, self
+        while k:  # a negative k reaches lp_map_pow, which refuses it
+            step = min(k, pres.params.n)
+            out = TowerElement(pres, pres.normalize(lp_map_pow(
+                out.terms, step, pres.ctx)))
+            k -= step
+        return out
 
     def __pow__(self, e: int) -> "TowerElement":
         return power(self, e, self.pres.const(1), self.pres.ctx.p)

@@ -92,14 +92,14 @@ def test_criterion_02_conductors():
 @criterion(3, "closed-form class genera match the pipeline except w, "
               "which differs by exactly q/2")
 def test_criterion_03_genus_audit():
-    rows = {r.label: r for r in audit_closed_forms(P31)}
-    assert rows["y2"].match and rows["y2"].pipeline == 387
-    assert rows["v1"].match and rows["v1"].pipeline == 603
-    assert rows["v2"].match and rows["v2"].pipeline == 630
-    assert not rows["w"].match and rows["w"].pipeline == 657
+    rows = {r["label"]: r for r in audit_closed_forms(P31)}
+    assert rows["y2"]["match"] and rows["y2"]["pipeline"] == 387
+    assert rows["v1"]["match"] and rows["v1"]["pipeline"] == 603
+    assert rows["v2"]["match"] and rows["v2"]["pipeline"] == 630
+    assert not rows["w"]["match"] and rows["w"]["pipeline"] == 657
     for params in (P31, P51, P32):
-        w = {r.label: r for r in audit_closed_forms(params)}["w"]
-        assert Fraction(w.difference) * 2 == params.q
+        w = {r["label"]: r for r in audit_closed_forms(params)}["w"]
+        assert Fraction(w["difference"]) * 2 == params.q
 
 
 @criterion(4, "two-floor compositum genus is 3627 at (3, 1)")
@@ -111,11 +111,12 @@ def test_criterion_04_two_floor_aggregate():
               "identical under both genus readings")
 def test_criterion_05_big_action_verdicts():
     r31 = verify_big_action(P31)
-    assert r31.genus == 143210574
-    assert not r31.is_big and not r31.is_big_printed and r31.readings_agree
+    assert r31["genus"] == 143210574
+    assert not r31["is_big"] and not r31["is_big_printed"]
+    assert r31["readings_agree"]
     r32 = verify_big_action(P32)
-    assert r32.genus == 23722329729978
-    assert r32.is_big and r32.is_big_printed and r32.readings_agree
+    assert r32["genus"] == 23722329729978
+    assert r32["is_big"] and r32["is_big_printed"] and r32["readings_agree"]
 
 
 @criterion(6, "shift commutators are the central w-shifts -2*gi*gj, "

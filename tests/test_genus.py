@@ -136,28 +136,28 @@ def test_conductor_ladder_values():
 
 
 def test_cover_classes_p3s1():
-    rows = {c.label: c for c in cover_classes(P31)[1]}
-    assert rows["y2"].count == 13 and rows["y2"].conductor == 38
-    assert rows["y2"].genus == 387
-    assert rows["v1"].conductor == 254 and rows["v1"].genus == 603
-    assert rows["v2"].conductor == 281 and rows["v2"].genus == 630
-    assert rows["w"].count == 255879
-    assert rows["w"].conductor == 308 and rows["w"].genus == 657
+    rows = {c["label"]: c for c in cover_classes(P31)[1]}
+    assert rows["y2"]["count"] == 13 and rows["y2"]["conductor"] == 38
+    assert rows["y2"]["genus"] == 387
+    assert rows["v1"]["conductor"] == 254 and rows["v1"]["genus"] == 603
+    assert rows["v2"]["conductor"] == 281 and rows["v2"]["genus"] == 630
+    assert rows["w"]["count"] == 255879
+    assert rows["w"]["conductor"] == 308 and rows["w"]["genus"] == 657
 
 
 def test_cover_classes_p5s1():
-    rows = {c.label: c for c in cover_classes(P51)[1]}
-    assert [rows[k].conductor for k in ("y2", "v1", "v2", "w")] == \
+    rows = {c["label"]: c for c in cover_classes(P51)[1]}
+    assert [rows[k]["conductor"] for k in ("y2", "v1", "v2", "w")] == \
         [152, 3152, 3277, 3402]
-    assert [rows[k].genus for k in ("y2", "v1", "v2", "w")] == \
+    assert [rows[k]["genus"] for k in ("y2", "v1", "v2", "w")] == \
         [8050, 14050, 14300, 14550]
 
 
 def test_cover_classes_p3s2():
-    rows = {c.label: c for c in cover_classes(P32)[1]}
-    assert [rows[k].conductor for k in ("y2", "v1", "v2", "w")] == \
+    rows = {c["label"]: c for c in cover_classes(P32)[1]}
+    assert [rows[k]["conductor"] for k in ("y2", "v1", "v2", "w")] == \
         [272, 6590, 6833, 7076]
-    assert [rows[k].genus for k in ("y2", "v1", "v2", "w")] == \
+    assert [rows[k]["genus"] for k in ("y2", "v1", "v2", "w")] == \
         [10071, 16389, 16632, 16875]
 
 
@@ -264,9 +264,10 @@ def test_line_histogram_rejects_short_line_total():
 # ---------------------------------------------------------- base floor
 
 def test_base_floor_genus():
-    assert base_floor(P31) == (11, 9, 13, 117)
-    assert base_floor(P51) == (27, 50, 31, 1550)
-    assert base_floor(P32) == (29, 27, 121, 3267)
+    fields = ("conductor", "line_genus", "lines", "genus")
+    assert base_floor(P31) == dict(zip(fields, (11, 9, 13, 117)))
+    assert base_floor(P51) == dict(zip(fields, (27, 50, 31, 1550)))
+    assert base_floor(P32) == dict(zip(fields, (29, 27, 121, 3267)))
     assert cover_classes(P31)[0] == base_floor(P31)
 
 
@@ -302,57 +303,57 @@ def test_gs_aggregate_constant_pieces(p, N, g):
 
 def test_genus_of_F_p3s1():
     rep = genus_of_F(P31)
-    assert rep.base_genus == 117
-    assert rep.weighted_sum == 174299697
-    assert rep.gs_subtraction == 31089123
-    assert rep.genus == 143210574
-    assert rep.printed_subtraction == 1521
-    assert rep.genus_printed == 174298176
+    assert rep["base_genus"] == 117
+    assert rep["weighted_sum"] == 174299697
+    assert rep["gs_subtraction"] == 31089123
+    assert rep["genus"] == 143210574
+    assert rep["printed_subtraction"] == 1521
+    assert rep["genus_printed"] == 174298176
 
 
 def test_genus_of_F_p5s1():
     rep = genus_of_F(P51)
-    assert rep.weighted_sum == 887938287050
-    assert rep.gs_subtraction == 94604490250
-    assert rep.genus == 793333796800
+    assert rep["weighted_sum"] == 887938287050
+    assert rep["gs_subtraction"] == 94604490250
+    assert rep["genus"] == 793333796800
 
 
 def test_genus_of_F_p3s2():
     rep = genus_of_F(P32)
-    assert rep.genus == 23722329729978
+    assert rep["genus"] == 23722329729978
 
 
 # --------------------------------------------------------------- audit
 
 def test_audit_closed_forms_p3s1():
-    rows = {r.label: r for r in audit_closed_forms(P31)}
+    rows = {r["label"]: r for r in audit_closed_forms(P31)}
     for label, g in (("y2", 387), ("v1", 603), ("v2", 630)):
-        assert rows[label].match
-        assert Fraction(rows[label].closed) == Fraction(g)
-        assert rows[label].pipeline == g
+        assert rows[label]["match"]
+        assert Fraction(rows[label]["closed"]) == Fraction(g)
+        assert rows[label]["pipeline"] == g
     w = rows["w"]
-    assert not w.match
-    assert w.pipeline == 657
-    assert Fraction(w.closed) == Fraction(1341, 2)
-    assert Fraction(w.difference) == Fraction(27, 2)
+    assert not w["match"]
+    assert w["pipeline"] == 657
+    assert Fraction(w["closed"]) == Fraction(1341, 2)
+    assert Fraction(w["difference"]) == Fraction(27, 2)
 
 
 def test_audit_closed_forms_p5s1():
-    rows = {r.label: r for r in audit_closed_forms(P51)}
-    assert all(rows[k].match for k in ("y2", "v1", "v2"))
-    assert Fraction(rows["w"].difference) == Fraction(125, 2)
+    rows = {r["label"]: r for r in audit_closed_forms(P51)}
+    assert all(rows[k]["match"] for k in ("y2", "v1", "v2"))
+    assert Fraction(rows["w"]["difference"]) == Fraction(125, 2)
 
 
 def test_audit_difference_is_half_q():
     for params in (P31, P51, P32):
-        w = {r.label: r for r in audit_closed_forms(params)}["w"]
-        assert Fraction(w.difference) == Fraction(params.q, 2)
+        w = {r["label"]: r for r in audit_closed_forms(params)}["w"]
+        assert Fraction(w["difference"]) == Fraction(params.q, 2)
 
 
 @pytest.mark.parametrize("params", [P31, P51, P32, P71])
 def test_audit_w_closed_form_is_half_integral(params):
-    rows = {r.label: r for r in audit_closed_forms(params)}
-    assert Fraction(rows["w"].closed).denominator == 2
+    rows = {r["label"]: r for r in audit_closed_forms(params)}
+    assert Fraction(rows["w"]["closed"]).denominator == 2
 
 
 # ------------------------------------------------------------ two-floor
@@ -417,30 +418,30 @@ def test_ree_rejects_other_characteristics():
 
 def test_big_action_verdict_p3s1():
     rep = verify_big_action(P31)
-    assert rep.group_order == 3 ** 18
-    assert rep.genus == 143210574
-    assert not rep.is_big
-    assert not rep.is_big_printed
-    assert rep.readings_agree
+    assert rep["group_order"] == 3 ** 18
+    assert rep["genus"] == 143210574
+    assert not rep["is_big"]
+    assert not rep["is_big_printed"]
+    assert rep["readings_agree"]
 
 
 def test_big_action_verdict_p3s2():
     rep = verify_big_action(P32)
-    assert rep.group_order == 3 ** 30
-    assert rep.is_big
-    assert rep.is_big_printed
-    assert rep.readings_agree
+    assert rep["group_order"] == 3 ** 30
+    assert rep["is_big"]
+    assert rep["is_big_printed"]
+    assert rep["readings_agree"]
 
 
 def test_big_action_verdict_p5s1():
     rep = verify_big_action(P51)
-    assert rep.group_order == 5 ** 18
-    assert rep.is_big and rep.is_big_printed and rep.readings_agree
+    assert rep["group_order"] == 5 ** 18
+    assert rep["is_big"] and rep["is_big_printed"] and rep["readings_agree"]
 
 
 def test_big_action_bound_uses_correct_ratio():
     rep = verify_big_action(P31)
-    assert Fraction(rep.bound) == Fraction(2 * 3, 3 - 1) * 143210574
+    assert Fraction(rep["bound"]) == Fraction(2 * 3, 3 - 1) * 143210574
 
 
 def _as_printed(value: Fraction):
@@ -455,13 +456,13 @@ def test_exact_ratios_match_a_fraction_oracle(p, s):
     params = Params(p, s)
     rep = verify_big_action(params)
     ratio = Fraction(2 * p, p - 1)
-    for bound, g, big in ((rep.bound, rep.genus, rep.is_big),
-                          (rep.bound_printed, rep.genus_printed,
-                           rep.is_big_printed)):
+    for bound, g, big in ((rep["bound"], rep["genus"], rep["is_big"]),
+                          (rep["bound_printed"], rep["genus_printed"],
+                           rep["is_big_printed"])):
         assert bound == _as_printed(ratio * g)
-        assert big == (rep.group_order > ratio * g)
+        assert big == (rep["group_order"] > ratio * g)
     for row in audit_closed_forms(params):
-        closed = Fraction(row.closed)
-        assert row.closed == _as_printed(closed)
-        assert row.difference == _as_printed(closed - row.pipeline)
-        assert row.match == (closed == row.pipeline)
+        closed = Fraction(row["closed"])
+        assert row["closed"] == _as_printed(closed)
+        assert row["difference"] == _as_printed(closed - row["pipeline"])
+        assert row["match"] == (closed == row["pipeline"])

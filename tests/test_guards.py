@@ -4,8 +4,8 @@ Every certificate refusal (`raise IntegrityError`) has a test that makes
 it fire, so does every budget refusal (`raise UnsupportedError`), and
 every function and class is reached from inside the
 package unless it is listed here with a reason, and so is every record
-field; a field of a record the CLI prints is a key of the printed
-reports.  These lists are read from the source with `ast`, so a new
+field; every key of a report body a command builds is printed, and none
+is a header key.  These lists are read from the source with `ast`, so a new
 refusal without a test, or a new name or field only the tests read,
 fails here.  Only `ff`, which holds the kernel, may name the field's
 memos, and README's Layout lists exactly the package's modules.  The
@@ -21,7 +21,8 @@ import re
 import subprocess
 import sys
 
-from astower import cli
+from astower import __version__, cli
+from astower.ff import Params
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "astower"
@@ -106,12 +107,7 @@ UNCALLED = {
     "reset_support_watermark": "tests reset the watermark between runs",
 }
 
-# Records the CLI prints whole through `_asdict()`, so each field is read
-# by printing it.
-PRINTED = {"BaseFloor", "CoverClass", "GenusReport", "AuditRow",
-           "BigActionReport"}
-
-# The keys `cli` adds to every report; a record field of the same name
+# The keys `cli` adds to every report; a body key of the same name
 # would be overwritten by the header and never printed.
 HEADER = {"command", "params"}
 
@@ -231,27 +227,33 @@ def _keys(value):
 def test_every_record_field_is_read_in_the_package(capsys):
     """A field is read when some module loads an attribute of its name;
     matched by name, as the caller test above matches functions.  A
-    `PRINTED` record's field is read when it is printed: it must be a
-    key of some report of the six commands at (3, 1), and no header key,
-    which `cli` writes over."""
+    report body is a dict, read by printing it: at (3, 1), the body each
+    of the six commands builds has no header key, which `cli` writes
+    over, and every one of its keys is a key of the printed report."""
     fields, read = set(), set()
     for tree in _trees().values():
         fields.update(_record_fields(tree))
         read.update(node.attr for node in ast.walk(tree)
                     if isinstance(node, ast.Attribute)
                     and isinstance(node.ctx, ast.Load))
-    printed = set()
-    for command in cli._COMMANDS:
-        cli.main([command, "--p", "3", "--s", "1"])
-        printed.update(_keys(json.loads(capsys.readouterr().out)))
-    assert PRINTED <= {record for record, _ in fields}
-    unprinted = {(record, field) for record, field in fields
-                 if record in PRINTED
-                 and (field not in printed or field in HEADER)}
-    assert unprinted == set()
     unread = {(record, field) for record, field in fields
-              if record not in PRINTED and field not in read}
+              if field not in read}
     assert unread == set(UNREAD)
+    for command, (build, _) in cli._COMMANDS.items():
+        argv = [command, "--p", "3", "--s", "1"]
+        body = build(Params(3, 1), cli._parse(argv))
+        assert not HEADER & set(body), command
+        cli.main(argv)
+        printed = set(_keys(json.loads(capsys.readouterr().out)))
+        assert set(_keys(body)) <= printed, command
+
+
+def test_pyproject_version_is_the_package_version():
+    """`--version` and the cache key read `astower.__version__`; the
+    wheel is built with pyproject's.  Read by line: Python 3.10 has no
+    `tomllib`."""
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.findall(r'^version = "(.*)"$', text, re.M) == [__version__]
 
 
 def test_readme_layout_lists_every_module():

@@ -6,6 +6,7 @@ code paths (memoized products and sums, in-place accumulation).
 """
 
 import math
+import operator
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +19,7 @@ from astower.laurent import (
     reset_support_watermark,
     support_watermark,
 )
-from astower.local import reduce_mod_wp
+from astower.local import basis_rows, reduce_mod_wp
 
 
 def naive_mul(ctx, a, b):
@@ -247,6 +248,24 @@ def test_equality_compares_prec(F27):
     assert TruncatedSeries(F27, d, 10) == TruncatedSeries(F27, d, 10)
     # an infinite prec is the exact polynomial
     assert LaurentPoly(F27, d) == TruncatedSeries(F27, d, math.inf)
+
+
+def test_operands_over_two_fields_are_refused(F27):
+    """F_27 codes are not F_5 codes: a sum, a product or a reduction
+    across the two refuses, and no element of one equals one of the
+    other."""
+    F5 = make_field(5, 1)
+    a, b = LaurentPoly(F27, {0: 5, -2: 1}), LaurentPoly(F5, {0: 4, -2: 3})
+    series = TruncatedSeries(F5, {0: 4, -2: 3}, 3)
+    for left, right in ((a, b), (b, a), (a, series), (series, a)):
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ParameterError, match="different fields"):
+                op(left, right)
+    assert LaurentPoly(F27, {0: 1}) != LaurentPoly(F5, {0: 1})
+    poles = LaurentPoly(F27, {-3: 2, -1: 1})
+    for reduce in (reduce_mod_wp, basis_rows):
+        with pytest.raises(ParameterError, match="different fields"):
+            reduce(F5, poles)
 
 
 def test_sums_keep_the_smaller_prec(F27):

@@ -219,6 +219,14 @@ def test_element_pow_pk_rejects_negative_k(mixed):
         mixed.gen("y1").pow_pk(-1)
 
 
+def test_pow_pk_takes_any_number_of_steps(mixed):
+    # 4000 steps of n = 3 at a time: 1334 nested calls, were each step
+    # a call of its own
+    x = mixed.x()
+    assert x.pow_pk(4000) == mixed.x(3 ** 4000)
+    assert x.pow_pk(0) is x
+
+
 def test_scale_by_zero_is_zero(mixed):
     a = mixed.gen("y1") + mixed.x()
     assert a.scale(0) == mixed.const(0)
